@@ -34,7 +34,7 @@ from .errors import (
 )
 from .extremality import extremality_report
 from .linalg import DEFAULT_TOL, ToleranceConfig, rank_of
-from .povm import NOT_EXTREMAL, Povm, classify, prune_zero_effects, validate
+from .povm import NOT_EXTREMAL, Povm, classify, non_finite_effects, prune_zero_effects, validate
 
 __all__ = ["main"]
 
@@ -173,6 +173,10 @@ def _print_effects(povm: Povm) -> None:
 
 def _validation_failures(povm: Povm, tol: ToleranceConfig) -> list[str]:
     """All violated invariants with residuals (empty list means valid)."""
+    bad = non_finite_effects(povm)
+    if bad:
+        # nothing else can be judged: eigvalsh and the residual fail on NaN/Inf
+        return [f"effect {j}: non-finite entry" for j in bad]
     failures = []
     for j, e in enumerate(povm.effects):
         deviation = float(np.max(np.abs(e - e.conj().T)))

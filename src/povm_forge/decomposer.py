@@ -2,13 +2,12 @@
 
 ``decompose`` realizes the package's central claim: every finite-outcome
 POVM equals a convex combination of extremal rank-1 POVMs, each pushed
-through a relabeling map.  The algorithm rewrites the
-input as a relabeling of a rank-1 POVM, then repeatedly splits any
-linearly dependent rank-1 POVM into a proper mixture of two POVMs with
-strictly fewer nonzero effects until every branch reaches a POVM with
-independent (hence extremal) effects.  The result is a verifiable
-certificate; verification and measurement-statistics checks live here
-too.
+through a relabeling map.  The input is rewritten as a relabeling of a
+rank-1 POVM E_1..E_N.  The POVMs {y_j E_j} (y >= 0, sum_j y_j E_j = I)
+form a polytope whose vertices are the extremal rank-1 POVMs (independent
+supports); a Caratheodory peel writes y = 1 as a mixture of at most
+N - rank + 1 of them.  The result is a verifiable certificate;
+verification and measurement-statistics checks live here too.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .errors import (
     NotExtremalError,
     NotRank1Error,
 )
-from .extremality import find_effect_dependence, is_extremal, is_extremal_rank1, split_mixture
+from .extremality import is_extremal, is_extremal_rank1, independence_cutoff
 from .linalg import DEFAULT_TOL, ToleranceConfig
 from .povm import Povm, RelabelMap, prune_zero_effects, relabel, spectral_relabel, validate
 
@@ -40,23 +39,6 @@ __all__ = [
     "statistics_equivalence",
     "random_density_matrix",
 ]
-
-# Branch weights below this are numerical debris from repeated splits.
-_WEIGHT_FLOOR = 1e-12
-
-
-def _prune_split_debris(p: Povm, tol: ToleranceConfig) -> tuple[Povm, RelabelMap]:
-    """Prune for the split recursion, aligned with the rank cutoff.
-
-    Repeated splits can leave effects whose every eigenvalue sits below
-    the rank cutoff ("rank 0" debris); such effects would derail the
-    dependence search and can never appear in an extremal rank-1 leaf,
-    so they are dropped here.  Each drop perturbs the reconstruction by
-    at most its own norm, well under the certificate budget.
-    """
-    floor = max(tol.zero_effect_tol, np.sqrt(p.dim) * tol.rank_tol)
-    keep = np.flatnonzero(p.effect_norms() > floor)
-    return Povm(p.effects[keep]), RelabelMap(keep.size, p.n_outcomes, keep)
 
 
 @dataclass(frozen=True)
@@ -74,13 +56,10 @@ class DecompositionCertificate:
 
     Invariant: sum_i weight_i * relabel(extremal_i, relabel_i)
     reconstructs ``target`` effect by effect, with weights summing to 1.
-    ``dropped_weight`` records total branch weight discarded as
-    numerical debris before renormalization (not serialized).
     """
 
     target: Povm
     components: tuple[CertificateComponent, ...]
-    dropped_weight: float = 0.0
 
     def reconstruction(self) -> np.ndarray:
         """Effect stack of the weighted relabeled mixture."""
@@ -127,72 +106,128 @@ class DecompositionCertificate:
         return cls(target=target, components=tuple(comps))
 
 
-def _merge_leaves(
-    leaves: list[tuple[float, Povm, RelabelMap]]
-) -> list[tuple[float, Povm, RelabelMap]]:
-    """Sum weights of leaves with identical POVMs and identical maps."""
-    merged: list[tuple[float, Povm, RelabelMap]] = []
-    for weight, povm, rmap in leaves:
-        for i, (w0, p0, m0) in enumerate(merged):
-            if (
-                p0.n_outcomes == povm.n_outcomes
-                and np.array_equal(m0.targets, rmap.targets)
-                and np.allclose(p0.effects, povm.effects, rtol=0.0, atol=1e-12)
-            ):
-                merged[i] = (w0 + weight, p0, m0)
-                break
-        else:
-            merged.append((weight, povm, rmap))
-    return merged
+def _factor(columns: np.ndarray, tol: ToleranceConfig):
+    """Null basis of ``columns`` under the banded independence rule, and the rest of their SVD."""
+    u, s, vh = np.linalg.svd(columns, full_matrices=columns.shape[1] > columns.shape[0])
+    rank = int(np.count_nonzero(s > independence_cutoff(tol) * s[0]))
+    return vh[rank:].T, (u[:, :rank], s[:rank], vh[:rank])
+
+
+def _solve(svd, rhs: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of ``rhs`` in the columns factored by ``svd``."""
+    u, s, vh = svd
+    return vh.T @ ((u.T @ rhs) / s)
+
+
+def _shrink(x: np.ndarray, support: np.ndarray, null: np.ndarray, floor: float):
+    """Drop the coordinates at or below ``floor`` from the support and null basis.
+
+    A Householder reflection moves each dropped row into the first column,
+    which goes too; the other columns stay orthonormal.
+    """
+    gone = np.flatnonzero(x[support] <= floor)
+    x[support[gone]] = 0.0
+    for r in gone:
+        h = null[r].copy()
+        norm = float(np.linalg.norm(h))
+        if norm > 0.0:
+            h[0] += np.copysign(norm, h[0])
+            null = (null - np.outer(null @ h, h * (2.0 / (h @ h))))[:, 1:]
+    return np.delete(support, gone), np.delete(null, gone, axis=0)
+
+
+def _walk_to_vertex(columns, identity, x, support, null, floor, tol):
+    """Vertex reached from ``x`` along null directions.
+
+    Returns its support, its coefficients refit by least squares to sum
+    to I exactly (debris dropped), and the SVD of its columns.
+    """
+    x = x.copy()
+    while True:
+        while null.shape[1]:
+            z = null[:, 0]
+            with np.errstate(divide="ignore"):
+                ratios = np.where(z != 0.0, x[support] / np.abs(z), np.inf)
+            j = int(np.argmin(ratios))
+            # to the nearer facet along +z or -z
+            x[support] += (ratios[j] if z[j] < 0.0 else -ratios[j]) * z
+            x[support[j]] = 0.0
+            support, null = _shrink(x, support, null, floor)
+        null, svd = _factor(columns[:, support], tol)
+        if not null.shape[1]:
+            x[support] = _solve(svd, identity)
+            size = support.size
+            support, null = _shrink(x, support, null, floor)
+            if support.size == size:
+                return support, x[support], svd
 
 
 def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCertificate:
     """Decompose a valid POVM into relabeled extremal rank-1 components.
 
-    Steps: (1) rewrite ``p`` as a relabeling of a rank-1 POVM via
-    spectral expansion; (2) while a branch POVM has linearly dependent
-    effects, split it into a proper mixture and recurse on both halves,
-    multiplying branch weights; (3) emit every independent branch as a
-    component, its map composed from the spectral projection map and all
-    pruning steps along its path.  The recursion depth is bounded by the
-    nonzero-effect count minus d; exceeding that bound raises
+    In the coefficients x_j of the unit-normalized rank-1 terms E_j the
+    target is x_j = |E_j|.  Each step walks from x to a vertex v (a support
+    that passes the test of ``is_extremal_rank1``), refits v to sum to I
+    exactly, emits the largest share t of v in x and goes on with
+    (x - t*v)/(1 - t).  The null space is factored once and updated as
+    coordinates leave the support.  At most N - rank + 1 steps are
+    possible (rank: the real rank of the E_j); more raise
     ``NonConvergenceError`` (it signals inconsistent tolerances).
     """
     p = validate(p, tol)
     pruned, prune_map = prune_zero_effects(p, tol)
     root, spectral_map = spectral_relabel(pruned, tol)
-    root, debris_map = _prune_split_debris(root, tol)
-    root_map = debris_map.then(spectral_map.then(prune_map))
-    max_depth = root.n_outcomes - p.dim + 1
-    leaves: list[tuple[float, Povm, RelabelMap]] = []
+    targets = spectral_map.then(prune_map).targets
+    dim = p.dim
+    flat = root.effects.reshape(root.n_outcomes, -1)
+    columns = np.concatenate([flat.real, flat.imag], axis=1).T
+    norms = np.linalg.norm(columns, axis=0)
+    columns = columns / norms
+    # Coefficients (effect norms) at or below this are numerical debris: a
+    # d x d effect that small has no eigenvalue clear of the rank cutoff, and
+    # dropping it moves the reconstruction by at most its own norm.
+    floor = max(tol.zero_effect_tol, np.sqrt(dim) * tol.rank_tol)
 
-    def recurse(q: Povm, qmap: RelabelMap, weight: float, depth: int) -> None:
-        if depth > max_depth:
-            raise NonConvergenceError(
-                f"split recursion exceeded depth {max_depth}; "
-                "tolerances are inconsistent for this input"
+    identity = np.concatenate([np.eye(dim).ravel(), np.zeros(dim * dim)])
+    x = np.where(norms > floor, norms, 0.0)
+    support = np.flatnonzero(x)
+    null, svd = _factor(columns[:, support], tol)
+    # The input sums to I only within recon_tol: start from the nearest point
+    # that sums to I exactly, so that every later solve is consistent.
+    x[support] += _solve(svd, identity - columns @ x)
+    support, null = _shrink(x, support, null, floor)
+    max_steps = null.shape[1] + 1
+    components: list[CertificateComponent] = []
+    remaining = 1.0
+    for _ in range(max_steps):
+        vertex_support, vertex, svd = _walk_to_vertex(
+            columns, identity, x, support, null, floor, tol
+        )
+        ratios = x[vertex_support] / vertex
+        j = int(np.argmin(ratios))
+        t = 1.0 if vertex_support.size == support.size else min(float(ratios[j]), 1.0)
+        coefficients = (vertex / norms[vertex_support])[:, None, None]
+        components.append(
+            CertificateComponent(
+                weight=remaining * t,
+                extremal=Povm(root.effects[vertex_support] * coefficients),
+                relabel=RelabelMap(vertex_support.size, p.n_outcomes, targets[vertex_support]),
             )
-        lam = find_effect_dependence(q, tol)
-        if lam is None:
-            leaves.append((weight, q, qmap))
-            return
-        split = split_mixture(q, lam, tol)
-        left, left_prune = _prune_split_debris(split.left, tol)
-        right, right_prune = _prune_split_debris(split.right, tol)
-        recurse(left, left_prune.then(qmap), weight * split.weight, depth + 1)
-        recurse(right, right_prune.then(qmap), weight * (1.0 - split.weight), depth + 1)
-
-    recurse(root, root_map, 1.0, 0)
-
-    merged = _merge_leaves(leaves)
-    kept = [(w, q, m) for w, q, m in merged if w >= _WEIGHT_FLOOR]
-    dropped = sum(w for w, _, _ in merged) - sum(w for w, _, _ in kept)
-    total = sum(w for w, _, _ in kept)
-    components = tuple(
-        CertificateComponent(weight=w / total, extremal=q, relabel=m) for w, q, m in kept
-    )
-    return DecompositionCertificate(
-        target=p, components=components, dropped_weight=float(dropped)
+        )
+        if t == 1.0:
+            return DecompositionCertificate(target=p, components=tuple(components))
+        # The rest of x is (x - t*v)/(1 - t).  Off the vertex support that is
+        # exact; on it, solving the sum constraint avoids the cancellation of
+        # x - t*v, which would grow every rounding error by 1/(1 - t) a step.
+        x[vertex_support] = 0.0
+        x /= 1.0 - t
+        x[vertex_support] = _solve(svd, identity - columns @ x)
+        x[vertex_support[j]] = 0.0
+        remaining *= 1.0 - t
+        support, null = _shrink(x, support, null, floor)
+    raise NonConvergenceError(
+        f"peel exceeded its bound of {max_steps} steps; "
+        "tolerances are inconsistent for this input"
     )
 
 

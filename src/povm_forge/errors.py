@@ -32,6 +32,14 @@ class NotPSDError(PovmForgeError):
         self.outcome = outcome
 
 
+class NonFiniteError(PovmForgeError):
+    """An effect has a NaN or infinite entry."""
+
+    def __init__(self, message: str, outcome: int):
+        super().__init__(message)
+        self.outcome = outcome
+
+
 class NotNormalizedError(PovmForgeError):
     """The effects of a candidate POVM do not sum to the identity."""
 
@@ -89,7 +97,7 @@ class InternalContradictionError(PovmForgeError):
 
 
 class NonConvergenceError(PovmForgeError):
-    """Decomposition recursion exceeded its provable depth bound."""
+    """The decomposition peel exceeded its provable step bound, N - rank + 1."""
 
 
 class AlreadyMaximalError(PovmForgeError):

@@ -8,8 +8,8 @@ reduces to independence of the effects themselves.
 
 When the nonzero effects are linearly dependent, ``split_mixture`` turns
 any dependence vector into two distinct POVMs whose convex combination
-reconstructs the input, each with strictly fewer nonzero effects.  That
-split is the engine behind the decomposition into extremal rank-1 parts.
+reconstructs the input, each with strictly fewer nonzero effects.  The
+decomposer walks the same null directions, but in coefficient space.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DegenerateDependenceError,
     NotADependenceError,
+    NotHermitianError,
     NotRank1Error,
 )
 from .linalg import (
@@ -29,7 +30,6 @@ from .linalg import (
     ToleranceConfig,
     eig_herm,
     linearly_independent,
-    rank_of,
 )
 from .povm import Povm, prune_zero_effects, validate
 
@@ -43,6 +43,7 @@ __all__ = [
     "is_extremal_rank1",
     "find_effect_dependence",
     "banded_verdict",
+    "independence_cutoff",
     "split_mixture",
 ]
 
@@ -128,10 +129,15 @@ def spectral_form(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralForm:
     return SpectralForm(vectors=tuple(blocks))
 
 
+def independence_cutoff(tol: ToleranceConfig) -> float:
+    """Margin a set of operators must exceed to count as independent."""
+    return tol.indep_tol * _BORDERLINE_FACTOR
+
+
 def banded_verdict(result: IndependenceResult, tol: ToleranceConfig) -> tuple[bool, bool]:
     """(independent, borderline) with a safety band around the cutoff."""
     low = tol.indep_tol / _BORDERLINE_FACTOR
-    high = tol.indep_tol * _BORDERLINE_FACTOR
+    high = independence_cutoff(tol)
     independent = result.margin > high
     borderline = low < result.margin <= high
     return independent, borderline
@@ -173,10 +179,20 @@ def is_extremal(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 def is_extremal_rank1(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Extremality test for rank-1 POVMs: independence of the nonzero effects."""
     pruned, _ = prune_zero_effects(p, tol)
-    for j, e in enumerate(pruned.effects):
-        r = rank_of(e, tol)
-        if r != 1:
-            raise NotRank1Error(f"nonzero effect {j} has rank {r}, expected 1")
+    effects = pruned.effects
+    deviation = np.max(np.abs(effects - effects.conj().transpose(0, 2, 1)), axis=(1, 2))
+    if np.any(deviation > tol.herm_tol):
+        j = int(np.argmax(deviation > tol.herm_tol))
+        raise NotHermitianError(
+            f"nonzero effect {j} deviates from Hermitian symmetry by {deviation[j]:.3e} "
+            f"(herm_tol = {tol.herm_tol:.3e})"
+        )
+    # the rank_of rule, applied to the whole stack with one batched eigvalsh
+    w = np.abs(np.linalg.eigvalsh(effects))
+    ranks = np.count_nonzero(w > tol.rank_tol * np.maximum(1.0, w.max(axis=1))[:, None], axis=1)
+    if np.any(ranks != 1):
+        j = int(np.argmax(ranks != 1))
+        raise NotRank1Error(f"nonzero effect {j} has rank {ranks[j]}, expected 1")
     result = _scale_free_independent(list(pruned.effects), tol)
     independent, _ = banded_verdict(result, tol)
     return independent

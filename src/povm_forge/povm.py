@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     MapSizeMismatchError,
+    NonFiniteError,
     NotNormalizedError,
     NotPSDError,
     PovmForgeError,
@@ -33,6 +34,7 @@ __all__ = [
     "EXTREMAL_TYPES",
     "NOT_EXTREMAL",
     "validate",
+    "non_finite_effects",
     "prune_zero_effects",
     "relabel",
     "mix",
@@ -191,10 +193,13 @@ class PovmClass:
 def validate(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     """Check all effect and POVM invariants, returning ``p`` unchanged.
 
-    Each effect must be Hermitian (herm_tol), PSD (psd_tol), and bounded
-    by the identity (psd_tol slack); the effects must sum to the identity
-    within recon_tol in Frobenius norm.
+    Every entry must be finite.  Each effect must be Hermitian (herm_tol),
+    PSD (psd_tol), and bounded by the identity (psd_tol slack); the effects
+    must sum to the identity within recon_tol in Frobenius norm.
     """
+    bad = non_finite_effects(p)
+    if bad:
+        raise NonFiniteError(f"effect {bad[0]} has a non-finite entry", outcome=bad[0])
     for j, e in enumerate(p.effects):
         try:
             require_hermitian(e, tol)
@@ -220,6 +225,11 @@ def validate(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
             residual=residual,
         )
     return p
+
+
+def non_finite_effects(p: Povm) -> list[int]:
+    """Indices of the effects with a NaN or infinite entry."""
+    return np.flatnonzero(~np.isfinite(p.effects).all(axis=(1, 2))).tolist()
 
 
 def prune_zero_effects(

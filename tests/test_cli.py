@@ -28,6 +28,16 @@ def qubit3_file(tmp_path):
     return write_povm(tmp_path / "qubit3.json", qubit_example())
 
 
+@pytest.fixture(params=["nan_imag", "inf_real"])
+def non_finite_file(request, tmp_path):
+    effects = np.array(qubit_example().effects)
+    if request.param == "nan_imag":
+        effects[0, 0, 1] = effects[0, 0, 1].real + 1j * np.nan
+    else:
+        effects[1, 1, 1] = np.inf
+    return write_povm(tmp_path / f"{request.param}.json", Povm(effects))
+
+
 @pytest.fixture
 def skewed_file(tmp_path):
     effects = np.stack([EYE2 / 2, EYE2 / 2 + 1e-6 * np.diag([1.0, -1.0])])
@@ -51,6 +61,12 @@ class TestValidateCommand:
         assert main(["validate", path, "--format", "json"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert len(report["violations"]) >= 2
+
+    def test_non_finite_entry_is_the_first_violation(self, non_finite_file, capsys):
+        assert main(["validate", non_finite_file, "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["valid"] is False
+        assert "non-finite" in report["violations"][0]
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -106,6 +122,10 @@ class TestClassifyCommand:
     def test_invalid_povm(self, tmp_path):
         path = write_povm(tmp_path / "bad.json", Povm(np.stack([EYE2, EYE2])))
         assert main(["classify", path]) == 1
+
+    def test_non_finite_entry_rejected(self, non_finite_file, capsys):
+        assert main(["classify", non_finite_file]) == 1
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestDecomposeCommand:

@@ -2,8 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EYE2, SZ, four_outcome_qubit, random_mixed_rank_pvm, sigma_x_pvm, sigma_z_pvm
+from rational_rank import exact_independent
+from split_tree import split_tree
 from povm_forge import (
     DEFAULT_TOL,
     CertificateComponent,
@@ -16,9 +20,11 @@ from povm_forge import (
     is_extremal_rank1,
     onb_pvm,
     outcome_probabilities,
+    prune_zero_effects,
     random_density_matrix,
     random_povm,
     relabel,
+    spectral_relabel,
     statistics_equivalence,
     verify_certificate,
 )
@@ -71,6 +77,57 @@ class TestDecompose:
             p = random_povm(3, 4, seed)
             for comp in decompose(p).components:
                 assert 3 <= comp.extremal.n_outcomes <= 9
+
+
+def _peel_bound(p: Povm) -> int:
+    """N - rank + 1, with rank the real rank of the N rank-1 spectral terms."""
+    root, _ = spectral_relabel(prune_zero_effects(p)[0])
+    flat = root.effects.reshape(root.n_outcomes, -1)
+    rank = np.linalg.matrix_rank(np.concatenate([flat.real, flat.imag], axis=1))
+    return root.n_outcomes - int(rank) + 1
+
+
+# (d, n, rank) with at most 12 rank-1 spectral terms n * rank
+SMALL = st.sampled_from(
+    [(d, n, r) for d in (1, 2, 3) for r in range(1, d + 1) for n in range(1, 13)
+     if d <= n * r <= 12]
+)
+
+
+class TestPeel:
+    @given(SMALL, st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_the_split_tree(self, shape, seed):
+        d, n, rank = shape
+        p = random_povm(d, n, seed, rank=rank)
+        peel, tree = decompose(p), split_tree(p)
+        assert verify_certificate(peel).passed
+        assert verify_certificate(tree).passed
+        assert np.allclose(
+            peel.reconstruction(), tree.reconstruction(), rtol=0.0, atol=DEFAULT_TOL.recon_tol
+        )
+
+    @given(st.integers(1, 4), st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_positive_weights_and_component_bound(self, d, n, rank1, seed):
+        n = max(n, d) if rank1 else n
+        p = random_povm(d, n, seed, rank=1 if rank1 else None)
+        cert = decompose(p)
+        assert all(c.weight > 0.0 for c in cert.components)
+        assert len(cert.components) <= _peel_bound(p)
+
+    @given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_components_are_exactly_independent(self, d, n, seed):
+        for comp in decompose(random_povm(d, n, seed)).components:
+            assert exact_independent(comp.extremal.effects)
+
+    def test_baseline_sizes_meet_the_bound(self):
+        for d, n in ((2, 8), (3, 8)):
+            p = random_povm(d, n, seed=0)
+            cert = decompose(p)
+            assert verify_certificate(cert).passed
+            assert len(cert.components) <= _peel_bound(p) == n * d - d * d + 1
 
 
 class TestExtremalToRank1:

@@ -23,6 +23,7 @@ from povm_forge.errors import (
     BadWeightError,
     DimensionMismatchError,
     MapSizeMismatchError,
+    NonFiniteError,
     NotHermitianError,
     NotNormalizedError,
     NotPSDError,
@@ -55,6 +56,14 @@ class TestValidate:
         bad[1] = EYE2
         with pytest.raises(NotHermitianError):
             validate(Povm(bad))
+
+    @pytest.mark.parametrize("entry", [1j * np.nan, np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_rejected(self, entry):
+        effects = np.stack([EYE2 / 2, EYE2 / 2])
+        effects[1, 0, 1] = effects[1, 0, 1].real + entry
+        with pytest.raises(NonFiniteError) as info:
+            validate(Povm(effects))
+        assert info.value.outcome == 1
 
     def test_not_psd_reports_outcome(self):
         effects = np.stack([EYE2 / 2, -EYE2 / 2])
