@@ -32,9 +32,8 @@ from .errors import (
     TargetMismatchError,
     UnknownExampleError,
 )
-from .extremality import extremality_report
-from .linalg import DEFAULT_TOL, ToleranceConfig, rank_of
-from .povm import NOT_EXTREMAL, Povm, classify, non_finite_effects, prune_zero_effects, validate
+from .linalg import DEFAULT_TOL, ToleranceConfig, hermitian_deviation
+from .povm import NOT_EXTREMAL, Povm, classify, non_finite_effects, validate
 
 __all__ = ["main"]
 
@@ -177,17 +176,17 @@ def _validation_failures(povm: Povm, tol: ToleranceConfig) -> list[str]:
     if bad:
         # nothing else can be judged: eigvalsh and the residual fail on NaN/Inf
         return [f"effect {j}: non-finite entry" for j in bad]
+    deviation = hermitian_deviation(povm.effects)
+    w = np.linalg.eigvalsh(povm.effects)
     failures = []
-    for j, e in enumerate(povm.effects):
-        deviation = float(np.max(np.abs(e - e.conj().T)))
-        if deviation > tol.herm_tol:
-            failures.append(f"effect {j}: Hermitian deviation {deviation:.3e} > {tol.herm_tol:g}")
+    for j, dev in enumerate(deviation):
+        if dev > tol.herm_tol:
+            failures.append(f"effect {j}: Hermitian deviation {dev:.3e} > {tol.herm_tol:g}")
             continue
-        w = np.linalg.eigvalsh(e)
-        if w[0] < -tol.psd_tol:
-            failures.append(f"effect {j}: negative eigenvalue {w[0]:.3e}")
-        if w[-1] > 1.0 + tol.psd_tol:
-            failures.append(f"effect {j}: eigenvalue {w[-1]:.6g} exceeds 1")
+        if w[j, 0] < -tol.psd_tol:
+            failures.append(f"effect {j}: negative eigenvalue {w[j, 0]:.3e}")
+        if w[j, -1] > 1.0 + tol.psd_tol:
+            failures.append(f"effect {j}: eigenvalue {w[j, -1]:.6g} exceeds 1")
     residual = float(np.linalg.norm(povm.effects.sum(axis=0) - np.eye(povm.dim)))
     if residual > tol.recon_tol:
         failures.append(f"normalization residual {residual:.3e} > {tol.recon_tol:g}")
@@ -208,19 +207,17 @@ def _cmd_validate(args: argparse.Namespace, tol: ToleranceConfig) -> int:
 def _cmd_classify(args: argparse.Namespace, tol: ToleranceConfig) -> int:
     povm = validate(_load_povm(args.path), tol)
     result = classify(povm, tol)
-    report_ext = extremality_report(povm, tol)
-    pruned, _ = prune_zero_effects(povm, tol)
-    n = pruned.n_outcomes
+    n = len(result.rank_profile)
     d = povm.dim
     report = {
         "dim": d,
         "outcomes": povm.n_outcomes,
         "nonzero_outcomes": n,
-        "rank_profile": [rank_of(e, tol) for e in pruned.effects],
+        "rank_profile": list(result.rank_profile),
         "is_rank1": result.is_rank1,
         "is_pvm": result.is_pvm,
-        "extremal": report_ext.extremal,
-        "borderline": report_ext.borderline,
+        "extremal": result.extremality.extremal,
+        "borderline": result.extremality.borderline,
         "type": result.extremal_type,
     }
     if result.extremal_type != NOT_EXTREMAL and result.is_rank1:

@@ -132,10 +132,7 @@ def extend_extremal(
                 "no basis direction found outside the effect span (tolerance inconsistency)"
             )
     t_inv_sqrt = inv_sqrt(np.eye(d) + proj, tol)
-    extended = np.empty((n + 1, d, d), dtype=np.complex128)
-    for j in range(n):
-        extended[j] = t_inv_sqrt @ pruned.effects[j] @ t_inv_sqrt
-    extended[n] = t_inv_sqrt @ proj @ t_inv_sqrt
+    extended = t_inv_sqrt @ np.concatenate([pruned.effects, proj[None]]) @ t_inv_sqrt
     extended = (extended + np.conj(np.transpose(extended, (0, 2, 1)))) / 2.0
     out = validate(Povm(extended), tol)
     if not is_extremal_rank1(out, tol):

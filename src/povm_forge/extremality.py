@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDependenceError,
+    EmptyInputError,
     NotADependenceError,
     NotHermitianError,
     NotRank1Error,
@@ -27,9 +28,12 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     IndependenceResult,
+    SpectralDecomposition,
     ToleranceConfig,
     eig_herm,
+    hermitian_deviation,
     linearly_independent,
+    rank_cutoff,
 )
 from .povm import Povm, prune_zero_effects, validate
 
@@ -39,6 +43,7 @@ __all__ = [
     "ExtremalityReport",
     "spectral_form",
     "extremality_report",
+    "pair_independence",
     "is_extremal",
     "is_extremal_rank1",
     "find_effect_dependence",
@@ -77,9 +82,8 @@ class SpectralForm:
         """All |psi_k(j)><psi_l(j)| with k, l within each outcome j."""
         ops = []
         for block in self.vectors:
-            for k in range(block.shape[0]):
-                for l in range(block.shape[0]):
-                    ops.append(np.outer(block[k], block[l].conj()))
+            n, d = block.shape
+            ops.extend(np.einsum("ki,lj->klij", block, block.conj()).reshape(n * n, d, d))
         return ops
 
 
@@ -114,18 +118,12 @@ def spectral_form(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralForm:
     Callers interested in extremality should prune zero effects first;
     a zero effect is represented by an empty vector block.
     """
-    blocks = []
-    for e in p.effects:
-        dec = eig_herm(e, tol)
-        cutoff = tol.rank_tol * max(1.0, float(np.abs(dec.eigenvalues).max()))
-        keep = [
-            np.sqrt(lam) * dec.eigenvectors[:, k]
-            for k, lam in enumerate(dec.eigenvalues)
-            if lam > cutoff
-        ]
-        block = np.stack(keep) if keep else np.zeros((0, p.dim), dtype=np.complex128)
-        block.setflags(write=False)
-        blocks.append(block)
+    dec = eig_herm(p.effects, tol)
+    w = dec.eigenvalues
+    j, k = np.nonzero(w > rank_cutoff(w, tol))
+    rows = np.sqrt(w[j, k])[:, None] * dec.eigenvectors[j, :, k]
+    rows.setflags(write=False)  # the blocks below are views
+    blocks = np.split(rows, np.cumsum(np.bincount(j, minlength=p.n_outcomes))[:-1])
     return SpectralForm(vectors=tuple(blocks))
 
 
@@ -143,32 +141,39 @@ def banded_verdict(result: IndependenceResult, tol: ToleranceConfig) -> tuple[bo
     return independent, borderline
 
 
-def _scale_free_independent(ops, tol: ToleranceConfig) -> IndependenceResult:
-    """Independence of a set of nonzero operators, tested scale-free.
+def _unit_verdict(ops: np.ndarray, tol: ToleranceConfig) -> tuple[bool, bool, float]:
+    """(independent, borderline, margin) of at most d^2 unit-norm operators, by singular values."""
+    s = np.linalg.svd(ops.reshape(ops.shape[0], -1), compute_uv=False)
+    margin = float(s[-1] / s[0])
+    result = IndependenceResult(bool(s[-1] > tol.indep_tol * s[0]), None, margin)
+    return *banded_verdict(result, tol), margin
 
-    Each operator is unit-normalized before the rank test, which answers
-    the same mathematical question but stops small-norm operators from
-    masquerading as null directions.
+
+def pair_independence(
+    dec: SpectralDecomposition, tol: ToleranceConfig = DEFAULT_TOL
+) -> ExtremalityReport:
+    """Extremality verdict from the batched eigensystem of the nonzero effects.
+
+    Tests the unit-norm pair operators v_k(j) v_l(j)^H of the terms above
+    the rank cutoff; more than d^2 of them are dependent without an SVD.
     """
-    return linearly_independent([op / np.linalg.norm(op) for op in ops], tol)
+    w, v = dec.eigenvalues, dec.eigenvectors
+    keep = w > rank_cutoff(w, tol)
+    d = v.shape[-1]
+    count = int(np.sum(np.count_nonzero(keep, axis=1) ** 2))
+    if count == 0:
+        raise EmptyInputError("independence test requires at least one operator")
+    if count > d * d:
+        return ExtremalityReport(False, False, 0.0, count)
+    j, k, l = np.nonzero(keep[:, :, None] & keep[:, None, :])  # (outcome, k, l) order
+    ops = np.einsum("ni,nj->nij", v[j, :, k], v[j, :, l].conj())
+    return ExtremalityReport(*_unit_verdict(ops, tol), count)
 
 
 def extremality_report(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> ExtremalityReport:
-    """Full extremality analysis of a valid POVM.
-
-    Prunes zero effects, builds the pair operators of the spectral form,
-    and tests their linear independence over complex scalars.
-    """
+    """Extremality analysis of a valid POVM: :func:`pair_independence` of its nonzero effects."""
     pruned, _ = prune_zero_effects(p, tol)
-    ops = spectral_form(pruned, tol).pair_operators()
-    result = _scale_free_independent(ops, tol)
-    independent, borderline = banded_verdict(result, tol)
-    return ExtremalityReport(
-        extremal=independent,
-        borderline=borderline,
-        margin=result.margin,
-        operator_count=len(ops),
-    )
+    return pair_independence(eig_herm(pruned.effects, tol), tol)
 
 
 def is_extremal(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -180,22 +185,22 @@ def is_extremal_rank1(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Extremality test for rank-1 POVMs: independence of the nonzero effects."""
     pruned, _ = prune_zero_effects(p, tol)
     effects = pruned.effects
-    deviation = np.max(np.abs(effects - effects.conj().transpose(0, 2, 1)), axis=(1, 2))
+    deviation = hermitian_deviation(effects)
     if np.any(deviation > tol.herm_tol):
         j = int(np.argmax(deviation > tol.herm_tol))
         raise NotHermitianError(
             f"nonzero effect {j} deviates from Hermitian symmetry by {deviation[j]:.3e} "
             f"(herm_tol = {tol.herm_tol:.3e})"
         )
-    # the rank_of rule, applied to the whole stack with one batched eigvalsh
-    w = np.abs(np.linalg.eigvalsh(effects))
-    ranks = np.count_nonzero(w > tol.rank_tol * np.maximum(1.0, w.max(axis=1))[:, None], axis=1)
+    w = np.linalg.eigvalsh(effects)
+    ranks = np.count_nonzero(np.abs(w) > rank_cutoff(w, tol), axis=1)
     if np.any(ranks != 1):
         j = int(np.argmax(ranks != 1))
         raise NotRank1Error(f"nonzero effect {j} has rank {ranks[j]}, expected 1")
-    result = _scale_free_independent(list(pruned.effects), tol)
-    independent, _ = banded_verdict(result, tol)
-    return independent
+    if pruned.n_outcomes > pruned.dim ** 2:
+        return False  # more effects than the d^2-dimensional operator space holds
+    # unit-normalized, so that small-norm effects cannot pass for null directions
+    return _unit_verdict(effects / pruned.effect_norms()[:, None, None], tol)[0]
 
 
 def find_effect_dependence(
@@ -209,9 +214,7 @@ def find_effect_dependence(
     suitable for :func:`split_mixture`.
     """
     norms = p.effect_norms()
-    result = linearly_independent(
-        [e / n for e, n in zip(p.effects, norms)], tol
-    )
+    result = linearly_independent(list(p.effects / norms[:, None, None]), tol)
     if result.independent:
         return None
     lam = result.null_vector / norms

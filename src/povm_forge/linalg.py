@@ -84,17 +84,17 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-def _as_square_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    return a
+def hermitian_deviation(a: np.ndarray) -> np.ndarray:
+    """Max entrywise |a - a^H| of a matrix, or of each matrix in a (..., d, d) stack."""
+    return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 def require_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Return ``m`` as a complex array, raising if it is not Hermitian."""
-    a = _as_square_matrix(m)
-    deviation = float(np.max(np.abs(a - a.conj().T)))
+    """Return ``m`` (a matrix or a stack of them) as a complex array; raise if not Hermitian."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+    deviation = float(hermitian_deviation(a).max())
     if deviation > tol.herm_tol:
         raise NotHermitianError(
             f"matrix deviates from Hermitian symmetry by {deviation:.3e} "
@@ -105,15 +105,11 @@ def require_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first nonzero component is real positive."""
-    out = vectors.copy()
-    d = out.shape[1]
-    for k in range(d):
-        col = out[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        pivot = col[nz[0]] if nz.size else None
-        if pivot is not None:
-            out[:, k] = col * (pivot.conjugate() / abs(pivot))
-    return out
+    # entries at or below 1e-12 are rounding noise of eigh with an arbitrary phase
+    first = np.argmax(np.abs(vectors) > 1e-12, axis=-2)[..., None, :]
+    pivot = np.take_along_axis(vectors, first, axis=-2)
+    size = np.abs(pivot)
+    return vectors * np.where(size > 1e-12, pivot.conj() / np.maximum(size, 1e-12), 1.0)
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,7 @@ class SpectralDecomposition:
     with ``eigenvalues`` and phase-fixed for reproducibility.  Degenerate
     eigenvalues come with an arbitrary orthonormal basis of their
     eigenspace; consumers must rely on reconstruction, not on the basis
-    choice.
+    choice.  For a (..., d, d) stack both arrays keep its leading axes.
     """
 
     eigenvalues: np.ndarray
@@ -132,38 +128,44 @@ class SpectralDecomposition:
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     def projection(self, k: int) -> np.ndarray:
         """Rank-1 projection onto the k-th eigenvector."""
-        v = self.eigenvectors[:, k]
-        return np.outer(v, v.conj())
+        v = self.eigenvectors[..., :, k]
+        return v[..., :, None] * v.conj()[..., None, :]
 
     @property
     def projections(self) -> np.ndarray:
-        """All d rank-1 eigenprojections, shape (d, d, d)."""
-        return np.stack([self.projection(k) for k in range(self.dim)])
+        """All d rank-1 eigenprojections, shape (..., d, d, d)."""
+        return np.stack([self.projection(k) for k in range(self.dim)], axis=-3)
 
     def reconstruct(self) -> np.ndarray:
         """Sum of eigenvalue-weighted eigenprojections."""
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def eig_herm(m, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix with deterministic ordering.
 
-    Eigenvalues are returned in descending order; each eigenvector's
-    first nonzero component is made real positive.
+    ``m`` may also be a (..., d, d) stack, decomposed with one batched
+    ``eigh``.  Eigenvalues are returned in descending order; each
+    eigenvector's first nonzero component is made real positive.
     """
     a = require_hermitian(m, tol)
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    order = np.argsort(-w, kind="stable")  # eigh is ascending; keep tie order
-    w = np.ascontiguousarray(w[order])
-    v = _fix_phases(v[:, order])
+    w, v = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0)
+    order = np.argsort(-w, axis=-1, kind="stable")  # eigh is ascending; keep tie order
+    w = np.take_along_axis(w, order, axis=-1)
+    v = _fix_phases(np.take_along_axis(v, order[..., None, :], axis=-1))
     w.setflags(write=False)
     v.setflags(write=False)
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
+
+
+def rank_cutoff(w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Per-row rank cutoff rank_tol * max(1, |lambda|_max) of eigenvalues ``w``, axis kept."""
+    return tol.rank_tol * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
 
 
 def is_psd(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -176,9 +178,8 @@ def is_psd(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 def rank_of(m, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Eigenvalue count above the relative cutoff rank_tol * max(1, |lambda|_max)."""
     a = require_hermitian(m, tol)
-    w = np.abs(np.linalg.eigvalsh(a))
-    cutoff = tol.rank_tol * max(1.0, float(w.max()))
-    return int(np.count_nonzero(w > cutoff))
+    w = np.linalg.eigvalsh(a)
+    return int(np.count_nonzero(np.abs(w) > rank_cutoff(w, tol)))
 
 
 def inv_sqrt(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -201,7 +202,10 @@ def inv_sqrt(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 def vectorize(m) -> np.ndarray:
     """Row-major flattening of a square matrix into a length-d^2 vector."""
-    return _as_square_matrix(m).reshape(-1)
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+    return a.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -250,9 +254,10 @@ def linearly_independent(ops, tol: ToleranceConfig = DEFAULT_TOL) -> Independenc
             raise DimensionMismatchError(
                 f"all operators must be {d}x{d}, got shape {a.shape}"
             )
-    stacked = np.stack([vectorize(a) for a in mats], axis=1)
-    k = stacked.shape[1]
-    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
+    k = len(mats)
+    stack = np.stack(mats)
+    # vh has null rows beyond the first d^2 only when K > d^2
+    _, s, vh = np.linalg.svd(stack.reshape(k, d * d).T, full_matrices=k > d * d)
     s_max = float(s[0]) if s.size else 0.0
     if s_max == 0.0:
         # All operators are exactly zero; any unit vector is a dependence.
@@ -266,7 +271,7 @@ def linearly_independent(ops, tol: ToleranceConfig = DEFAULT_TOL) -> Independenc
         return IndependenceResult(independent=True, null_vector=None, margin=margin)
 
     null = vh[-1, :].conj()
-    if all(float(np.max(np.abs(a - a.conj().T))) <= tol.herm_tol for a in mats):
+    if np.all(hermitian_deviation(stack) <= tol.herm_tol):
         real_part, imag_part = null.real, null.imag
         null = real_part if np.linalg.norm(real_part) >= np.linalg.norm(imag_part) else imag_part
         null = null / np.linalg.norm(null)

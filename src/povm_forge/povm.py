@@ -11,6 +11,7 @@ with at most N*d outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,11 +22,14 @@ from .errors import (
     EmptyInputError,
     MapSizeMismatchError,
     NonFiniteError,
+    NotHermitianError,
     NotNormalizedError,
     NotPSDError,
-    PovmForgeError,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, eig_herm, rank_of, require_hermitian
+from .linalg import DEFAULT_TOL, ToleranceConfig, eig_herm, hermitian_deviation, rank_cutoff
+
+if TYPE_CHECKING:
+    from .extremality import ExtremalityReport
 
 __all__ = [
     "Povm",
@@ -183,11 +187,13 @@ class RelabelMap:
 
 @dataclass(frozen=True)
 class PovmClass:
-    """Classification record: rank-1 flag, PVM flag, extremality type label."""
+    """Classification record: rank-1 and PVM flags, type label, ranks, extremality report."""
 
     is_rank1: bool
     is_pvm: bool
     extremal_type: str
+    rank_profile: tuple[int, ...] = ()
+    extremality: ExtremalityReport | None = None
 
 
 def validate(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
@@ -200,21 +206,24 @@ def validate(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     bad = non_finite_effects(p)
     if bad:
         raise NonFiniteError(f"effect {bad[0]} has a non-finite entry", outcome=bad[0])
-    for j, e in enumerate(p.effects):
-        try:
-            require_hermitian(e, tol)
-        except PovmForgeError as exc:
-            raise type(exc)(f"effect {j}: {exc}") from None
-        w = np.linalg.eigvalsh(e)
-        if w[0] < -tol.psd_tol:
-            raise NotPSDError(
-                f"effect {j} is not PSD: smallest eigenvalue {w[0]:.3e}", outcome=j
+    deviation = hermitian_deviation(p.effects)
+    w = np.linalg.eigvalsh(p.effects)
+    failing = (deviation > tol.herm_tol) | (w[:, 0] < -tol.psd_tol) | (w[:, -1] > 1 + tol.psd_tol)
+    if failing.any():
+        j = int(np.argmax(failing))  # the first failing effect raises its first failing check
+        if deviation[j] > tol.herm_tol:
+            raise NotHermitianError(
+                f"effect {j}: matrix deviates from Hermitian symmetry by {deviation[j]:.3e} "
+                f"(herm_tol = {tol.herm_tol:.3e})"
             )
-        if w[-1] > 1.0 + tol.psd_tol:
+        if w[j, 0] < -tol.psd_tol:
             raise NotPSDError(
-                f"effect {j} exceeds the identity: largest eigenvalue {w[-1]:.6g}",
-                outcome=j,
+                f"effect {j} is not PSD: smallest eigenvalue {w[j, 0]:.3e}", outcome=j
             )
+        raise NotPSDError(
+            f"effect {j} exceeds the identity: largest eigenvalue {w[j, -1]:.6g}",
+            outcome=j,
+        )
     residual = float(
         np.linalg.norm(p.effects.sum(axis=0) - np.eye(p.dim, dtype=np.complex128))
     )
@@ -294,26 +303,12 @@ def spectral_relabel(
     rank-1 POVM has at most N*d outcomes.
     """
     pruned, _ = prune_zero_effects(p, tol)
-    pieces: list[np.ndarray] = []
-    sources: list[int] = []
-    for j, e in enumerate(pruned.effects):
-        dec = eig_herm(e, tol)
-        cutoff = tol.rank_tol * max(1.0, float(np.abs(dec.eigenvalues).max()))
-        for k in range(dec.dim):
-            lam = float(dec.eigenvalues[k])
-            if lam <= cutoff:
-                continue
-            v = dec.eigenvectors[:, k]
-            pieces.append(lam * np.outer(v, v.conj()))
-            sources.append(j)
-    return (
-        Povm(np.stack(pieces)),
-        RelabelMap(len(pieces), pruned.n_outcomes, np.asarray(sources)),
-    )
-
-
-def _is_projection(e: np.ndarray, tol: ToleranceConfig) -> bool:
-    return float(np.linalg.norm(e @ e - e)) <= tol.recon_tol
+    dec = eig_herm(pruned.effects, tol)
+    w = dec.eigenvalues
+    sources, k = np.nonzero(w > rank_cutoff(w, tol))  # row-major: (outcome, term)
+    v = dec.eigenvectors[sources, :, k]
+    pieces = w[sources, k][:, None, None] * (v[:, :, None] * v.conj()[:, None, :])
+    return Povm(pieces), RelabelMap(sources.size, pruned.n_outcomes, sources)
 
 
 def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:
@@ -323,28 +318,29 @@ def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:
     predicates hold the most specific label wins (a > b > c > d); a
     rank-1 basis PVM therefore reports "a" with ``is_pvm`` still set.
     """
-    # Imported here: extremality builds on this module.
-    from .extremality import extremality_report, find_effect_dependence
+    from .extremality import pair_independence  # here: extremality builds on this module
 
     pruned, _ = prune_zero_effects(p, tol)
-    ranks = [rank_of(e, tol) for e in pruned.effects]
-    rank1 = all(r == 1 for r in ranks)
-    pvm = all(_is_projection(e, tol) for e in pruned.effects)
-    report = extremality_report(p, tol)
+    dec = eig_herm(pruned.effects, tol)
+    w = dec.eigenvalues
+    ranks = np.count_nonzero(np.abs(w) > rank_cutoff(w, tol), axis=1)  # the rank_of rule
+    e = pruned.effects
+    projection = np.linalg.norm(e @ e - e, axis=(1, 2)) <= tol.recon_tol
+    rank1 = bool(np.all(ranks == 1))
+    pvm = bool(np.all(projection))
+    report = pair_independence(dec, tol)
     if not report.extremal:
         label = NOT_EXTREMAL
     elif rank1:
         label = "a"
     elif pvm:
         label = "b"
-    elif (
-        all(r == 1 or _is_projection(e, tol) for r, e in zip(ranks, pruned.effects))
-        and find_effect_dependence(pruned, tol) is None
-    ):
+    elif np.all((ranks == 1) | projection):
+        # independent effects follow: unit effects are an isometric image of unit pair operators
         label = "c"
     else:
         label = "d"
-    return PovmClass(is_rank1=rank1, is_pvm=pvm, extremal_type=label)
+    return PovmClass(rank1, pvm, label, tuple(int(r) for r in ranks), report)
 
 
 def equivalent(

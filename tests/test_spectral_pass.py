@@ -1,0 +1,232 @@
+"""The batched spectral pass against the per-effect reference in ``per_effect``."""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import per_effect
+from conftest import EYE2, random_mixed_rank_pvm
+from povm_forge import (
+    NOT_EXTREMAL,
+    Povm,
+    classify,
+    eig_herm,
+    extremality_report,
+    is_extremal_rank1,
+    qubit_example,
+    random_povm,
+    spectral_form,
+    spectral_relabel,
+    type_d_example,
+    validate,
+)
+from povm_forge.cli import main
+from povm_forge.errors import NotHermitianError, NotNormalizedError, PovmForgeError
+from povm_forge.linalg import _fix_phases
+
+KINDS = ("full", "rank1_square", "rank1_below", "low_rank", "block_pvm", "type_d", "hybrid")
+
+
+def random_unitary(d, rng):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def make_povm(kind, d, seed, zeros):
+    """One input of ``kind``; ``zeros`` zero effects are inserted at seeded positions."""
+    rng = np.random.default_rng(seed)
+    if kind == "full":  # sum of rank^2 = n d^2 > d^2
+        p = random_povm(d, int(rng.integers(2, 5)), seed)
+    elif kind == "rank1_square":
+        p = random_povm(d, d * d, seed, rank=1)
+    elif kind == "rank1_below":
+        p = random_povm(d, int(rng.integers(d, d * d)), seed, rank=1)
+    elif kind == "low_rank":
+        r = int(rng.integers(1, d))
+        p = random_povm(d, int(rng.integers(-(-d // r), d * d // (r * r) + 2)), seed, rank=r)
+    elif kind == "block_pvm":  # degenerate spectra
+        p = random_mixed_rank_pvm(d, rng)
+    elif kind == "type_d":  # rotated: degenerate rank-2 effects in a random basis
+        u = random_unitary(4, rng)
+        p = Povm(u @ type_d_example().effects @ u.conj().T)
+    else:  # type c: rank-1 qubit block beside a rank-2 projection, rotated
+        effects = np.zeros((4, 4, 4), dtype=complex)
+        effects[:3, :2, :2] = qubit_example().effects
+        effects[3, 2, 2] = effects[3, 3, 3] = 1.0
+        u = random_unitary(4, rng)
+        p = Povm(u @ effects @ u.conj().T)
+    effects = list(p.effects)
+    for _ in range(zeros):
+        effects.insert(int(rng.integers(len(effects) + 1)), np.zeros((p.dim, p.dim)))
+    return Povm(np.stack(effects))
+
+
+povm_cases = st.builds(
+    make_povm,
+    st.sampled_from(KINDS),
+    st.integers(2, 4),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2),
+)
+
+
+def assert_reports_agree(got, want):
+    assert (got.extremal, got.borderline, got.operator_count) == (
+        want.extremal,
+        want.borderline,
+        want.operator_count,
+    )
+    assert got.margin == pytest.approx(want.margin, rel=1e-9)
+
+
+@given(povm_cases)
+@settings(max_examples=150, deadline=None)
+def test_classify_and_report_match_per_effect_reference(p):
+    got, want = classify(p), per_effect.classify(p)
+    assert (got.extremal_type, got.is_rank1, got.is_pvm, got.rank_profile) == (
+        want.extremal_type,
+        want.is_rank1,
+        want.is_pvm,
+        want.rank_profile,
+    )
+    assert_reports_agree(got.extremality, want.extremality)
+    assert_reports_agree(extremality_report(p), want.extremality)
+
+
+@given(povm_cases)
+@settings(max_examples=60, deadline=None)
+def test_spectral_form_and_relabel_match_per_effect_reference(p):
+    form = spectral_form(p)
+    blocks = per_effect.spectral_blocks(p)
+    assert form.counts == tuple(b.shape[0] for b in blocks)
+    for got, want in zip(form.vectors, blocks):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    ops = form.pair_operators()
+    want_ops = per_effect.outer_pair_operators(blocks)
+    assert len(ops) == len(want_ops)
+    for got, want in zip(ops, want_ops):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    rank1, rmap = spectral_relabel(p)
+    pieces, sources = per_effect.spectral_relabel(p)
+    assert np.array_equal(rmap.targets, sources)
+    np.testing.assert_allclose(rank1.effects, pieces, rtol=0, atol=1e-12)
+
+
+def test_stacked_eig_herm_matches_one_matrix_at_a_time():
+    rng = np.random.default_rng(12)
+    stack = np.concatenate([random_povm(4, 5, seed=3).effects, type_d_example().effects])
+    stack = np.concatenate([stack, (random_unitary(4, rng) * 1e-13)[None]])
+    stack[-1] = (stack[-1] + stack[-1].conj().T) / 2
+    dec = eig_herm(stack)
+    assert dec.eigenvalues.shape == (stack.shape[0], 4)
+    for j, m in enumerate(stack):
+        one = eig_herm(m)
+        np.testing.assert_allclose(dec.eigenvalues[j], one.eigenvalues, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(dec.eigenvectors[j], one.eigenvectors, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(dec.reconstruct(), stack, rtol=0, atol=1e-12)
+
+
+def test_fix_phases_matches_column_loop():
+    rng = np.random.default_rng(4)
+    cases = [random_unitary(d, rng) for d in (1, 2, 3, 5)]
+    cases.append(np.eye(3, dtype=complex)[:, ::-1] * np.exp(1j * rng.uniform(0, 6, 3)))
+    tiny = random_unitary(3, rng)
+    tiny[0] = 5e-13 * np.exp(1j * rng.uniform(0, 6, 3))  # below the pivot threshold
+    cases += [tiny, np.zeros((2, 2), dtype=complex)]
+    for v in cases:
+        np.testing.assert_allclose(_fix_phases(v), per_effect.fix_phases(v), rtol=0, atol=1e-15)
+    stacked = np.stack([cases[2], cases[4], tiny])
+    np.testing.assert_allclose(
+        _fix_phases(stacked), [per_effect.fix_phases(v) for v in stacked], rtol=0, atol=1e-15
+    )
+
+
+def test_count_bound_needs_no_svd(monkeypatch):
+    full = random_povm(3, 4, seed=1)  # sum of rank^2 = 36 > 9
+    wide = random_povm(2, 5, seed=2, rank=1)  # 5 rank-1 effects > d^2 = 4
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an SVD ran on the count-bound path")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    report = extremality_report(full)
+    assert (report.extremal, report.borderline, report.margin) == (False, False, 0.0)
+    assert report.operator_count == 36
+    result = classify(full)
+    assert result.extremal_type == NOT_EXTREMAL and result.extremality == report
+    assert not is_extremal_rank1(wide)
+
+
+def test_classify_rejects_non_hermitian_input():
+    effects = np.array(qubit_example().effects)
+    effects[0, 0, 1] += 1e-3
+    with pytest.raises(NotHermitianError):
+        classify(Povm(effects))
+    with pytest.raises(NotHermitianError):
+        extremality_report(Povm(effects))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 5))
+@settings(max_examples=80, deadline=None)
+def test_validate_raises_what_the_effect_loop_raises(seed, d, n):
+    rng = np.random.default_rng(seed)
+    effects = np.array(random_povm(d, n, seed).effects)
+    for _ in range(int(rng.integers(0, 3))):
+        j = int(rng.integers(n))
+        defect = rng.integers(3)
+        if defect == 0:  # not Hermitian
+            effects[j, 0, d - 1] += 1e-6
+        elif defect == 1:  # a negative eigenvalue
+            effects[j] -= 0.5 * np.eye(d)
+        else:  # an eigenvalue above 1
+            effects[j] += 0.5 * np.eye(d)
+    p = Povm(effects)
+    try:
+        per_effect.validate(p)
+    except PovmForgeError as want:
+        with pytest.raises(type(want)) as got:
+            validate(p)
+        assert str(got.value) == str(want)
+        assert getattr(got.value, "outcome", None) == getattr(want, "outcome", None)
+    else:
+        try:
+            validate(p)
+        except NotNormalizedError:
+            pass
+
+
+def test_validate_checks_effects_in_index_order():
+    psd_failure = np.diag([1.2, -0.2]).astype(complex)
+    skew = EYE2 / 2 + np.array([[0, 1e-6], [0, 0]])
+    with pytest.raises(NotHermitianError, match="effect 1"):
+        validate(Povm(np.stack([EYE2 / 2, skew, psd_failure])))
+    with pytest.raises(PovmForgeError) as info:
+        validate(Povm(np.stack([EYE2 / 2, psd_failure, skew])))
+    assert not isinstance(info.value, NotHermitianError) and info.value.outcome == 1
+
+
+@pytest.mark.parametrize(
+    "name, profile, extremal, kind",
+    [
+        ("type_d", [2, 2, 2], True, "d"),
+        ("onb:3", [1, 1, 1], True, "a"),
+        ("qubit3", [1, 1, 1], True, "a"),
+        ("full", [3, 3, 3], False, NOT_EXTREMAL),
+    ],
+)
+def test_cli_classify_json_record(tmp_path, capsys, name, profile, extremal, kind):
+    path = str(tmp_path / "povm.json")
+    if name == "full":
+        with open(path, "w") as handle:
+            json.dump(random_povm(3, 3, seed=0).to_jsonable(), handle)
+    else:
+        assert main(["examples", name, "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["classify", path, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["rank_profile"] == profile
+    assert report["nonzero_outcomes"] == len(profile)
+    assert (report["extremal"], report["borderline"], report["type"]) == (extremal, False, kind)
