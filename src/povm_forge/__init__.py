@@ -45,10 +45,8 @@ from .linalg import (
     ToleranceConfig,
     eig_herm,
     inv_sqrt,
-    is_psd,
     linearly_independent,
     rank_of,
-    vectorize,
 )
 from .povm import (
     EXTREMAL_TYPES,
@@ -63,6 +61,7 @@ from .povm import (
     relabel,
     spectral_relabel,
     validate,
+    violations,
 )
 
 __version__ = "0.1.0"
@@ -86,11 +85,10 @@ __all__ = [
     "EXTREMAL_TYPES",
     "NOT_EXTREMAL",
     "eig_herm",
-    "is_psd",
     "rank_of",
     "inv_sqrt",
-    "vectorize",
     "linearly_independent",
+    "violations",
     "validate",
     "prune_zero_effects",
     "relabel",

@@ -13,6 +13,7 @@ threshold can be overridden with its ``--tol-*`` flag.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -32,8 +33,8 @@ from .errors import (
     TargetMismatchError,
     UnknownExampleError,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, hermitian_deviation
-from .povm import NOT_EXTREMAL, Povm, classify, non_finite_effects, validate
+from .linalg import DEFAULT_TOL, ToleranceConfig
+from .povm import NOT_EXTREMAL, Povm, classify, validate, violations
 
 __all__ = ["main"]
 
@@ -121,14 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _tolerances(args: argparse.Namespace) -> ToleranceConfig:
-    values = {
+    tol = dataclasses.replace(DEFAULT_TOL, **{
         field_name: getattr(args, flag)
         for flag, field_name in _TOL_FLAGS.items()
         if getattr(args, flag) is not None
-    }
-    tol = ToleranceConfig(**{
-        field_name: values.get(field_name, getattr(DEFAULT_TOL, field_name))
-        for field_name in _TOL_FLAGS.values()
     })
     scale = os.environ.get("POVM_FORGE_TOL_SCALE")
     if scale is not None:
@@ -170,36 +167,12 @@ def _print_effects(povm: Povm) -> None:
         print(f"  A({j + 1}) =\n    {indented}")
 
 
-def _validation_failures(povm: Povm, tol: ToleranceConfig) -> list[str]:
-    """All violated invariants with residuals (empty list means valid)."""
-    bad = non_finite_effects(povm)
-    if bad:
-        # nothing else can be judged: eigvalsh and the residual fail on NaN/Inf
-        return [f"effect {j}: non-finite entry" for j in bad]
-    deviation = hermitian_deviation(povm.effects)
-    w = np.linalg.eigvalsh(povm.effects)
-    failures = []
-    for j, dev in enumerate(deviation):
-        if dev > tol.herm_tol:
-            failures.append(f"effect {j}: Hermitian deviation {dev:.3e} > {tol.herm_tol:g}")
-            continue
-        if w[j, 0] < -tol.psd_tol:
-            failures.append(f"effect {j}: negative eigenvalue {w[j, 0]:.3e}")
-        if w[j, -1] > 1.0 + tol.psd_tol:
-            failures.append(f"effect {j}: eigenvalue {w[j, -1]:.6g} exceeds 1")
-    residual = float(np.linalg.norm(povm.effects.sum(axis=0) - np.eye(povm.dim)))
-    if residual > tol.recon_tol:
-        failures.append(f"normalization residual {residual:.3e} > {tol.recon_tol:g}")
-    return failures
-
-
 def _cmd_validate(args: argparse.Namespace, tol: ToleranceConfig) -> int:
     povm = _load_povm(args.path)
-    failures = _validation_failures(povm, tol)
+    failures = [str(exc) for exc in violations(povm, tol)]
     if failures:
         _emit({"valid": False, "violations": failures}, args.format)
         return 1
-    validate(povm, tol)
     _emit({"valid": True, "dim": povm.dim, "outcomes": povm.n_outcomes}, args.format)
     return 0
 
@@ -227,8 +200,7 @@ def _cmd_classify(args: argparse.Namespace, tol: ToleranceConfig) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace, tol: ToleranceConfig) -> int:
-    povm = validate(_load_povm(args.path), tol)
-    cert = decompose(povm, tol)
+    cert = decompose(_load_povm(args.path), tol)
     report = verify_certificate(cert, tol)
     _write_json(cert.to_jsonable(), args.out)
     summary = {
@@ -293,7 +265,7 @@ def _cmd_stats(args: argparse.Namespace, tol: ToleranceConfig) -> int:
     if cert.target.n_outcomes != povm.n_outcomes or cert.target.dim != povm.dim:
         raise TargetMismatchError("certificate target shape differs from the POVM")
     gap = float(np.max(np.abs(cert.target.effects - povm.effects)))
-    if gap > tol.recon_tol:
+    if not gap <= tol.recon_tol:  # a NaN gap is a mismatch too
         raise TargetMismatchError(
             f"certificate target differs from the POVM by {gap:.3e}"
         )

@@ -15,14 +15,15 @@ import numpy as np
 from .errors import (
     AlreadyMaximalError,
     BadDimensionError,
+    DimensionMismatchError,
     InternalContradictionError,
     NotExtremalRank1Error,
     NotRank1Error,
     OutOfRangeError,
     SingularSumError,
 )
-from .extremality import banded_verdict, is_extremal_rank1
-from .linalg import DEFAULT_TOL, ToleranceConfig, eig_herm, inv_sqrt, linearly_independent, rank_of
+from .extremality import independence_cutoff, is_extremal_rank1
+from .linalg import DEFAULT_TOL, ToleranceConfig, eig_herm, inv_sqrt, rank_of
 from .povm import Povm, prune_zero_effects, validate
 
 __all__ = [
@@ -74,11 +75,14 @@ def onb_pvm(d: int) -> Povm:
     return Povm(effects)
 
 
-def _outside_span(span_ops: list[np.ndarray], candidate: np.ndarray, tol: ToleranceConfig) -> bool:
-    """Robust out-of-span test; borderline margins are rejected."""
-    result = linearly_independent(span_ops + [candidate], tol)
-    independent, borderline = banded_verdict(result, tol)
-    return independent and not borderline
+def _outside_span(span_ops: np.ndarray, candidate: np.ndarray, tol: ToleranceConfig) -> bool:
+    """Robust out-of-span test; borderline margins are rejected.
+
+    Takes at most d^2 operators in all, so the last singular value is the K-th.
+    """
+    ops = np.concatenate([span_ops, candidate[None]])
+    s = np.linalg.svd(ops.reshape(ops.shape[0], -1), compute_uv=False)
+    return bool(s[-1] / s[0] > independence_cutoff(tol))
 
 
 def extend_extremal(
@@ -105,9 +109,11 @@ def extend_extremal(
         raise AlreadyMaximalError(
             f"an extremal rank-1 POVM on dimension {d} has at most {d * d} outcomes"
         )
-    span_ops = list(pruned.effects)
+    span_ops = pruned.effects
     if projection is not None:
         proj = np.asarray(projection, dtype=np.complex128)
+        if proj.shape != (d, d):
+            raise DimensionMismatchError(f"projection must be {d}x{d}, got shape {proj.shape}")
         if rank_of(proj, tol) != 1 or float(np.linalg.norm(proj @ proj - proj)) > tol.recon_tol:
             raise NotExtremalRank1Error("supplied projection must be a rank-1 projection")
         if not _outside_span(span_ops, proj, tol):

@@ -21,7 +21,7 @@ from .errors import (
     InternalContradictionError,
     NonConvergenceError,
     NotExtremalError,
-    NotRank1Error,
+    PovmForgeError,
 )
 from .extremality import is_extremal, is_extremal_rank1, independence_cutoff
 from .linalg import DEFAULT_TOL, ToleranceConfig
@@ -270,19 +270,27 @@ class VerificationReport:
 def verify_certificate(
     cert: DecompositionCertificate, tol: ToleranceConfig = DEFAULT_TOL
 ) -> VerificationReport:
-    """Check a certificate standalone: weights, extremality, reconstruction."""
+    """Check a certificate standalone: weights, extremality, reconstruction.
+
+    A malformed certificate (non-finite weights, target or components, or
+    a component the extremality test cannot take) gives failure lines,
+    not an exception; every comparison is written so that NaN fails it.
+    """
     failures: list[str] = []
-    weight_residual = abs(sum(c.weight for c in cert.components) - 1.0)
-    if weight_residual > tol.recon_tol:
+    weights = np.array([c.weight for c in cert.components], dtype=np.float64)
+    weight_residual = abs(float(weights.sum()) - 1.0)
+    if not weight_residual <= tol.recon_tol:
         failures.append(f"weights sum to 1 with residual {weight_residual:.3e}")
-    if any(c.weight <= 0.0 for c in cert.components):
-        failures.append("certificate contains a non-positive weight")
+    if not np.all(weights > 0.0):
+        failures.append("certificate contains a non-positive or NaN weight")
+    if not np.isfinite(cert.target.effects).all():
+        failures.append("target has a non-finite entry")
 
     verdicts = []
     for i, comp in enumerate(cert.components):
         try:
             ok = is_extremal_rank1(comp.extremal, tol)
-        except NotRank1Error:
+        except PovmForgeError:  # not rank-1, non-finite, not Hermitian, all zero
             ok = False
         verdicts.append(ok)
         if not ok:
@@ -292,7 +300,7 @@ def verify_certificate(
         cert.reconstruction() - cert.target.effects, axis=(1, 2)
     )
     worst = float(residuals.max()) if residuals.size else 0.0
-    if worst > tol.recon_tol:
+    if not worst <= tol.recon_tol:
         failures.append(f"reconstruction residual {worst:.3e} exceeds recon_tol")
 
     return VerificationReport(

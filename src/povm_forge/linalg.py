@@ -3,7 +3,7 @@
 Everything downstream (POVM validation, extremality tests, the
 decomposition engine) reduces to a handful of primitives implemented
 here: eigendecomposition with a deterministic ordering and phase
-convention, PSD and rank decisions with explicit tolerances, inverse
+convention, rank decisions with explicit tolerances, inverse
 square roots, and linear-independence testing of operator sets via
 vectorization and a singular-value rank cut.
 
@@ -32,10 +32,8 @@ __all__ = [
     "SpectralDecomposition",
     "IndependenceResult",
     "eig_herm",
-    "is_psd",
     "rank_of",
     "inv_sqrt",
-    "vectorize",
     "linearly_independent",
 ]
 
@@ -135,11 +133,6 @@ class SpectralDecomposition:
         v = self.eigenvectors[..., :, k]
         return v[..., :, None] * v.conj()[..., None, :]
 
-    @property
-    def projections(self) -> np.ndarray:
-        """All d rank-1 eigenprojections, shape (..., d, d, d)."""
-        return np.stack([self.projection(k) for k in range(self.dim)], axis=-3)
-
     def reconstruct(self) -> np.ndarray:
         """Sum of eigenvalue-weighted eigenprojections."""
         v = self.eigenvectors
@@ -168,13 +161,6 @@ def rank_cutoff(w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray
     return tol.rank_tol * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
 
 
-def is_psd(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -psd_tol."""
-    a = require_hermitian(m, tol)
-    w = np.linalg.eigvalsh(a)
-    return bool(w[0] >= -tol.psd_tol)
-
-
 def rank_of(m, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Eigenvalue count above the relative cutoff rank_tol * max(1, |lambda|_max)."""
     a = require_hermitian(m, tol)
@@ -198,14 +184,6 @@ def inv_sqrt(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     v = dec.eigenvectors
     r = (v / np.sqrt(dec.eigenvalues)) @ v.conj().T
     return (r + r.conj().T) / 2.0
-
-
-def vectorize(m) -> np.ndarray:
-    """Row-major flattening of a square matrix into a length-d^2 vector."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    return a.reshape(-1)
 
 
 @dataclass(frozen=True)

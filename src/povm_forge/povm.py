@@ -25,6 +25,7 @@ from .errors import (
     NotHermitianError,
     NotNormalizedError,
     NotPSDError,
+    PovmForgeError,
 )
 from .linalg import DEFAULT_TOL, ToleranceConfig, eig_herm, hermitian_deviation, rank_cutoff
 
@@ -37,8 +38,8 @@ __all__ = [
     "PovmClass",
     "EXTREMAL_TYPES",
     "NOT_EXTREMAL",
+    "violations",
     "validate",
-    "non_finite_effects",
     "prune_zero_effects",
     "relabel",
     "mix",
@@ -196,49 +197,61 @@ class PovmClass:
     extremality: ExtremalityReport | None = None
 
 
-def validate(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
-    """Check all effect and POVM invariants, returning ``p`` unchanged.
+def _non_finite(p: Povm) -> list[NonFiniteError]:
+    """One error per effect with a NaN or infinite entry."""
+    bad = np.flatnonzero(~np.isfinite(p.effects).all(axis=(1, 2)))
+    return [NonFiniteError(f"effect {j} has a non-finite entry", outcome=int(j)) for j in bad]
 
-    Every entry must be finite.  Each effect must be Hermitian (herm_tol),
-    PSD (psd_tol), and bounded by the identity (psd_tol slack); the effects
-    must sum to the identity within recon_tol in Frobenius norm.
+
+def violations(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> list[PovmForgeError]:
+    """Every violated POVM invariant, in check order; an empty list means valid.
+
+    Every entry must be finite; if one is not, only the non-finite effects
+    are reported.  Then, effect by effect: Hermitian (herm_tol; a
+    non-Hermitian effect is not judged further), PSD (psd_tol), and
+    bounded by the identity (psd_tol slack).  Last, the effects must sum
+    to the identity within recon_tol in Frobenius norm.
     """
-    bad = non_finite_effects(p)
-    if bad:
-        raise NonFiniteError(f"effect {bad[0]} has a non-finite entry", outcome=bad[0])
+    found: list[PovmForgeError] = _non_finite(p)
+    if found:
+        return found  # eigvalsh and the residual are meaningless on NaN/Inf
     deviation = hermitian_deviation(p.effects)
     w = np.linalg.eigvalsh(p.effects)
     failing = (deviation > tol.herm_tol) | (w[:, 0] < -tol.psd_tol) | (w[:, -1] > 1 + tol.psd_tol)
-    if failing.any():
-        j = int(np.argmax(failing))  # the first failing effect raises its first failing check
+    for j in np.flatnonzero(failing).tolist():
         if deviation[j] > tol.herm_tol:
-            raise NotHermitianError(
+            found.append(NotHermitianError(
                 f"effect {j}: matrix deviates from Hermitian symmetry by {deviation[j]:.3e} "
                 f"(herm_tol = {tol.herm_tol:.3e})"
-            )
+            ))
+            continue
         if w[j, 0] < -tol.psd_tol:
-            raise NotPSDError(
+            found.append(NotPSDError(
                 f"effect {j} is not PSD: smallest eigenvalue {w[j, 0]:.3e}", outcome=j
-            )
-        raise NotPSDError(
-            f"effect {j} exceeds the identity: largest eigenvalue {w[j, -1]:.6g}",
-            outcome=j,
-        )
+            ))
+        if w[j, -1] > 1 + tol.psd_tol:
+            found.append(NotPSDError(
+                f"effect {j} exceeds the identity: largest eigenvalue {w[j, -1]:.6g}",
+                outcome=j,
+            ))
     residual = float(
         np.linalg.norm(p.effects.sum(axis=0) - np.eye(p.dim, dtype=np.complex128))
     )
     if residual > tol.recon_tol:
-        raise NotNormalizedError(
-            f"effects sum to identity with residual {residual:.3e} "
+        found.append(NotNormalizedError(
+            f"effects do not sum to the identity: normalization residual {residual:.3e} "
             f"(recon_tol = {tol.recon_tol:.3e})",
             residual=residual,
-        )
+        ))
+    return found
+
+
+def validate(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
+    """Return ``p`` unchanged if it is a valid POVM; else raise its first :func:`violations`."""
+    found = violations(p, tol)
+    if found:
+        raise found[0]
     return p
-
-
-def non_finite_effects(p: Povm) -> list[int]:
-    """Indices of the effects with a NaN or infinite entry."""
-    return np.flatnonzero(~np.isfinite(p.effects).all(axis=(1, 2))).tolist()
 
 
 def prune_zero_effects(
@@ -246,10 +259,16 @@ def prune_zero_effects(
 ) -> tuple[Povm, RelabelMap]:
     """Drop effects with Frobenius norm <= zero_effect_tol.
 
+    Raises ``NonFiniteError`` on an effect with a NaN or infinite entry,
+    which no norm test may silently drop; every analysis prunes first.
+
     The returned map sends surviving outcomes back to their original
     positions, so ``relabel(pruned, map)`` restores ``p`` (zeros placed
     at outcomes with empty preimage).
     """
+    bad = _non_finite(p)
+    if bad:
+        raise bad[0]
     keep = np.flatnonzero(p.effect_norms() > tol.zero_effect_tol)
     if keep.size == 0:
         raise AllZeroError("every effect is numerically zero")

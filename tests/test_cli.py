@@ -153,6 +153,19 @@ class TestDecomposeCommand:
         cert = DecompositionCertificate.from_jsonable(json.loads(out_path.read_text()))
         assert all(is_extremal_rank1(c.extremal) for c in cert.components)
 
+    def test_not_normalized_file_writes_no_certificate(self, tmp_path, capsys):
+        path = write_povm(tmp_path / "bad.json", Povm(np.stack([EYE2, EYE2])))
+        out_path = tmp_path / "cert.json"
+        assert main(["decompose", path, "--out", str(out_path)]) == 1
+        assert "normalization residual" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_non_finite_file_writes_no_certificate(self, non_finite_file, tmp_path, capsys):
+        out_path = tmp_path / "cert.json"
+        assert main(["decompose", non_finite_file, "--out", str(out_path)]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not out_path.exists()
+
 
 class TestConstructCommand:
     def test_writes_extremal_povm(self, tmp_path):
@@ -222,6 +235,15 @@ class TestStatsCommand:
         _, cert_path = self.make_pair(tmp_path, four_outcome_qubit())
         other = write_povm(tmp_path / "other.json", random_povm(2, 4, seed=9))
         assert main(["stats", other, cert_path, "--trials", "10"]) == 1
+
+    def test_non_finite_povm_is_a_target_mismatch(self, tmp_path, capsys):
+        povm_path, cert_path = self.make_pair(tmp_path, four_outcome_qubit())
+        effects = np.array(four_outcome_qubit().effects)
+        effects[0, 0, 0] = np.nan
+        write_povm(tmp_path / "p.json", Povm(effects))
+        capsys.readouterr()
+        assert main(["stats", povm_path, cert_path, "--trials", "10"]) == 1
+        assert "certificate target differs" in capsys.readouterr().err
 
 
 class TestRoundTripPrecision:

@@ -20,6 +20,7 @@ from povm_forge import (
 from povm_forge.errors import (
     AlreadyMaximalError,
     BadDimensionError,
+    DimensionMismatchError,
     NotExtremalRank1Error,
     OutOfRangeError,
 )
@@ -97,6 +98,10 @@ class TestExtendExtremal:
     def test_rejects_in_span_projection(self):
         with pytest.raises(NotExtremalRank1Error):
             extend_extremal(onb_pvm(2), projection=np.diag([1.0, 0.0]))
+
+    def test_rejects_projection_of_other_dimension(self):
+        with pytest.raises(DimensionMismatchError):
+            extend_extremal(onb_pvm(2), projection=np.diag([0.0, 0.0, 1.0]))
 
     def test_preserves_extremality_and_increments_count(self):
         checked = 0

@@ -201,6 +201,32 @@ class TestVerifyCertificate:
         assert report.effect_residuals.shape == (3,)
         assert report.passed
 
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda doc: doc["components"][0].update(weight=np.nan),
+            lambda doc: [comp.update(weight=np.nan) for comp in doc["components"]],
+            lambda doc: doc["target"]["effects"][0]["re"][0].__setitem__(0, np.nan),
+            lambda doc: doc["components"][0]["extremal"]["effects"][0]["re"][0].__setitem__(0, np.nan),
+            lambda doc: doc["components"][0]["extremal"]["effects"][0]["re"][0].__setitem__(1, 1.0),
+            lambda doc: [
+                effect.update(re=[[0, 0], [0, 0]], im=[[0, 0], [0, 0]])
+                for effect in doc["components"][0]["extremal"]["effects"]
+            ],
+        ],
+        ids=[
+            "nan_weight", "nan_weights", "nan_target", "nan_component", "skew_component",
+            "zero_component",
+        ],
+    )
+    def test_spoiled_certificate_fails_without_raising(self, spoil):
+        doc = decompose(random_povm(2, 3, seed=1)).to_jsonable()
+        assert len(doc["components"]) > 1
+        spoil(doc)
+        report = verify_certificate(DecompositionCertificate.from_jsonable(doc))
+        assert not report.passed
+        assert report.failures
+
 
 class TestOutcomeProbabilities:
     def test_maximally_mixed(self, qubit3):

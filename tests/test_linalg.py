@@ -10,11 +10,9 @@ from povm_forge import (
     ToleranceConfig,
     eig_herm,
     inv_sqrt,
-    is_psd,
     linearly_independent,
     rank_of,
     type_d_example,
-    vectorize,
 )
 from povm_forge.errors import (
     DimensionMismatchError,
@@ -55,16 +53,16 @@ class TestEigHerm:
     def test_identity(self):
         dec = eig_herm(EYE2)
         assert np.allclose(dec.eigenvalues, [1.0, 1.0])
-        assert np.allclose(dec.projections[0], np.diag([1.0, 0.0]))
-        assert np.allclose(dec.projections[1], np.diag([0.0, 1.0]))
+        assert np.allclose(dec.projection(0), np.diag([1.0, 0.0]))
+        assert np.allclose(dec.projection(1), np.diag([0.0, 1.0]))
 
     def test_sigma_x(self):
         dec = eig_herm(SX)
         assert np.allclose(dec.eigenvalues, [1.0, -1.0])
         plus = np.full((2, 2), 0.5)
         minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
-        assert np.allclose(dec.projections[0], plus)
-        assert np.allclose(dec.projections[1], minus)
+        assert np.allclose(dec.projection(0), plus)
+        assert np.allclose(dec.projection(1), minus)
 
     def test_rank2_reference_effect_spectrum(self):
         effect = type_d_example().effects[0]
@@ -104,25 +102,9 @@ class TestEigHerm:
             norm = np.linalg.norm(m)
             assert np.linalg.norm(dec.reconstruct() - m) <= DEFAULT_TOL.recon_tol * max(norm, 1.0)
             # projections pairwise orthogonal
-            projections = dec.projections
             for a in range(d):
                 for b in range(a + 1, d):
-                    assert np.linalg.norm(projections[a] @ projections[b]) <= DEFAULT_TOL.recon_tol
-
-
-class TestIsPsd:
-    def test_zero(self):
-        assert is_psd(np.zeros((2, 2)))
-
-    def test_negative_identity(self):
-        assert not is_psd(-EYE2)
-
-    def test_rank1_reference_effect(self):
-        effect = np.array(
-            [[0.25, 1 / (2 * np.sqrt(2))], [1 / (2 * np.sqrt(2)), 0.5]], dtype=complex
-        )
-        assert is_psd(effect)
-        assert np.linalg.det(effect).real == pytest.approx(0.0, abs=1e-15)
+                    assert np.linalg.norm(dec.projection(a) @ dec.projection(b)) <= DEFAULT_TOL.recon_tol
 
 
 class TestRankOf:
@@ -172,28 +154,6 @@ class TestInvSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
             inv_sqrt(SZ)
-
-
-class TestVectorize:
-    def test_zero(self):
-        assert np.array_equal(vectorize(np.zeros((2, 2))), np.zeros(4))
-
-    def test_identity(self):
-        assert np.array_equal(vectorize(EYE2), np.array([1, 0, 0, 1], dtype=complex))
-
-    def test_single_entry(self):
-        m = np.zeros((2, 2), dtype=complex)
-        m[0, 1] = 1.0
-        assert np.array_equal(vectorize(m), np.array([0, 1, 0, 0], dtype=complex))
-
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
-    @settings(max_examples=50, deadline=None)
-    def test_linear_bijective(self, seed, d):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        assert np.allclose(vectorize(2.0 * a - 3.0 * b), 2.0 * vectorize(a) - 3.0 * vectorize(b))
-        assert np.array_equal(vectorize(a).reshape(d, d), a)
 
 
 class TestLinearlyIndependent:

@@ -11,6 +11,8 @@ from povm_forge import (
     RelabelMap,
     classify,
     equivalent,
+    is_extremal,
+    is_extremal_rank1,
     mix,
     onb_pvm,
     prune_zero_effects,
@@ -102,6 +104,17 @@ class TestPrune:
         pruned, rmap = prune_zero_effects(qubit3)
         assert np.array_equal(pruned.effects, qubit3.effects)
         assert np.array_equal(rmap.targets, np.arange(3))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "analysis", [classify, is_extremal, is_extremal_rank1, spectral_relabel]
+    )
+    def test_non_finite_effect_is_rejected_not_dropped(self, qubit3, analysis, entry):
+        effects = np.array(qubit3.effects)
+        effects[0, 0, 0] = entry  # a NaN norm would fail the keep test and drop the effect
+        with pytest.raises(NonFiniteError) as info:
+            analysis(Povm(effects))
+        assert info.value.outcome == 0
 
 
 class TestRelabel:

@@ -1,5 +1,7 @@
 """The batched spectral pass against the per-effect reference in ``per_effect``."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -22,6 +24,7 @@ from povm_forge import (
     spectral_relabel,
     type_d_example,
     validate,
+    violations,
 )
 from povm_forge.cli import main
 from povm_forge.errors import NotHermitianError, NotNormalizedError, PovmForgeError
@@ -196,6 +199,46 @@ def test_validate_raises_what_the_effect_loop_raises(seed, d, n):
             validate(p)
         except NotNormalizedError:
             pass
+
+
+def defective_povm(seed, d, n):
+    """Random POVM with up to four seeded defects, non-finite entries among them."""
+    rng = np.random.default_rng(seed)
+    effects = np.array(random_povm(d, n, seed).effects)
+    for _ in range(int(rng.integers(0, 5))):
+        j = int(rng.integers(n))
+        defect = rng.integers(4)
+        if defect == 0:  # not Hermitian
+            effects[j, 0, d - 1] += 1e-6
+        elif defect == 1:  # a negative eigenvalue
+            effects[j] -= 0.5 * np.eye(d)
+        elif defect == 2:  # an eigenvalue above 1
+            effects[j] += 0.5 * np.eye(d)
+        else:
+            effects[j, d - 1, 0] = np.nan
+    return Povm(effects)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 5))
+@settings(max_examples=80, deadline=None)
+def test_validate_and_cli_report_the_first_and_all_violations(tmp_path_factory, seed, d, n):
+    p = defective_povm(seed, d, n)
+    found = violations(p)
+    if found:
+        with pytest.raises(type(found[0])) as got:
+            validate(p)
+        assert str(got.value) == str(found[0])
+        assert getattr(got.value, "outcome", None) == getattr(found[0], "outcome", None)
+    else:
+        assert validate(p) is p
+    path = tmp_path_factory.mktemp("validate") / "povm.json"
+    path.write_text(json.dumps(p.to_jsonable()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["validate", str(path), "--format", "json"])
+    report = json.loads(out.getvalue())
+    assert (code, report["valid"]) == ((1, False) if found else (0, True))
+    assert report.get("violations", []) == [str(exc) for exc in found]
 
 
 def test_validate_checks_effects_in_index_order():
