@@ -22,8 +22,8 @@ from .errors import (
     OutOfRangeError,
     SingularSumError,
 )
-from .extremality import independence_cutoff, is_extremal_rank1
-from .linalg import DEFAULT_TOL, ToleranceConfig, eig_herm, inv_sqrt, rank_of
+from .extremality import banded_verdict, is_extremal_rank1
+from .linalg import DEFAULT_TOL, ToleranceConfig, inv_sqrt, rank_of
 from .povm import Povm, prune_zero_effects, validate
 
 __all__ = [
@@ -82,7 +82,7 @@ def _outside_span(span_ops: np.ndarray, candidate: np.ndarray, tol: ToleranceCon
     """
     ops = np.concatenate([span_ops, candidate[None]])
     s = np.linalg.svd(ops.reshape(ops.shape[0], -1), compute_uv=False)
-    return bool(s[-1] / s[0] > independence_cutoff(tol))
+    return banded_verdict(float(s[-1] / s[0]), tol)[0]
 
 
 def extend_extremal(
@@ -90,9 +90,9 @@ def extend_extremal(
 ) -> Povm:
     """Extend an extremal rank-1 POVM by one outcome, preserving extremality.
 
-    Finds a rank-1 projection P outside the real span of the effects (a
-    fixed scan over :func:`hermitian_basis` and eigenprojections, unless
-    ``projection`` overrides the choice), sets T = I + P, and returns
+    Finds a rank-1 projection P outside the real span of the effects (the
+    first of the projections (s + s^2)/2, s in :func:`hermitian_basis`,
+    unless ``projection`` overrides the choice), sets T = I + P, and returns
 
         effects -> T^{-1/2} A(j) T^{-1/2},  new outcome T^{-1/2} P T^{-1/2}.
     """
@@ -121,18 +121,11 @@ def extend_extremal(
                 "supplied projection lies in the span of the effects"
             )
     else:
-        proj = None
-        for s in hermitian_basis(d):
-            if not _outside_span(span_ops, s, tol):
-                continue
-            dec = eig_herm(s, tol)
-            for k in range(d):
-                candidate = dec.projection(k)
-                if _outside_span(span_ops, candidate, tol):
-                    proj = candidate
-                    break
-            if proj is not None:
-                break
+        # each basis element has one eigenvalue +1, the rest 0 or -1; these d^2
+        # projections span the Hermitian matrices, so one lies outside the span
+        basis = hermitian_basis(d)
+        candidates = (basis + basis @ basis) / 2.0
+        proj = next((c for c in candidates if _outside_span(span_ops, c, tol)), None)
         if proj is None:
             raise InternalContradictionError(
                 "no basis direction found outside the effect span (tolerance inconsistency)"

@@ -172,7 +172,8 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
     (x - t*v)/(1 - t).  The null space is factored once and updated as
     coordinates leave the support.  At most N - rank + 1 steps are
     possible (rank: the real rank of the E_j); more raise
-    ``NonConvergenceError`` (it signals inconsistent tolerances).
+    ``NonConvergenceError`` (it signals inconsistent tolerances), as does a
+    mixture that misses the input by more than recon_tol.
     """
     p = validate(p, tol)
     pruned, prune_map = prune_zero_effects(p, tol)
@@ -199,6 +200,7 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
     max_steps = null.shape[1] + 1
     components: list[CertificateComponent] = []
     remaining = 1.0
+    mixed = np.zeros(root.n_outcomes)  # coefficient of each E_j in the emitted mixture
     for _ in range(max_steps):
         vertex_support, vertex, svd = _walk_to_vertex(
             columns, identity, x, support, null, floor, tol
@@ -206,16 +208,17 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
         ratios = x[vertex_support] / vertex
         j = int(np.argmin(ratios))
         t = 1.0 if vertex_support.size == support.size else min(float(ratios[j]), 1.0)
-        coefficients = (vertex / norms[vertex_support])[:, None, None]
+        coefficients = vertex / norms[vertex_support]
         components.append(
             CertificateComponent(
                 weight=remaining * t,
-                extremal=Povm(root.effects[vertex_support] * coefficients),
+                extremal=Povm(root.effects[vertex_support] * coefficients[:, None, None]),
                 relabel=RelabelMap(vertex_support.size, p.n_outcomes, targets[vertex_support]),
             )
         )
+        mixed[vertex_support] += remaining * t * coefficients
         if t == 1.0:
-            return DecompositionCertificate(target=p, components=tuple(components))
+            break
         # The rest of x is (x - t*v)/(1 - t).  Off the vertex support that is
         # exact; on it, solving the sum constraint avoids the cancellation of
         # x - t*v, which would grow every rounding error by 1/(1 - t) a step.
@@ -225,10 +228,17 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
         x[vertex_support[j]] = 0.0
         remaining *= 1.0 - t
         support, null = _shrink(x, support, null, floor)
-    raise NonConvergenceError(
-        f"peel exceeded its bound of {max_steps} steps; "
-        "tolerances are inconsistent for this input"
-    )
+    else:
+        raise NonConvergenceError(
+            f"peel exceeded its bound of {max_steps} steps; "
+            "tolerances are inconsistent for this input"
+        )
+    rebuilt = np.zeros_like(p.effects)  # the start projection can miss nearly dependent input
+    np.add.at(rebuilt, targets, mixed[:, None, None] * root.effects)
+    residual = float(np.linalg.norm(rebuilt - p.effects, axis=(1, 2)).max())
+    if not residual <= tol.recon_tol:
+        raise NonConvergenceError(f"peel result misses its input by {residual:.3e} > recon_tol")
+    return DecompositionCertificate(target=p, components=tuple(components))
 
 
 def extremal_to_rank1(

@@ -97,7 +97,7 @@ class InternalContradictionError(PovmForgeError):
 
 
 class NonConvergenceError(PovmForgeError):
-    """The decomposition peel exceeded its provable step bound, N - rank + 1."""
+    """The decomposition peel exceeded its step bound, N - rank + 1, or missed its input."""
 
 
 class AlreadyMaximalError(PovmForgeError):

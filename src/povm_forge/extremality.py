@@ -19,21 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AllZeroError,
     DegenerateDependenceError,
     EmptyInputError,
     NotADependenceError,
-    NotHermitianError,
     NotRank1Error,
 )
 from .linalg import (
     DEFAULT_TOL,
-    IndependenceResult,
     SpectralDecomposition,
     ToleranceConfig,
     eig_herm,
-    hermitian_deviation,
     linearly_independent,
     rank_cutoff,
+    require_hermitian,
 )
 from .povm import Povm, prune_zero_effects, validate
 
@@ -132,21 +131,18 @@ def independence_cutoff(tol: ToleranceConfig) -> float:
     return tol.indep_tol * _BORDERLINE_FACTOR
 
 
-def banded_verdict(result: IndependenceResult, tol: ToleranceConfig) -> tuple[bool, bool]:
-    """(independent, borderline) with a safety band around the cutoff."""
+def banded_verdict(margin: float, tol: ToleranceConfig) -> tuple[bool, bool]:
+    """(independent, borderline) of a margin, with a safety band around the cutoff."""
     low = tol.indep_tol / _BORDERLINE_FACTOR
     high = independence_cutoff(tol)
-    independent = result.margin > high
-    borderline = low < result.margin <= high
-    return independent, borderline
+    return margin > high, low < margin <= high
 
 
 def _unit_verdict(ops: np.ndarray, tol: ToleranceConfig) -> tuple[bool, bool, float]:
     """(independent, borderline, margin) of at most d^2 unit-norm operators, by singular values."""
     s = np.linalg.svd(ops.reshape(ops.shape[0], -1), compute_uv=False)
     margin = float(s[-1] / s[0])
-    result = IndependenceResult(bool(s[-1] > tol.indep_tol * s[0]), None, margin)
-    return *banded_verdict(result, tol), margin
+    return *banded_verdict(margin, tol), margin
 
 
 def pair_independence(
@@ -184,23 +180,19 @@ def is_extremal(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 def is_extremal_rank1(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Extremality test for rank-1 POVMs: independence of the nonzero effects."""
     pruned, _ = prune_zero_effects(p, tol)
-    effects = pruned.effects
-    deviation = hermitian_deviation(effects)
-    if np.any(deviation > tol.herm_tol):
-        j = int(np.argmax(deviation > tol.herm_tol))
-        raise NotHermitianError(
-            f"nonzero effect {j} deviates from Hermitian symmetry by {deviation[j]:.3e} "
-            f"(herm_tol = {tol.herm_tol:.3e})"
-        )
+    effects = require_hermitian(pruned.effects, tol)
     w = np.linalg.eigvalsh(effects)
     ranks = np.count_nonzero(np.abs(w) > rank_cutoff(w, tol), axis=1)
-    if np.any(ranks != 1):
-        j = int(np.argmax(ranks != 1))
+    effects = effects[ranks > 0]  # as in pair_independence, a rank-0 effect does not count
+    if not effects.shape[0]:
+        raise AllZeroError("no effect has an eigenvalue above the rank cutoff")
+    if np.any(ranks > 1):
+        j = int(np.argmax(ranks > 1))
         raise NotRank1Error(f"nonzero effect {j} has rank {ranks[j]}, expected 1")
-    if pruned.n_outcomes > pruned.dim ** 2:
+    if effects.shape[0] > pruned.dim ** 2:
         return False  # more effects than the d^2-dimensional operator space holds
     # unit-normalized, so that small-norm effects cannot pass for null directions
-    return _unit_verdict(effects / pruned.effect_norms()[:, None, None], tol)[0]
+    return _unit_verdict(effects / np.linalg.norm(effects, axis=(1, 2), keepdims=True), tol)[0]
 
 
 def find_effect_dependence(

@@ -84,7 +84,8 @@ DEFAULT_TOL = ToleranceConfig()
 
 def hermitian_deviation(a: np.ndarray) -> np.ndarray:
     """Max entrywise |a - a^H| of a matrix, or of each matrix in a (..., d, d) stack."""
-    return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):  # a NaN or Inf entry gives NaN or Inf: no tolerance passes
+        return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 def require_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -93,7 +94,7 @@ def require_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
     deviation = float(hermitian_deviation(a).max())
-    if deviation > tol.herm_tol:
+    if not deviation <= tol.herm_tol:
         raise NotHermitianError(
             f"matrix deviates from Hermitian symmetry by {deviation:.3e} "
             f"(herm_tol = {tol.herm_tol:.3e})"

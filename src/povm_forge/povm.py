@@ -333,9 +333,10 @@ def spectral_relabel(
 def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:
     """Rank-1 and PVM flags plus the extremality type label.
 
-    Nonzero effects alone decide the flags.  When multiple type
-    predicates hold the most specific label wins (a > b > c > d); a
-    rank-1 basis PVM therefore reports "a" with ``is_pvm`` still set.
+    Only effects with an eigenvalue above the rank cutoff count, in the
+    flags and the rank profile.  When multiple type predicates hold the
+    most specific label wins (a > b > c > d); a rank-1 basis PVM
+    therefore reports "a" with ``is_pvm`` still set.
     """
     from .extremality import pair_independence  # here: extremality builds on this module
 
@@ -343,8 +344,8 @@ def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:
     dec = eig_herm(pruned.effects, tol)
     w = dec.eigenvalues
     ranks = np.count_nonzero(np.abs(w) > rank_cutoff(w, tol), axis=1)  # the rank_of rule
-    e = pruned.effects
-    projection = np.linalg.norm(e @ e - e, axis=(1, 2)) <= tol.recon_tol
+    w, ranks = w[ranks > 0], ranks[ranks > 0]
+    projection = np.linalg.norm(w * w - w, axis=1) <= tol.recon_tol  # = |E^2 - E|_F
     rank1 = bool(np.all(ranks == 1))
     pvm = bool(np.all(projection))
     report = pair_independence(dec, tol)

@@ -38,6 +38,18 @@ def random_mixed_rank_pvm(d: int, rng: np.random.Generator) -> Povm:
     return Povm(effects)
 
 
+def qubit3_with_rank0_outcome() -> Povm:
+    """qubit_example() with 5e-10 |0><0| moved from outcome 3 into a fourth outcome.
+
+    The new effect's norm clears zero_effect_tol but its eigenvalue lies
+    below the rank cutoff, so it is a rank-0 effect that is not pruned.
+    """
+    effects = np.array(qubit_example().effects)
+    small = 5e-10 * np.diag([1.0, 0.0]).astype(np.complex128)
+    effects[2] -= small
+    return Povm(np.concatenate([effects, small[None]]))
+
+
 @pytest.fixture
 def qubit3() -> Povm:
     return qubit_example()

@@ -65,7 +65,7 @@ def extremality_report(p, tol=DEFAULT_TOL):
     pruned, _ = prune_zero_effects(p, tol)
     ops = spectral_form(pruned, tol).pair_operators()
     result = linearly_independent([op / np.linalg.norm(op) for op in ops], tol)
-    extremal, borderline = banded_verdict(result, tol)
+    extremal, borderline = banded_verdict(result.margin, tol)
     return ExtremalityReport(extremal, borderline, result.margin, len(ops))
 
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import EYE2, four_outcome_qubit
+from conftest import EYE2, four_outcome_qubit, qubit3_with_rank0_outcome
 from povm_forge import (
     DecompositionCertificate,
     Povm,
@@ -117,6 +117,13 @@ class TestClassifyCommand:
         assert main(["classify", path, "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["type"] == "a"
+        assert report["rank_profile"] == [1, 1, 1]
+
+    def test_rank0_effect_does_not_count(self, tmp_path, capsys):
+        path = write_povm(tmp_path / "rank0.json", qubit3_with_rank0_outcome())
+        assert main(["classify", path, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["outcomes"], report["nonzero_outcomes"], report["type"]) == (4, 3, "a")
         assert report["rank_profile"] == [1, 1, 1]
 
     def test_invalid_povm(self, tmp_path):

@@ -35,6 +35,16 @@ class TestHermitianBasis:
         assert linearly_independent(list(basis)).independent
         assert exact_independent(list(basis))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_plus_eigenprojections(self, d):
+        basis = hermitian_basis(d)
+        candidates = (basis + basis @ basis) / 2.0
+        for c in candidates:
+            assert np.array_equal(c @ c, c)
+            assert np.array_equal(c, c.conj().T)
+            assert rank_of(c) == 1
+        assert exact_independent(list(candidates))
+
     def test_scan_order(self):
         basis = hermitian_basis(2)
         assert np.array_equal(basis[0], np.diag([1.0, 0.0]).astype(complex))

@@ -28,7 +28,7 @@ from povm_forge import (
     statistics_equivalence,
     verify_certificate,
 )
-from povm_forge.errors import DimensionMismatchError, NotExtremalError
+from povm_forge.errors import DimensionMismatchError, NonConvergenceError, NotExtremalError
 
 
 class TestDecompose:
@@ -122,6 +122,25 @@ class TestPeel:
         for comp in decompose(random_povm(d, n, seed)).components:
             assert exact_independent(comp.extremal.effects)
 
+    @pytest.mark.parametrize(
+        "d, n, rank, seed",
+        [(2, 2, None, 0), (2, 3, None, 0), (3, 2, None, 1), (4, 5, None, 2),
+         (2, 4, 1, 0), (2, 4, 1, 1), (3, 9, 1, 0), (3, 9, 1, 2)],
+    )
+    def test_input_off_the_identity_verifies_or_raises(self, d, n, rank, seed):
+        # 5e-9 of a random PSD direction on effect 0: the effects sum to I only
+        # within recon_tol, and some of these inputs are nearly dependent
+        p = random_povm(d, n, seed, rank=rank)
+        g = np.random.default_rng(seed).standard_normal((d, 2 * d)).view(np.complex128)
+        h = g @ g.conj().T
+        effects = np.array(p.effects)
+        effects[0] += 5e-9 * h / np.linalg.norm(h)
+        try:
+            cert = decompose(Povm(effects))
+        except NonConvergenceError:
+            return
+        assert verify_certificate(cert).passed
+
     def test_baseline_sizes_meet_the_bound(self):
         for d, n in ((2, 8), (3, 8)):
             p = random_povm(d, n, seed=0)
@@ -213,10 +232,14 @@ class TestVerifyCertificate:
                 effect.update(re=[[0, 0], [0, 0]], im=[[0, 0], [0, 0]])
                 for effect in doc["components"][0]["extremal"]["effects"]
             ],
+            lambda doc: [  # every effect nonzero, none with an eigenvalue above the rank cutoff
+                effect.update(re=[[2.5e-10, 0], [0, 2.5e-10]], im=[[0, 2.5e-10], [-2.5e-10, 0]])
+                for effect in doc["components"][0]["extremal"]["effects"]
+            ],
         ],
         ids=[
             "nan_weight", "nan_weights", "nan_target", "nan_component", "skew_component",
-            "zero_component",
+            "zero_component", "tiny_component",
         ],
     )
     def test_spoiled_certificate_fails_without_raising(self, spoil):

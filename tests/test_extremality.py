@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import EYE2, random_mixed_rank_pvm, sigma_x_pvm, sigma_z_pvm
+from conftest import (
+    EYE2,
+    qubit3_with_rank0_outcome,
+    random_mixed_rank_pvm,
+    sigma_x_pvm,
+    sigma_z_pvm,
+)
 from rational_rank import exact_independent
 from povm_forge import (
     DEFAULT_TOL,
@@ -18,6 +24,7 @@ from povm_forge import (
     type_d_example,
 )
 from povm_forge.errors import (
+    AllZeroError,
     DegenerateDependenceError,
     NotADependenceError,
     NotRank1Error,
@@ -112,6 +119,15 @@ class TestIsExtremalRank1:
     def test_rejects_higher_rank(self):
         with pytest.raises(NotRank1Error):
             is_extremal_rank1(uniform_pair())
+
+    def test_rank0_effect_does_not_count(self):
+        assert is_extremal_rank1(qubit3_with_rank0_outcome())
+
+    def test_all_effects_below_the_rank_cutoff(self):
+        psi = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+        tiny = 5e-10 * np.stack([np.outer(psi, psi.conj()), np.diag([1.0, 0.0])])
+        with pytest.raises(AllZeroError):
+            is_extremal_rank1(Povm(tiny))
 
     def test_agrees_with_general_test_on_rank1(self):
         disagreements = 0

@@ -19,12 +19,24 @@ from povm_forge.errors import (
     EmptyInputError,
     NotHermitianError,
     NotPositiveDefiniteError,
+    PovmForgeError,
 )
 
 
 def random_hermitian(d, rng, scale=1.0):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return scale * (g + g.conj().T) / 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("index", [(0, 0), (0, 1)])
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1j * np.nan])
+@pytest.mark.parametrize("primitive", [rank_of, eig_herm, inv_sqrt])
+def test_non_finite_matrix_is_rejected(primitive, entry, index):
+    m = np.eye(2, dtype=np.complex128)
+    m[index] = entry
+    with pytest.raises(PovmForgeError):
+        primitive(m)
 
 
 class TestToleranceConfig:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EYE2, sigma_x_pvm, sigma_z_pvm
+from conftest import EYE2, qubit3_with_rank0_outcome, sigma_x_pvm, sigma_z_pvm
 from povm_forge import (
     DEFAULT_TOL,
     NOT_EXTREMAL,
@@ -270,6 +270,11 @@ class TestClassify:
         result = classify(validate(Povm(effects)))
         assert result.extremal_type == "c"
         assert not result.is_rank1 and not result.is_pvm
+
+    def test_rank0_effect_does_not_count(self):
+        p = validate(qubit3_with_rank0_outcome())
+        result = classify(p)
+        assert (result.extremal_type, result.is_rank1, result.rank_profile) == ("a", True, (1, 1, 1))
 
     def test_reference_qubit_povm_is_type_a(self, qubit3):
         assert classify(qubit3).extremal_type == "a"
