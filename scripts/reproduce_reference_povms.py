@@ -2,8 +2,9 @@
 """Print the worked reference POVMs and re-derive them from first principles.
 
 Shows the three-outcome qubit POVM arising from one extension step on the
-sigma-x PVM, the full extension chain up to the maximal outcome count, and
-the dimension-4 rank-2 example together with its classification.
+sigma-x PVM, the single-congruence construction for every outcome count up
+to the maximal one, and the dimension-4 rank-2 example together with its
+classification.
 """
 
 import argparse
@@ -44,7 +45,7 @@ def main():
     print(f"\n  extension step reproduces the closed form entrywise to {gap:.2e}")
     print(f"  extremal rank-1: {is_extremal_rank1(reference)}")
 
-    print("\nextension chain on d=2, outcome counts 2..4:")
+    print("\none congruence S^-1/2 P_k S^-1/2 on d=2, outcome counts 2..4:")
     for n in range(2, 5):
         p = construct_extremal_rank1(2, n)
         margin = extremality_report(p).margin

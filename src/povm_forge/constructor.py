@@ -1,11 +1,10 @@
 """Generators for reference and random POVMs.
 
-Covers basis PVMs, the inductive construction of extremal rank-1 POVMs
-with any admissible outcome count N in [d, d^2] (conjugate an N-outcome
-extremal rank-1 POVM by (I + P)^{-1/2} for a rank-1 projection P outside
-the real span of its effects, and append the conjugated P as a new
-outcome), two worked reference POVMs, and a seeded random generator for
-test corpora.
+Covers basis PVMs, extremal rank-1 POVMs with any admissible outcome
+count N in [d, d^2] (one congruence S^{-1/2} P_k S^{-1/2} of the first N
+rank-1 projections P_k built from :func:`hermitian_basis`, S their sum),
+the paper's one-step extension of an extremal rank-1 POVM, two worked
+reference POVMs, and a seeded random generator for test corpora.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from .errors import (
     OutOfRangeError,
     SingularSumError,
 )
-from .extremality import banded_verdict, is_extremal_rank1
-from .linalg import DEFAULT_TOL, ToleranceConfig, inv_sqrt, rank_of
+from .extremality import is_extremal_rank1
+from .linalg import DEFAULT_TOL, ToleranceConfig, _unit_verdict, inv_sqrt, rank_of
 from .povm import Povm, prune_zero_effects, validate
 
 __all__ = [
@@ -75,14 +74,21 @@ def onb_pvm(d: int) -> Povm:
     return Povm(effects)
 
 
-def _outside_span(span_ops: np.ndarray, candidate: np.ndarray, tol: ToleranceConfig) -> bool:
-    """Robust out-of-span test; borderline margins are rejected.
+def _basis_projections(d: int) -> np.ndarray:
+    """The d^2 rank-1 projections (s + s^2)/2 over :func:`hermitian_basis`; first d: |i><i|."""
+    basis = hermitian_basis(d)
+    return (basis + basis @ basis) / 2.0
 
-    Takes at most d^2 operators in all, so the last singular value is the K-th.
-    """
-    ops = np.concatenate([span_ops, candidate[None]])
-    s = np.linalg.svd(ops.reshape(ops.shape[0], -1), compute_uv=False)
-    return banded_verdict(float(s[-1] / s[0]), tol)[0]
+
+def _normalize_extremal(ops: np.ndarray, total: np.ndarray, tol: ToleranceConfig) -> Povm:
+    """total^{-1/2} ops total^{-1/2}, checked to be a valid extremal rank-1 POVM."""
+    root = inv_sqrt(total, tol)
+    effects = root @ ops @ root
+    effects = (effects + np.conj(np.transpose(effects, (0, 2, 1)))) / 2.0
+    out = validate(Povm(effects), tol)
+    if not is_extremal_rank1(out, tol):
+        raise InternalContradictionError("normalization lost extremality (tolerance inconsistency)")
+    return out
 
 
 def extend_extremal(
@@ -109,43 +115,36 @@ def extend_extremal(
         raise AlreadyMaximalError(
             f"an extremal rank-1 POVM on dimension {d} has at most {d * d} outcomes"
         )
-    span_ops = pruned.effects
+
+    def outside_span(candidate: np.ndarray) -> bool:  # n < d^2 effects: at most d^2 operators
+        return _unit_verdict(np.concatenate([pruned.effects, candidate[None]]), tol)[0]
+
     if projection is not None:
         proj = np.asarray(projection, dtype=np.complex128)
         if proj.shape != (d, d):
             raise DimensionMismatchError(f"projection must be {d}x{d}, got shape {proj.shape}")
         if rank_of(proj, tol) != 1 or float(np.linalg.norm(proj @ proj - proj)) > tol.recon_tol:
             raise NotExtremalRank1Error("supplied projection must be a rank-1 projection")
-        if not _outside_span(span_ops, proj, tol):
+        if not outside_span(proj):
             raise NotExtremalRank1Error(
                 "supplied projection lies in the span of the effects"
             )
     else:
-        # each basis element has one eigenvalue +1, the rest 0 or -1; these d^2
-        # projections span the Hermitian matrices, so one lies outside the span
-        basis = hermitian_basis(d)
-        candidates = (basis + basis @ basis) / 2.0
-        proj = next((c for c in candidates if _outside_span(span_ops, c, tol)), None)
+        proj = next((c for c in _basis_projections(d) if outside_span(c)), None)
         if proj is None:
             raise InternalContradictionError(
                 "no basis direction found outside the effect span (tolerance inconsistency)"
             )
-    t_inv_sqrt = inv_sqrt(np.eye(d) + proj, tol)
-    extended = t_inv_sqrt @ np.concatenate([pruned.effects, proj[None]]) @ t_inv_sqrt
-    extended = (extended + np.conj(np.transpose(extended, (0, 2, 1)))) / 2.0
-    out = validate(Povm(extended), tol)
-    if not is_extremal_rank1(out, tol):
-        raise InternalContradictionError(
-            "extension lost extremality (tolerance inconsistency)"
-        )
-    return out
+    return _normalize_extremal(np.concatenate([pruned.effects, proj[None]]), np.eye(d) + proj, tol)
 
 
 def construct_extremal_rank1(d: int, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     """Extremal rank-1 POVM with exactly n outcomes, d <= n <= d^2.
 
-    Starts from the computational-basis PVM and applies n - d extension
-    steps; deterministic for given (d, n).
+    One congruence E_k = S^{-1/2} P_k S^{-1/2} of the first n projections P_k of
+    :func:`_basis_projections`, with S = sum_k P_k >= I (the first d are |i><i|).
+    It is invertible on operator space, so the E_k stay rank-1 and independent,
+    and they sum to I.  Deterministic for given (d, n); n = d gives the basis PVM.
     """
     if d < 1:
         raise BadDimensionError(f"dimension must be >= 1, got {d}")
@@ -153,10 +152,8 @@ def construct_extremal_rank1(d: int, n: int, tol: ToleranceConfig = DEFAULT_TOL)
         raise OutOfRangeError(
             f"outcome count must satisfy {d} <= n <= {d * d}, got {n}"
         )
-    p = onb_pvm(d)
-    for _ in range(n - d):
-        p = extend_extremal(p, tol)
-    return p
+    projections = _basis_projections(d)[:n]
+    return _normalize_extremal(projections, projections.sum(axis=0), tol)
 
 
 def qubit_example() -> Povm:

@@ -23,8 +23,8 @@ from .errors import (
     NotExtremalError,
     PovmForgeError,
 )
-from .extremality import is_extremal, is_extremal_rank1, independence_cutoff
-from .linalg import DEFAULT_TOL, ToleranceConfig
+from .extremality import is_extremal, is_extremal_rank1
+from .linalg import DEFAULT_TOL, ToleranceConfig, independence_cutoff
 from .povm import Povm, RelabelMap, prune_zero_effects, relabel, spectral_relabel, validate
 
 __all__ = [

@@ -29,6 +29,7 @@ from .linalg import (
     DEFAULT_TOL,
     SpectralDecomposition,
     ToleranceConfig,
+    _unit_verdict,
     eig_herm,
     linearly_independent,
     rank_cutoff,
@@ -46,16 +47,8 @@ __all__ = [
     "is_extremal",
     "is_extremal_rank1",
     "find_effect_dependence",
-    "banded_verdict",
-    "independence_cutoff",
     "split_mixture",
 ]
-
-# Verdicts require a margin clear of the independence cutoff by this
-# factor on either side; inside the band the verdict is "not extremal"
-# with the borderline flag set (a false split is caught by
-# reconstruction checks, a false "extremal" would not be).
-_BORDERLINE_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -124,25 +117,6 @@ def spectral_form(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralForm:
     rows.setflags(write=False)  # the blocks below are views
     blocks = np.split(rows, np.cumsum(np.bincount(j, minlength=p.n_outcomes))[:-1])
     return SpectralForm(vectors=tuple(blocks))
-
-
-def independence_cutoff(tol: ToleranceConfig) -> float:
-    """Margin a set of operators must exceed to count as independent."""
-    return tol.indep_tol * _BORDERLINE_FACTOR
-
-
-def banded_verdict(margin: float, tol: ToleranceConfig) -> tuple[bool, bool]:
-    """(independent, borderline) of a margin, with a safety band around the cutoff."""
-    low = tol.indep_tol / _BORDERLINE_FACTOR
-    high = independence_cutoff(tol)
-    return margin > high, low < margin <= high
-
-
-def _unit_verdict(ops: np.ndarray, tol: ToleranceConfig) -> tuple[bool, bool, float]:
-    """(independent, borderline, margin) of at most d^2 unit-norm operators, by singular values."""
-    s = np.linalg.svd(ops.reshape(ops.shape[0], -1), compute_uv=False)
-    margin = float(s[-1] / s[0])
-    return *banded_verdict(margin, tol), margin
 
 
 def pair_independence(

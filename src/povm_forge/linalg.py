@@ -5,7 +5,7 @@ decomposition engine) reduces to a handful of primitives implemented
 here: eigendecomposition with a deterministic ordering and phase
 convention, rank decisions with explicit tolerances, inverse
 square roots, and linear-independence testing of operator sets via
-vectorization and a singular-value rank cut.
+vectorization and a singular-value margin with one banded cutoff.
 
 All functions are pure; numerical decisions are governed by a
 :class:`ToleranceConfig` passed explicitly (defaulting to
@@ -34,8 +34,16 @@ __all__ = [
     "eig_herm",
     "rank_of",
     "inv_sqrt",
+    "independence_cutoff",
+    "banded_verdict",
     "linearly_independent",
 ]
+
+# Verdicts require a margin clear of the independence cutoff by this
+# factor on either side; inside the band the verdict is "dependent"
+# with the borderline flag set (a false split is caught by
+# reconstruction checks, a false "extremal" would not be).
+_BORDERLINE_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -187,6 +195,25 @@ def inv_sqrt(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return (r + r.conj().T) / 2.0
 
 
+def independence_cutoff(tol: ToleranceConfig) -> float:
+    """Margin a set of operators must exceed to count as independent."""
+    return tol.indep_tol * _BORDERLINE_FACTOR
+
+
+def banded_verdict(margin: float, tol: ToleranceConfig) -> tuple[bool, bool]:
+    """(independent, borderline) of a margin, with a safety band around the cutoff."""
+    low = tol.indep_tol / _BORDERLINE_FACTOR
+    high = independence_cutoff(tol)
+    return margin > high, low < margin <= high
+
+
+def _unit_verdict(ops: np.ndarray, tol: ToleranceConfig) -> tuple[bool, bool, float]:
+    """(independent, borderline, margin) of at most d^2 operators, by singular values."""
+    s = np.linalg.svd(ops.reshape(ops.shape[0], -1), compute_uv=False)
+    margin = float(s[-1] / s[0])
+    return *banded_verdict(margin, tol), margin
+
+
 @dataclass(frozen=True)
 class IndependenceResult:
     """Outcome of a linear-independence test over complex scalars.
@@ -218,8 +245,8 @@ def linearly_independent(ops, tol: ToleranceConfig = DEFAULT_TOL) -> Independenc
     """Test a list of same-dimension matrices for linear independence.
 
     The matrices are vectorized into the columns of a d^2 x K matrix and
-    declared independent iff its numerical rank (relative singular-value
-    cutoff ``indep_tol``) equals K.  When dependent, the right-singular
+    declared independent iff :func:`banded_verdict` of its smallest-to-largest
+    singular-value ratio says so.  When dependent, the right-singular
     direction of the smallest singular value is returned as a unit-norm
     dependence vector; for all-Hermitian inputs it is projected onto real
     coefficients (a real dependence exists whenever a complex one does).
@@ -245,8 +272,7 @@ def linearly_independent(ops, tol: ToleranceConfig = DEFAULT_TOL) -> Independenc
         return IndependenceResult(independent=False, null_vector=null, margin=0.0)
     smallest = float(s[k - 1]) if k <= s.size else 0.0
     margin = smallest / s_max
-    rank = int(np.count_nonzero(s > tol.indep_tol * s_max))
-    if rank == k:
+    if banded_verdict(margin, tol)[0]:
         return IndependenceResult(independent=True, null_vector=None, margin=margin)
 
     null = vh[-1, :].conj()

@@ -21,7 +21,8 @@ from povm_forge import (
     spectral_form,
 )
 from povm_forge.errors import NotHermitianError, NotPSDError
-from povm_forge.extremality import banded_verdict, find_effect_dependence
+from povm_forge.extremality import find_effect_dependence
+from povm_forge.linalg import banded_verdict
 
 
 def fix_phases(vectors):

@@ -185,6 +185,15 @@ class TestConstructCommand:
     def test_out_of_range(self, tmp_path):
         assert main(["construct", "2", "5", "--out", str(tmp_path / "x.json")]) == 1
 
+    def test_large_outcome_count_validates_and_classifies(self, tmp_path, capsys):
+        out_path = str(tmp_path / "p.json")
+        assert main(["construct", "9", "80", "--out", out_path]) == 0
+        capsys.readouterr()
+        assert main(["validate", out_path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["valid"] is True
+        assert main(["classify", out_path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["type"] == "a"
+
     def test_minimal_is_basis_pvm(self, tmp_path):
         out_path = tmp_path / "p.json"
         assert main(["construct", "3", "3", "--out", str(out_path)]) == 0

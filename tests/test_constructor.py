@@ -4,10 +4,12 @@ import pytest
 from conftest import EYE2, SX, SZ, sigma_x_pvm
 from rational_rank import exact_independent
 from povm_forge import (
+    DEFAULT_TOL,
     Povm,
     classify,
     construct_extremal_rank1,
     extend_extremal,
+    extremality_report,
     hermitian_basis,
     is_extremal,
     is_extremal_rank1,
@@ -135,12 +137,39 @@ class TestConstructExtremalRank1:
         assert np.array_equal(p.effects, onb_pvm(2).effects)
 
     def test_spot_cases(self):
-        for d, n in [(2, 4), (3, 9), (4, 5)]:
+        for d, n in [(2, 4), (3, 9), (4, 5), (9, 77), (10, 83), (12, 100), (16, 256)]:
             p = construct_extremal_rank1(d, n)
             assert p.n_outcomes == n
             validate(p)
             assert is_extremal_rank1(p)
+            assert not extremality_report(p).borderline, (d, n)
+            assert np.linalg.norm(p.effects.sum(axis=0) - np.eye(d)) <= DEFAULT_TOL.recon_tol
             assert all(rank_of(e) == 1 for e in p.effects)
+
+    def test_every_admissible_count_up_to_d9(self):
+        for d in range(1, 10):
+            for n in range(d, d * d + 1):
+                report = extremality_report(construct_extremal_rank1(d, n))
+                assert report.extremal and not report.borderline, (d, n)
+
+    def test_one_congruence_and_no_span_scan(self, monkeypatch):
+        import povm_forge.constructor as constructor
+
+        calls = {"inv_sqrt": 0, "span": 0}
+        inv_sqrt, unit_verdict = constructor.inv_sqrt, constructor._unit_verdict
+
+        def counted_inv_sqrt(*args):
+            calls["inv_sqrt"] += 1
+            return inv_sqrt(*args)
+
+        def counted_span(*args):
+            calls["span"] += 1
+            return unit_verdict(*args)
+
+        monkeypatch.setattr(constructor, "inv_sqrt", counted_inv_sqrt)
+        monkeypatch.setattr(constructor, "_unit_verdict", counted_span)
+        construct_extremal_rank1(5, 20)
+        assert calls == {"inv_sqrt": 1, "span": 0}
 
     @pytest.mark.parametrize("d,n", [(2, 5), (3, 2), (3, 10), (2, 1)])
     def test_out_of_range(self, d, n):

@@ -15,6 +15,7 @@ from povm_forge import (
     extremality_report,
     is_extremal,
     is_extremal_rank1,
+    linearly_independent,
     mix,
     onb_pvm,
     prune_zero_effects,
@@ -30,6 +31,7 @@ from povm_forge.errors import (
     NotRank1Error,
 )
 from povm_forge.extremality import find_effect_dependence
+from povm_forge.linalg import banded_verdict
 
 
 def uniform_pair():
@@ -128,6 +130,17 @@ class TestIsExtremalRank1:
         tiny = 5e-10 * np.stack([np.outer(psi, psi.conj()), np.diag([1.0, 0.0])])
         with pytest.raises(AllZeroError):
             is_extremal_rank1(Povm(tiny))
+
+    def test_band_verdict_agrees_across_entry_points(self):
+        # two rank-1 projections 2.5e-9 apart: margin ~1.8e-9, inside the band
+        theta = 2.5e-9
+        psi = np.array([np.cos(theta), np.sin(theta)])
+        p = Povm(np.stack([np.diag([1.0, 0.0]), np.outer(psi, psi)]).astype(complex))
+        result = linearly_independent(list(p.effects))
+        assert banded_verdict(result.margin, DEFAULT_TOL) == (False, True)
+        assert not result.independent
+        assert find_effect_dependence(p) is not None
+        assert not is_extremal_rank1(p)
 
     def test_agrees_with_general_test_on_rank1(self):
         disagreements = 0
