@@ -139,9 +139,9 @@ def _load_json(path: str) -> dict:
 
 
 def _write_json(obj: dict, path: str) -> None:
+    # compact json.dumps takes the C encoder; json.dump with indent streams through the Python one
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=2)
-        handle.write("\n")
+        handle.write(json.dumps(obj) + "\n")
 
 
 def _load_povm(path: str) -> Povm:

@@ -18,9 +18,12 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    EmptyInputError,
     InternalContradictionError,
+    MapSizeMismatchError,
     NonConvergenceError,
     NotExtremalError,
+    OutOfRangeError,
     PovmForgeError,
 )
 from .extremality import is_extremal, is_extremal_rank1
@@ -56,17 +59,41 @@ class DecompositionCertificate:
 
     Invariant: sum_i weight_i * relabel(extremal_i, relabel_i)
     reconstructs ``target`` effect by effect, with weights summing to 1.
+    Construction checks only that each component fits the target: its
+    dimension and its map's source and target sizes.
     """
 
     target: Povm
     components: tuple[CertificateComponent, ...]
 
+    def __post_init__(self):
+        if not self.components:
+            raise EmptyInputError("a certificate needs at least one component")
+        for i, comp in enumerate(self.components):
+            if comp.extremal.dim != self.target.dim:
+                raise DimensionMismatchError(
+                    f"component {i} has dimension {comp.extremal.dim}, the target {self.target.dim}"
+                )
+            if comp.relabel.source_size != comp.extremal.n_outcomes:
+                raise MapSizeMismatchError(
+                    f"component {i}: map source size {comp.relabel.source_size} "
+                    f"!= outcome count {comp.extremal.n_outcomes}"
+                )
+            if comp.relabel.target_size != self.target.n_outcomes:
+                raise MapSizeMismatchError(
+                    f"component {i} maps onto {comp.relabel.target_size} outcomes, "
+                    f"the target has {self.target.n_outcomes}"
+                )
+
+    def _joint(self) -> tuple[Povm, RelabelMap]:
+        """Joint POVM {weight_i * E_i[k]} over outcomes (i, k) and its map (i, k) -> f_i(k)."""
+        effects = np.concatenate([comp.weight * comp.extremal.effects for comp in self.components])
+        targets = np.concatenate([comp.relabel.targets for comp in self.components])
+        return Povm(effects), RelabelMap(targets.size, self.target.n_outcomes, targets)
+
     def reconstruction(self) -> np.ndarray:
         """Effect stack of the weighted relabeled mixture."""
-        out = np.zeros_like(self.target.effects)
-        for comp in self.components:
-            out = out + comp.weight * relabel(comp.extremal, comp.relabel).effects
-        return out
+        return relabel(*self._joint()).effects
 
     def to_jsonable(self) -> dict:
         return {
@@ -200,7 +227,6 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
     max_steps = null.shape[1] + 1
     components: list[CertificateComponent] = []
     remaining = 1.0
-    mixed = np.zeros(root.n_outcomes)  # coefficient of each E_j in the emitted mixture
     for _ in range(max_steps):
         vertex_support, vertex, svd = _walk_to_vertex(
             columns, identity, x, support, null, floor, tol
@@ -216,7 +242,6 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
                 relabel=RelabelMap(vertex_support.size, p.n_outcomes, targets[vertex_support]),
             )
         )
-        mixed[vertex_support] += remaining * t * coefficients
         if t == 1.0:
             break
         # The rest of x is (x - t*v)/(1 - t).  Off the vertex support that is
@@ -233,12 +258,12 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
             f"peel exceeded its bound of {max_steps} steps; "
             "tolerances are inconsistent for this input"
         )
-    rebuilt = np.zeros_like(p.effects)  # the start projection can miss nearly dependent input
-    np.add.at(rebuilt, targets, mixed[:, None, None] * root.effects)
-    residual = float(np.linalg.norm(rebuilt - p.effects, axis=(1, 2)).max())
+    cert = DecompositionCertificate(target=p, components=tuple(components))
+    # the start projection can miss nearly dependent input
+    residual = float(np.linalg.norm(cert.reconstruction() - p.effects, axis=(1, 2)).max())
     if not residual <= tol.recon_tol:
         raise NonConvergenceError(f"peel result misses its input by {residual:.3e} > recon_tol")
-    return DecompositionCertificate(target=p, components=tuple(components))
+    return cert
 
 
 def extremal_to_rank1(
@@ -323,13 +348,13 @@ def verify_certificate(
 
 
 def outcome_probabilities(p: Povm, rho: np.ndarray) -> np.ndarray:
-    """Outcome distribution q_j = tr(rho A(j)) for a state rho."""
+    """Outcome distributions q_j = tr(rho A(j)) of a state or a (..., d, d) stack of states."""
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (p.dim, p.dim):
+    if rho.shape[-2:] != (p.dim, p.dim):
         raise DimensionMismatchError(
             f"state must be {p.dim}x{p.dim}, got shape {rho.shape}"
         )
-    return np.einsum("ab,jba->j", rho, p.effects).real
+    return np.einsum("...ab,jba->...j", rho, p.effects, optimize=True).real
 
 
 def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -357,21 +382,20 @@ def statistics_equivalence(
 ) -> StatisticsReport:
     """Compare target statistics against the mixed-relabeled implementation.
 
-    For seeded random states rho, the direct distribution of the target
-    is compared with sum_i weight_i * (pushforward through relabel_i of
-    the distribution of extremal_i).  Passes iff the max absolute
+    For seeded random states rho, the target's distribution is compared
+    with the joint POVM's (effects weight_i * E_i[k]) pushed forward
+    through (i, k) -> relabel_i(k).  Passes iff the max absolute
     deviation over all trials is <= recon_tol (vacuously for trials=0).
     """
+    if trials < 0:
+        raise OutOfRangeError(f"trials must be >= 0, got {trials}")
     rng = np.random.default_rng(seed)
-    deviations = np.empty(trials)
-    for trial in range(trials):
-        rho = random_density_matrix(cert.target.dim, rng)
-        direct = outcome_probabilities(cert.target, rho)
-        mixed = np.zeros_like(direct)
-        for comp in cert.components:
-            q = outcome_probabilities(comp.extremal, rho)
-            np.add.at(mixed, comp.relabel.targets, comp.weight * q)
-        deviations[trial] = float(np.max(np.abs(direct - mixed)))
+    d = cert.target.dim
+    states = np.array([random_density_matrix(d, rng) for _ in range(trials)]).reshape(trials, d, d)
+    joint, joint_map = cert._joint()
+    pushforward = joint_map.targets[:, None] == np.arange(cert.target.n_outcomes)
+    mixed = outcome_probabilities(joint, states) @ pushforward
+    deviations = np.abs(outcome_probabilities(cert.target, states) - mixed).max(axis=1)
     max_dev = float(deviations.max()) if trials else 0.0
     return StatisticsReport(
         trials=trials,

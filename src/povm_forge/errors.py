@@ -105,7 +105,7 @@ class AlreadyMaximalError(PovmForgeError):
 
 
 class OutOfRangeError(PovmForgeError):
-    """A requested outcome count lies outside the admissible range [d, d^2]."""
+    """A requested count lies outside its admissible range: outcomes in [d, d^2], trials >= 0."""
 
 
 class BadDimensionError(PovmForgeError):

@@ -182,7 +182,10 @@ class RelabelMap:
 
     @classmethod
     def from_jsonable(cls, entries, target_size: int) -> "RelabelMap":
-        arr = np.asarray(entries, dtype=np.int64)
+        """Parse 1-based labels; raises ValueError unless they are a list of integers."""
+        arr = np.asarray(entries)
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            raise ValueError("relabel map entries must be a list of integers")
         return cls(arr.shape[0], target_size, arr - 1)
 
 

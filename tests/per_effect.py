@@ -1,10 +1,13 @@
-"""Per-effect reference for the batched spectral pass (test-only).
+"""Per-effect reference for the batched spectral pass and certificate mixture (test-only).
 
 One eigensolve per effect in Python loops, pair operators by
 ``np.outer``, a full-matrix independence test, and the effect-by-effect
 validator: the computations ``classify``, ``extremality_report``,
 ``spectral_form``, ``spectral_relabel`` and ``validate`` made before they
-were batched.  The batched code is checked against these.
+were batched.  Likewise one ``relabel`` and one distribution per
+certificate component: what ``reconstruction`` and
+``statistics_equivalence`` computed before they became one relabeling of
+the joint POVM.  The batched code is checked against these.
 """
 
 import numpy as np
@@ -16,8 +19,11 @@ from povm_forge import (
     PovmClass,
     eig_herm,
     linearly_independent,
+    outcome_probabilities,
     prune_zero_effects,
+    random_density_matrix,
     rank_of,
+    relabel,
     spectral_form,
 )
 from povm_forge.errors import NotHermitianError, NotPSDError
@@ -124,3 +130,26 @@ def validate(p, tol=DEFAULT_TOL):
             raise NotPSDError(
                 f"effect {j} exceeds the identity: largest eigenvalue {w[-1]:.6g}", outcome=j
             )
+
+
+def reconstruction(cert):
+    """sum_i weight_i * relabel(extremal_i, relabel_i), one component at a time."""
+    out = np.zeros_like(cert.target.effects)
+    for comp in cert.components:
+        out = out + comp.weight * relabel(comp.extremal, comp.relabel).effects
+    return out
+
+
+def statistics_deviations(cert, trials, seed):
+    """Per state: max |direct - mixed| with the mixture pushed forward component by component."""
+    rng = np.random.default_rng(seed)
+    deviations = np.empty(trials)
+    for trial in range(trials):
+        rho = random_density_matrix(cert.target.dim, rng)
+        direct = outcome_probabilities(cert.target, rho)
+        mixed = np.zeros_like(direct)
+        for comp in cert.components:
+            q = outcome_probabilities(comp.extremal, rho)
+            np.add.at(mixed, comp.relabel.targets, comp.weight * q)
+        deviations[trial] = float(np.max(np.abs(direct - mixed)))
+    return deviations

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from povm_forge import (
     qubit_example,
     random_povm,
     type_d_example,
+    verify_certificate,
 )
 from povm_forge.cli import main
 
@@ -246,6 +248,37 @@ class TestStatsCommand:
     def test_zero_trials(self, tmp_path):
         povm_path, cert_path = self.make_pair(tmp_path, random_povm(2, 2, seed=3))
         assert main(["stats", povm_path, cert_path, "--trials", "0"]) == 0
+
+    def test_negative_trials(self, tmp_path, capsys):
+        povm_path, cert_path = self.make_pair(tmp_path, random_povm(2, 2, seed=3))
+        assert main(["stats", povm_path, cert_path, "--trials", "-1"]) == 1
+        assert "trials" in capsys.readouterr().err
+
+    def spoil(self, cert_path, **update):
+        doc = json.loads(Path(cert_path).read_text())
+        doc["components"][0].update(update)
+        Path(cert_path).write_text(json.dumps(doc))
+
+    def test_component_of_another_dimension(self, tmp_path, capsys):
+        povm_path, cert_path = self.make_pair(tmp_path, onb_pvm(2))
+        self.spoil(cert_path, extremal=onb_pvm(3).to_jsonable(), relabel=[1, 2, 2])
+        assert main(["stats", povm_path, cert_path, "--trials", "10"]) == 1
+        assert "dimension" in capsys.readouterr().err
+
+    def test_fractional_relabel_is_a_parse_failure(self, tmp_path, capsys):
+        povm_path, cert_path = self.make_pair(tmp_path, qubit_example())
+        self.spoil(cert_path, relabel=[1.7, 2.7, 3.7])
+        assert main(["stats", povm_path, cert_path, "--trials", "10"]) == 2
+        assert "integers" in capsys.readouterr().err
+
+    def test_indented_certificate_still_loads(self, tmp_path):
+        povm_path, cert_path = self.make_pair(tmp_path, random_povm(3, 4, seed=5))
+        text = Path(cert_path).read_text()
+        assert text.count("\n") == 1  # written compact, on one line
+        Path(cert_path).write_text(json.dumps(json.loads(text), indent=2))
+        cert = DecompositionCertificate.from_jsonable(json.loads(Path(cert_path).read_text()))
+        assert verify_certificate(cert).passed
+        assert main(["stats", povm_path, cert_path, "--trials", "20"]) == 0
 
     def test_target_mismatch(self, tmp_path):
         _, cert_path = self.make_pair(tmp_path, four_outcome_qubit())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import per_effect
 from conftest import EYE2, SZ, four_outcome_qubit, random_mixed_rank_pvm, sigma_x_pvm, sigma_z_pvm
 from rational_rank import exact_independent
 from split_tree import split_tree
@@ -26,9 +27,17 @@ from povm_forge import (
     relabel,
     spectral_relabel,
     statistics_equivalence,
+    validate,
     verify_certificate,
 )
-from povm_forge.errors import DimensionMismatchError, NonConvergenceError, NotExtremalError
+from povm_forge.errors import (
+    DimensionMismatchError,
+    EmptyInputError,
+    MapSizeMismatchError,
+    NonConvergenceError,
+    NotExtremalError,
+    OutOfRangeError,
+)
 
 
 class TestDecompose:
@@ -147,6 +156,56 @@ class TestPeel:
             cert = decompose(p)
             assert verify_certificate(cert).passed
             assert len(cert.components) <= _peel_bound(p) == n * d - d * d + 1
+
+
+class TestJointRelabeling:
+    """One relabeling of the joint POVM against the per-component loops of ``per_effect``."""
+
+    @given(SMALL, st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_the_per_component_loops(self, shape, tree, seed):
+        d, n, rank = shape
+        p = random_povm(d, n, seed, rank=rank)
+        cert = split_tree(p) if tree else decompose(p)
+        recon = cert.reconstruction() - per_effect.reconstruction(cert)
+        assert np.abs(recon).max() <= 1e-14
+        deviations = statistics_equivalence(cert, trials=5, seed=seed).deviations
+        assert np.abs(deviations - per_effect.statistics_deviations(cert, 5, seed)).max() <= 1e-14
+        if not tree:
+            validate(cert._joint()[0])
+
+    def test_deep_certificate_statistics(self):
+        cert = decompose(random_povm(8, 16, seed=1))
+        deviations = statistics_equivalence(cert, trials=100, seed=7).deviations
+        assert np.abs(deviations - per_effect.statistics_deviations(cert, 100, 7)).max() <= 1e-15
+        validate(cert._joint()[0])
+
+
+class TestCertificateFitsTarget:
+    def test_no_components(self, qubit3):
+        with pytest.raises(EmptyInputError):
+            DecompositionCertificate(qubit3, ())
+
+    def test_component_of_another_dimension(self):
+        comp = CertificateComponent(1.0, onb_pvm(3), RelabelMap(3, 2, [0, 1, 1]))
+        with pytest.raises(DimensionMismatchError):
+            DecompositionCertificate(onb_pvm(2), (comp,))
+
+    def test_map_onto_another_outcome_count(self, qubit3):
+        comp = CertificateComponent(1.0, qubit3, RelabelMap.identity(3))
+        with pytest.raises(MapSizeMismatchError):
+            DecompositionCertificate(onb_pvm(2), (comp,))
+
+    def test_map_from_another_outcome_count(self, qubit3):
+        comp = CertificateComponent(1.0, qubit3, RelabelMap(2, 3, [0, 1]))
+        with pytest.raises(MapSizeMismatchError):
+            DecompositionCertificate(qubit3, (comp,))
+
+    def test_file_with_a_component_of_another_dimension(self):
+        doc = decompose(onb_pvm(2)).to_jsonable()
+        doc["components"][0].update(extremal=onb_pvm(3).to_jsonable(), relabel=[1, 2, 2])
+        with pytest.raises(DimensionMismatchError):
+            DecompositionCertificate.from_jsonable(doc)
 
 
 class TestExtremalToRank1:
@@ -271,6 +330,17 @@ class TestOutcomeProbabilities:
     def test_dimension_mismatch(self, qubit3):
         with pytest.raises(DimensionMismatchError):
             outcome_probabilities(qubit3, np.eye(3) / 3)
+        with pytest.raises(DimensionMismatchError):
+            outcome_probabilities(qubit3, np.stack([np.eye(3) / 3] * 4))
+
+    def test_stack_of_states(self):
+        rng = np.random.default_rng(6)
+        p = random_povm(3, 4, seed=2)
+        states = np.array([random_density_matrix(3, rng) for _ in range(6)]).reshape(2, 3, 3, 3)
+        q = outcome_probabilities(p, states)
+        assert q.shape == (2, 3, 4)
+        for idx in np.ndindex(2, 3):
+            assert np.allclose(q[idx], outcome_probabilities(p, states[idx]), rtol=0.0, atol=1e-15)
 
     def test_distribution_properties(self):
         rng = np.random.default_rng(4)
@@ -319,6 +389,10 @@ class TestStatisticsEquivalence:
         )
         assert not report.passed
 
+    def test_negative_trials_rejected(self, qubit3):
+        with pytest.raises(OutOfRangeError):
+            statistics_equivalence(decompose(qubit3), trials=-1, seed=0)
+
     def test_zero_trials_vacuous_pass(self, qubit3):
         report = statistics_equivalence(decompose(qubit3), trials=0, seed=0)
         assert report.passed
@@ -342,6 +416,12 @@ class TestCertificateJson:
     def test_relabel_entries_are_one_based(self, qubit3):
         doc = decompose(qubit3).to_jsonable()
         assert doc["components"][0]["relabel"] == [1, 2, 3]
+
+    def test_fractional_relabel_entries_rejected(self, qubit3):
+        doc = decompose(qubit3).to_jsonable()
+        doc["components"][0]["relabel"] = [1.7, 2.7, 3.7]
+        with pytest.raises(ValueError, match="integers"):
+            DecompositionCertificate.from_jsonable(doc)
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):

@@ -319,3 +319,8 @@ class TestJsonRoundTrip:
     def test_malformed_raises_value_error(self):
         with pytest.raises(ValueError):
             Povm.from_jsonable({"dim": 2, "effects": [{"re": [[1, 0], [0, 1]]}]})
+
+    @pytest.mark.parametrize("entries", [[1.7, 2.7], [1.0, 2.0], [True, False], ["1", "2"], [[1, 2]]])
+    def test_relabel_entries_must_be_integers(self, entries):
+        with pytest.raises(ValueError, match="integers"):
+            RelabelMap.from_jsonable(entries, 2)
