@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -70,7 +71,9 @@ def _common_parser() -> argparse.ArgumentParser:
     return common
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``povm-forge`` parser, built on the first call and shared by every later ``main``."""
     common = _common_parser()
     parser = argparse.ArgumentParser(
         prog="povm-forge",

@@ -13,6 +13,7 @@ verification and measurement-statistics checks live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,15 @@ from .errors import (
 )
 from .extremality import is_extremal, is_extremal_rank1
 from .linalg import DEFAULT_TOL, ToleranceConfig, independence_cutoff
-from .povm import Povm, RelabelMap, prune_zero_effects, relabel, spectral_relabel, validate
+from .povm import (
+    Povm,
+    RelabelMap,
+    _json_numbers,
+    prune_zero_effects,
+    relabel,
+    spectral_relabel,
+    validate,
+)
 
 __all__ = [
     "CertificateComponent",
@@ -86,7 +95,14 @@ class DecompositionCertificate:
                 )
 
     def _joint(self) -> tuple[Povm, RelabelMap]:
-        """Joint POVM {weight_i * E_i[k]} over outcomes (i, k) and its map (i, k) -> f_i(k)."""
+        """Joint POVM {weight_i * E_i[k]} over outcomes (i, k) and its map (i, k) -> f_i(k).
+
+        Built once per certificate; the rebuild check, verification and statistics share it.
+        """
+        return self._joint_pair
+
+    @cached_property
+    def _joint_pair(self) -> tuple[Povm, RelabelMap]:
         effects = np.concatenate([comp.weight * comp.extremal.effects for comp in self.components])
         targets = np.concatenate([comp.relabel.targets for comp in self.components])
         return Povm(effects), RelabelMap(targets.size, self.target.n_outcomes, targets)
@@ -123,7 +139,7 @@ class DecompositionCertificate:
                     )
                 comps.append(
                     CertificateComponent(
-                        weight=float(entry["weight"]),
+                        weight=float(_json_numbers(entry["weight"], "iuf", "weight", scalar=True)),
                         extremal=extremal,
                         relabel=RelabelMap.from_jsonable(entries, target.n_outcomes),
                     )
@@ -359,9 +375,15 @@ def outcome_probabilities(p: Povm, rho: np.ndarray) -> np.ndarray:
 
 def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
     """Full-rank random state: normalized G G* with complex standard normal G."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    w = g @ g.conj().T
-    return w / np.trace(w).real
+    return _random_states(1, d, rng)[0]
+
+
+def _random_states(count: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` draws of :func:`random_density_matrix` from one generator call, same stream order."""
+    z = rng.standard_normal((count, 2, d, d))
+    g = z[:, 0] + 1j * z[:, 1]
+    w = g @ g.conj().swapaxes(1, 2)
+    return w / np.trace(w, axis1=1, axis2=2).real[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -390,8 +412,7 @@ def statistics_equivalence(
     if trials < 0:
         raise OutOfRangeError(f"trials must be >= 0, got {trials}")
     rng = np.random.default_rng(seed)
-    d = cert.target.dim
-    states = np.array([random_density_matrix(d, rng) for _ in range(trials)]).reshape(trials, d, d)
+    states = _random_states(trials, cert.target.dim, rng)
     joint, joint_map = cert._joint()
     pushforward = joint_map.targets[:, None] == np.arange(cert.target.n_outcomes)
     mixed = outcome_probabilities(joint, states) @ pushforward

@@ -111,24 +111,38 @@ class Povm:
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "Povm":
-        """Parse the POVM document schema; raises ValueError on malformed input."""
+        """Parse the POVM document schema; raises ValueError on malformed input.
+
+        ``dim`` must be an integer and every matrix entry a number (integer
+        literals accepted); strings and booleans are refused, not coerced.
+        """
         try:
-            d = int(obj["dim"])
+            d = int(_json_numbers(obj["dim"], "iu", "dim", scalar=True))
             raw = obj["effects"]
-            effects = []
-            for entry in raw:
-                re = np.asarray(entry["re"], dtype=np.float64)
-                im = np.asarray(entry["im"], dtype=np.float64)
-                if re.shape != (d, d) or im.shape != (d, d):
-                    raise ValueError(
-                        f"effect must be {d}x{d}, got re {re.shape}, im {im.shape}"
-                    )
-                effects.append(re + 1j * im)
+            re = _json_numbers([entry["re"] for entry in raw], "iuf", "matrix entries")
+            im = _json_numbers([entry["im"] for entry in raw], "iuf", "matrix entries")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed POVM document: {exc}") from exc
-        if not effects:
+        if not len(raw):
             raise ValueError("POVM document lists no effects")
-        return cls(np.stack(effects))
+        if re.shape != (len(raw), d, d) or im.shape != re.shape:
+            raise ValueError(
+                f"effects must be {d}x{d}, got re {re.shape[1:]}, im {im.shape[1:]}"
+            )
+        return cls(re + 1j * im)
+
+
+def _json_numbers(value, kinds: str, what: str, scalar: bool = False) -> np.ndarray:
+    """``value`` as an array whose dtype kind is in ``kinds`` ("iu": integers, "iuf": numbers).
+
+    A string, boolean, null or fractional integer is refused with
+    ValueError rather than coerced.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind not in kinds or (scalar and arr.ndim):
+        one, many = ("an integer", "integers") if kinds == "iu" else ("a number", "numbers")
+        raise ValueError(f"{what} must be {one}, got {value!r}" if scalar else f"{what} must be {many}")
+    return arr
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import EYE2, four_outcome_qubit, qubit3_with_rank0_outcome
 from povm_forge import (
+    DEFAULT_TOL,
     DecompositionCertificate,
     Povm,
     is_extremal_rank1,
@@ -17,6 +19,7 @@ from povm_forge import (
     type_d_example,
     verify_certificate,
 )
+from povm_forge import cli
 from povm_forge.cli import main
 
 
@@ -271,6 +274,12 @@ class TestStatsCommand:
         assert main(["stats", povm_path, cert_path, "--trials", "10"]) == 2
         assert "integers" in capsys.readouterr().err
 
+    def test_string_weight_is_a_parse_failure(self, tmp_path, capsys):
+        povm_path, cert_path = self.make_pair(tmp_path, qubit_example())
+        self.spoil(cert_path, weight="1.0")
+        assert main(["stats", povm_path, cert_path, "--trials", "10"]) == 2
+        assert "weight must be a number" in capsys.readouterr().err
+
     def test_indented_certificate_still_loads(self, tmp_path):
         povm_path, cert_path = self.make_pair(tmp_path, random_povm(3, 4, seed=5))
         text = Path(cert_path).read_text()
@@ -295,6 +304,72 @@ class TestStatsCommand:
         assert "certificate target differs" in capsys.readouterr().err
 
 
+class TestRefusedValues:
+    @pytest.mark.parametrize("spoil", [
+        lambda doc: doc.update(dim=2.7),
+        lambda doc: doc.update(dim="2"),
+        lambda doc: doc["effects"][0]["re"][0].__setitem__(0, "1"),
+    ])
+    def test_parse_failure(self, tmp_path, capsys, spoil):
+        doc = qubit_example().to_jsonable()
+        spoil(doc)
+        path = tmp_path / "spoiled.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert "must be" in capsys.readouterr().err
+
+
+class TestRepeatedCalls:
+    """``main`` runs many times in one process on one parser, each call on its own arguments."""
+
+    def test_parser_built_once(self, qubit3_file, monkeypatch):
+        builds = []
+        common = cli._common_parser
+        monkeypatch.setattr(cli, "_common_parser", lambda: builds.append(1) or common())
+        cli.build_parser.cache_clear()
+        try:
+            for _ in range(5):
+                assert main(["validate", qubit3_file]) == 0
+                assert main(["classify", qubit3_file, "--format", "json"]) == 0
+        finally:
+            cli.build_parser.cache_clear()
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["stats", "--help"]])
+    def test_help_is_the_same_on_every_call(self, argv, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert "usage: povm-forge" in texts[0]
+
+    def test_parse_error_leaves_the_next_call_intact(self, qubit3_file, capsys):
+        assert main(["validate", qubit3_file, "--format", "json"]) == 0
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", qubit3_file, "--format", "xml"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["validate", qubit3_file, "--format", "json"]) == 0
+        assert capsys.readouterr() == expected
+
+    def test_options_do_not_leak_into_the_next_call(self, tmp_path, capsys):
+        povm_path = write_povm(tmp_path / "p.json", random_povm(2, 3, seed=2))
+        cert_path = str(tmp_path / "c.json")
+        assert main(["decompose", povm_path, "--out", cert_path]) == 0
+        capsys.readouterr()
+        assert main(["stats", povm_path, cert_path, "--trials", "5", "--seed", "3",
+                     "--tol-recon", "1e-3", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["trials"], report["threshold"]) == (5, 1e-3)
+        assert main(["stats", povm_path, cert_path, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["trials"], report["threshold"]) == (100, DEFAULT_TOL.recon_tol)
+
+
 class TestRoundTripPrecision:
     def test_file_round_trip_exact(self, tmp_path):
         povm = random_povm(4, 5, seed=31)
@@ -306,10 +381,14 @@ class TestRoundTripPrecision:
 
 def test_module_entry_point(tmp_path):
     path = tmp_path / "onb.json"
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "povm_forge", "examples", "onb:2", "--out", str(path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert path.exists()

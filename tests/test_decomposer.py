@@ -38,6 +38,7 @@ from povm_forge.errors import (
     NotExtremalError,
     OutOfRangeError,
 )
+from povm_forge.decomposer import _random_states
 
 
 class TestDecompose:
@@ -173,6 +174,10 @@ class TestJointRelabeling:
         assert np.abs(deviations - per_effect.statistics_deviations(cert, 5, seed)).max() <= 1e-14
         if not tree:
             validate(cert._joint()[0])
+
+    def test_joint_built_once(self, dependent4):
+        cert = decompose(dependent4)
+        assert cert._joint() is cert._joint()
 
     def test_deep_certificate_statistics(self):
         cert = decompose(random_povm(8, 16, seed=1))
@@ -364,6 +369,16 @@ class TestRandomDensityMatrix:
         b = random_density_matrix(3, np.random.default_rng(5))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("trials", [0, 1, 20, 1000])
+    def test_one_draw_equals_the_loop(self, trials):
+        """The batched draw of ``statistics_equivalence`` gives the loop's states bit for bit."""
+        for d in (1, 2, 3, 4, 5, 8, 16, 20, 32):
+            rng = np.random.default_rng([trials, d])
+            loop = [random_density_matrix(d, rng) for _ in range(trials)]
+            batch = _random_states(trials, d, np.random.default_rng([trials, d]))
+            assert batch.shape == (trials, d, d)
+            assert np.array_equal(batch, np.array(loop).reshape(trials, d, d))
+
 
 class TestStatisticsEquivalence:
     def test_certificates_reproduce_statistics(self, dependent4):
@@ -426,3 +441,15 @@ class TestCertificateJson:
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
             DecompositionCertificate.from_jsonable({"target": {"dim": 2, "effects": []}})
+
+    @pytest.mark.parametrize("weight", ["1.0", True, None, [1.0]])
+    def test_weight_must_be_a_number(self, weight):
+        doc = decompose(onb_pvm(2)).to_jsonable()
+        doc["components"][0]["weight"] = weight
+        with pytest.raises(ValueError, match="weight must be a number"):
+            DecompositionCertificate.from_jsonable(doc)
+
+    def test_integer_weight_accepted(self):
+        doc = decompose(onb_pvm(2)).to_jsonable()
+        doc["components"][0]["weight"] = 1
+        assert DecompositionCertificate.from_jsonable(doc).components[0].weight == 1.0

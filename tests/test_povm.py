@@ -320,6 +320,29 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError):
             Povm.from_jsonable({"dim": 2, "effects": [{"re": [[1, 0], [0, 1]]}]})
 
+    @pytest.mark.parametrize("dim", [2.7, 2.0, "2", True, [2]])
+    def test_dim_must_be_an_integer(self, dim):
+        doc = onb_pvm(2).to_jsonable()
+        doc["dim"] = dim
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            Povm.from_jsonable(doc)
+
+    @pytest.mark.parametrize("entry", ["1", "1.0", None])
+    def test_matrix_entries_must_be_numbers(self, entry):
+        doc = onb_pvm(2).to_jsonable()
+        doc["effects"][0]["re"][0][0] = entry
+        with pytest.raises(ValueError, match="matrix entries must be numbers"):
+            Povm.from_jsonable(doc)
+
+    def test_ragged_effects_refused(self):
+        doc = onb_pvm(2).to_jsonable()
+        doc["effects"][1]["re"] = [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
+        with pytest.raises(ValueError):
+            Povm.from_jsonable(doc)
+        doc["effects"][1]["re"] = [[0.0], [0.0, 1.0]]
+        with pytest.raises(ValueError):
+            Povm.from_jsonable(doc)
+
     @pytest.mark.parametrize("entries", [[1.7, 2.7], [1.0, 2.0], [True, False], ["1", "2"], [[1, 2]]])
     def test_relabel_entries_must_be_integers(self, entries):
         with pytest.raises(ValueError, match="integers"):
