@@ -17,12 +17,13 @@ from .errors import (
     DimensionMismatchError,
     InternalContradictionError,
     NotExtremalRank1Error,
+    NotPositiveDefiniteError,
     NotRank1Error,
     OutOfRangeError,
     SingularSumError,
 )
 from .extremality import is_extremal_rank1
-from .linalg import DEFAULT_TOL, ToleranceConfig, _unit_verdict, inv_sqrt, rank_of
+from .linalg import DEFAULT_TOL, ToleranceConfig, _unit_verdict, normalize_sum, rank_of
 from .povm import Povm, prune_zero_effects, validate
 
 __all__ = [
@@ -80,12 +81,9 @@ def _basis_projections(d: int) -> np.ndarray:
     return (basis + basis @ basis) / 2.0
 
 
-def _normalize_extremal(ops: np.ndarray, total: np.ndarray, tol: ToleranceConfig) -> Povm:
-    """total^{-1/2} ops total^{-1/2}, checked to be a valid extremal rank-1 POVM."""
-    root = inv_sqrt(total, tol)
-    effects = root @ ops @ root
-    effects = (effects + np.conj(np.transpose(effects, (0, 2, 1)))) / 2.0
-    out = validate(Povm(effects), tol)
+def _normalize_extremal(ops: np.ndarray, tol: ToleranceConfig) -> Povm:
+    """S^{-1/2} ops S^{-1/2} (S = sum of ops), checked to be a valid extremal rank-1 POVM."""
+    out = validate(Povm(normalize_sum(ops, tol)), tol)
     if not is_extremal_rank1(out, tol):
         raise InternalContradictionError("normalization lost extremality (tolerance inconsistency)")
     return out
@@ -98,7 +96,8 @@ def extend_extremal(
 
     Finds a rank-1 projection P outside the real span of the effects (the
     first of the projections (s + s^2)/2, s in :func:`hermitian_basis`,
-    unless ``projection`` overrides the choice), sets T = I + P, and returns
+    unless ``projection`` overrides the choice), sets T = sum_j A(j) + P
+    (I + P up to the input's normalization residual), and returns
 
         effects -> T^{-1/2} A(j) T^{-1/2},  new outcome T^{-1/2} P T^{-1/2}.
     """
@@ -116,8 +115,9 @@ def extend_extremal(
             f"an extremal rank-1 POVM on dimension {d} has at most {d * d} outcomes"
         )
 
-    def outside_span(candidate: np.ndarray) -> bool:  # n < d^2 effects: at most d^2 operators
-        return _unit_verdict(np.concatenate([pruned.effects, candidate[None]]), tol)[0]
+    def outside_span(candidate: np.ndarray) -> bool:  # unit-normalized, as in is_extremal_rank1
+        ops = np.concatenate([pruned.effects, candidate[None]])  # n < d^2: at most d^2 operators
+        return _unit_verdict(ops / np.linalg.norm(ops, axis=(1, 2), keepdims=True), tol)[0]
 
     if projection is not None:
         proj = np.asarray(projection, dtype=np.complex128)
@@ -135,7 +135,7 @@ def extend_extremal(
             raise InternalContradictionError(
                 "no basis direction found outside the effect span (tolerance inconsistency)"
             )
-    return _normalize_extremal(np.concatenate([pruned.effects, proj[None]]), np.eye(d) + proj, tol)
+    return _normalize_extremal(np.concatenate([pruned.effects, proj[None]]), tol)
 
 
 def construct_extremal_rank1(d: int, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
@@ -152,8 +152,7 @@ def construct_extremal_rank1(d: int, n: int, tol: ToleranceConfig = DEFAULT_TOL)
         raise OutOfRangeError(
             f"outcome count must satisfy {d} <= n <= {d * d}, got {n}"
         )
-    projections = _basis_projections(d)[:n]
-    return _normalize_extremal(projections, projections.sum(axis=0), tol)
+    return _normalize_extremal(_basis_projections(d)[:n], tol)
 
 
 def qubit_example() -> Povm:
@@ -221,15 +220,10 @@ def random_povm(
     rng = np.random.default_rng(seed)
     for _ in range(8):
         factors = rng.standard_normal((n, d, r)) + 1j * rng.standard_normal((n, d, r))
-        wisharts = np.einsum("jab,jcb->jac", factors, factors.conj())
-        total = wisharts.sum(axis=0)
-        if float(np.linalg.eigvalsh(total)[0]) > tol.psd_tol:
-            break
-    else:
-        raise SingularSumError(
-            f"normalization sum stayed singular after 8 draws (d={d}, n={n}, rank={r})"
-        )
-    root = inv_sqrt(total, tol)
-    effects = np.einsum("ab,jbc,cd->jad", root, wisharts, root)
-    effects = (effects + np.conj(np.transpose(effects, (0, 2, 1)))) / 2.0
-    return Povm(effects)
+        try:
+            return Povm(normalize_sum(np.einsum("jab,jcb->jac", factors, factors.conj()), tol))
+        except NotPositiveDefiniteError:
+            continue
+    raise SingularSumError(
+        f"normalization sum stayed singular after 8 draws (d={d}, n={n}, rank={r})"
+    )

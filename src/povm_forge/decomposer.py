@@ -28,7 +28,7 @@ from .errors import (
     PovmForgeError,
 )
 from .extremality import is_extremal, is_extremal_rank1
-from .linalg import DEFAULT_TOL, ToleranceConfig, independence_cutoff
+from .linalg import DEFAULT_TOL, ToleranceConfig, independence_cutoff, normalize_sum
 from .povm import (
     Povm,
     RelabelMap,
@@ -208,19 +208,18 @@ def _walk_to_vertex(columns, identity, x, support, null, floor, tol):
 def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCertificate:
     """Decompose a valid POVM into relabeled extremal rank-1 components.
 
-    In the coefficients x_j of the unit-normalized rank-1 terms E_j the
-    target is x_j = |E_j|.  Each step walks from x to a vertex v (a support
-    that passes the test of ``is_extremal_rank1``), refits v to sum to I
-    exactly, emits the largest share t of v in x and goes on with
-    (x - t*v)/(1 - t).  The null space is factored once and updated as
-    coordinates leave the support.  At most N - rank + 1 steps are
-    possible (rank: the real rank of the E_j); more raise
-    ``NonConvergenceError`` (it signals inconsistent tolerances), as does a
-    mixture that misses the input by more than recon_tol.
+    The pruned effects are made to sum to I by :func:`normalize_sum`.  In the
+    coefficients x_j of their unit-normalized rank-1 terms E_j the target is
+    x_j = |E_j|.  Each step walks from x to a vertex v (a support that passes
+    the test of ``is_extremal_rank1``), refits v to sum to I exactly, emits the
+    largest share t of v in x and goes on with (x - t*v)/(1 - t); the null space
+    is factored once and updated as coordinates leave the support.  Step
+    N - rank + 1 (rank: the real rank of the E_j), if reached, takes t = 1.
+    ``NonConvergenceError`` means the mixture misses the input by > recon_tol.
     """
     p = validate(p, tol)
     pruned, prune_map = prune_zero_effects(p, tol)
-    root, spectral_map = spectral_relabel(pruned, tol)
+    root, spectral_map = spectral_relabel(Povm(normalize_sum(pruned.effects, tol)), tol)
     targets = spectral_map.then(prune_map).targets
     dim = p.dim
     flat = root.effects.reshape(root.n_outcomes, -1)
@@ -236,20 +235,20 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
     x = np.where(norms > floor, norms, 0.0)
     support = np.flatnonzero(x)
     null, svd = _factor(columns[:, support], tol)
-    # The input sums to I only within recon_tol: start from the nearest point
-    # that sums to I exactly, so that every later solve is consistent.
+    # The normalized effects sum to I, but the expansion dropped their terms below
+    # the rank cutoff: start from the nearest point that sums to I exactly.
     x[support] += _solve(svd, identity - columns @ x)
     support, null = _shrink(x, support, null, floor)
-    max_steps = null.shape[1] + 1
     components: list[CertificateComponent] = []
     remaining = 1.0
-    for _ in range(max_steps):
+    for steps_left in range(null.shape[1], -1, -1):  # the last step takes its vertex whole
         vertex_support, vertex, svd = _walk_to_vertex(
             columns, identity, x, support, null, floor, tol
         )
         ratios = x[vertex_support] / vertex
         j = int(np.argmin(ratios))
-        t = 1.0 if vertex_support.size == support.size else min(float(ratios[j]), 1.0)
+        last = not steps_left or vertex_support.size == support.size
+        t = 1.0 if last else min(float(ratios[j]), 1.0)
         coefficients = vertex / norms[vertex_support]
         components.append(
             CertificateComponent(
@@ -269,13 +268,8 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
         x[vertex_support[j]] = 0.0
         remaining *= 1.0 - t
         support, null = _shrink(x, support, null, floor)
-    else:
-        raise NonConvergenceError(
-            f"peel exceeded its bound of {max_steps} steps; "
-            "tolerances are inconsistent for this input"
-        )
     cert = DecompositionCertificate(target=p, components=tuple(components))
-    # the start projection can miss nearly dependent input
+    # judges what the congruence, the floor, the rank cutoff and the last step left out
     residual = float(np.linalg.norm(cert.reconstruction() - p.effects, axis=(1, 2)).max())
     if not residual <= tol.recon_tol:
         raise NonConvergenceError(f"peel result misses its input by {residual:.3e} > recon_tol")

@@ -97,7 +97,7 @@ class InternalContradictionError(PovmForgeError):
 
 
 class NonConvergenceError(PovmForgeError):
-    """The decomposition peel exceeded its step bound, N - rank + 1, or missed its input."""
+    """The decomposition's mixture misses its input by more than recon_tol."""
 
 
 class AlreadyMaximalError(PovmForgeError):

@@ -3,9 +3,9 @@
 Everything downstream (POVM validation, extremality tests, the
 decomposition engine) reduces to a handful of primitives implemented
 here: eigendecomposition with a deterministic ordering and phase
-convention, rank decisions with explicit tolerances, inverse
-square roots, and linear-independence testing of operator sets via
-vectorization and a singular-value margin with one banded cutoff.
+convention, rank decisions with explicit tolerances, inverse square
+roots and the one congruence that makes operators sum to I, and
+independence tests by a singular-value margin with one banded cutoff.
 
 All functions are pure; numerical decisions are governed by a
 :class:`ToleranceConfig` passed explicitly (defaulting to
@@ -183,16 +183,25 @@ def inv_sqrt(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     The result R is Hermitian positive definite and satisfies
     ``R @ m @ R ~ identity`` within recon_tol.
     """
-    dec = eig_herm(m, tol)
-    smallest = float(dec.eigenvalues[-1])
-    if smallest <= tol.psd_tol:
+    a = require_hermitian(m, tol)
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)  # ascending; no order or phase rule needed
+    if not w[0] > tol.psd_tol:
         raise NotPositiveDefiniteError(
-            f"matrix is not positive definite: smallest eigenvalue {smallest:.3e} "
+            f"matrix is not positive definite: smallest eigenvalue {w[0]:.3e} "
             f"<= psd_tol = {tol.psd_tol:.3e}"
         )
-    v = dec.eigenvectors
-    r = (v / np.sqrt(dec.eigenvalues)) @ v.conj().T
+    r = (v / np.sqrt(w)) @ v.conj().T
     return (r + r.conj().T) / 2.0
+
+
+def normalize_sum(ops: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """S^{-1/2} ops S^{-1/2}, Hermitian-symmetrized: the one congruence making n ops sum to I.
+
+    S is the Hermitian part of sum(ops); each op may be herm_tol off Hermitian, S n times that.
+    """
+    root = inv_sqrt(ops.sum(axis=0), replace(tol, herm_tol=len(ops) * tol.herm_tol))
+    out = root @ ops @ root
+    return (out + out.conj().swapaxes(-1, -2)) / 2.0
 
 
 def independence_cutoff(tol: ToleranceConfig) -> float:

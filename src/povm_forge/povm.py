@@ -197,8 +197,8 @@ class RelabelMap:
     @classmethod
     def from_jsonable(cls, entries, target_size: int) -> "RelabelMap":
         """Parse 1-based labels; raises ValueError unless they are a list of integers."""
-        arr = np.asarray(entries)
-        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        arr = _json_numbers(entries, "iu", "relabel map entries")
+        if arr.ndim != 1:
             raise ValueError("relabel map entries must be a list of integers")
         return cls(arr.shape[0], target_size, arr - 1)
 

@@ -25,7 +25,9 @@ from povm_forge.errors import (
     DimensionMismatchError,
     NotExtremalRank1Error,
     OutOfRangeError,
+    SingularSumError,
 )
+from povm_forge.linalg import normalize_sum
 
 
 class TestHermitianBasis:
@@ -115,6 +117,16 @@ class TestExtendExtremal:
         with pytest.raises(DimensionMismatchError):
             extend_extremal(onb_pvm(2), projection=np.diag([0.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("eps", [3e-9, 2e-9])
+    def test_tiny_effect_is_no_null_direction(self, eps):
+        # a valid extremal rank-1 qubit POVM whose third effect has norm about eps
+        ops = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), eps * (EYE2 + SX) / 2])
+        p = validate(Povm(normalize_sum(ops.astype(complex))))
+        assert is_extremal_rank1(p) and classify(p).extremal_type == "a"
+        extended = extend_extremal(p)
+        assert extended.n_outcomes == 4
+        assert classify(extended).extremal_type == "a"
+
     def test_preserves_extremality_and_increments_count(self):
         checked = 0
         for trial in range(1000):
@@ -154,9 +166,10 @@ class TestConstructExtremalRank1:
 
     def test_one_congruence_and_no_span_scan(self, monkeypatch):
         import povm_forge.constructor as constructor
+        import povm_forge.linalg as linalg
 
         calls = {"inv_sqrt": 0, "span": 0}
-        inv_sqrt, unit_verdict = constructor.inv_sqrt, constructor._unit_verdict
+        inv_sqrt, unit_verdict = linalg.inv_sqrt, constructor._unit_verdict
 
         def counted_inv_sqrt(*args):
             calls["inv_sqrt"] += 1
@@ -166,7 +179,7 @@ class TestConstructExtremalRank1:
             calls["span"] += 1
             return unit_verdict(*args)
 
-        monkeypatch.setattr(constructor, "inv_sqrt", counted_inv_sqrt)
+        monkeypatch.setattr(linalg, "inv_sqrt", counted_inv_sqrt)
         monkeypatch.setattr(constructor, "_unit_verdict", counted_span)
         construct_extremal_rank1(5, 20)
         assert calls == {"inv_sqrt": 1, "span": 0}
@@ -233,6 +246,10 @@ class TestRandomPovm:
     def test_corpus_validity(self):
         for seed in range(100):
             validate(random_povm(3, 5, seed))
+
+    def test_singular_sum_on_every_draw(self):
+        with pytest.raises(SingularSumError):
+            random_povm(3, 2, seed=0, rank=1)  # two rank-1 terms never span d=3
 
     def test_rank_parameter(self):
         p = random_povm(3, 6, seed=1, rank=1)

@@ -103,6 +103,15 @@ SMALL = st.sampled_from(
      if d <= n * r <= 12]
 )
 
+# (d, n, rank, seed): eight hand-picked inputs, then a sweep of 120 full-rank
+# and 120 rank-1 ones
+OFF_IDENTITY = (
+    [(2, 2, None, 0), (2, 3, None, 0), (3, 2, None, 1), (4, 5, None, 2),
+     (2, 4, 1, 0), (2, 4, 1, 1), (3, 9, 1, 0), (3, 9, 1, 2)]
+    + [(2 + i % 3, 2 + i % 5, None, 1000 + i) for i in range(120)]
+    + [(2 + i % 3, (2 + i % 3) ** 2 + 1 + i % 4, 1, 2000 + i) for i in range(120)]
+)
+
 
 class TestPeel:
     @given(SMALL, st.integers(0, 2**32 - 1))
@@ -132,11 +141,7 @@ class TestPeel:
         for comp in decompose(random_povm(d, n, seed)).components:
             assert exact_independent(comp.extremal.effects)
 
-    @pytest.mark.parametrize(
-        "d, n, rank, seed",
-        [(2, 2, None, 0), (2, 3, None, 0), (3, 2, None, 1), (4, 5, None, 2),
-         (2, 4, 1, 0), (2, 4, 1, 1), (3, 9, 1, 0), (3, 9, 1, 2)],
-    )
+    @pytest.mark.parametrize("d, n, rank, seed", OFF_IDENTITY)
     def test_input_off_the_identity_verifies_or_raises(self, d, n, rank, seed):
         # 5e-9 of a random PSD direction on effect 0: the effects sum to I only
         # within recon_tol, and some of these inputs are nearly dependent
@@ -147,9 +152,27 @@ class TestPeel:
         effects[0] += 5e-9 * h / np.linalg.norm(h)
         try:
             cert = decompose(Povm(effects))
-        except NonConvergenceError:
+        except NonConvergenceError as exc:
+            assert "misses its input" in str(exc)  # the only failure: the rebuild check
             return
         assert verify_certificate(cert).passed
+
+    def test_effects_off_hermitian_within_tolerance(self):
+        # each effect 0.9 herm_tol off Hermitian, so their sum is 5.4 herm_tol off
+        effects = np.array(random_povm(2, 6, 3).effects)
+        effects[:, 0, 1] += 0.9e-10
+        cert = decompose(Povm(effects))
+        assert verify_certificate(cert).passed
+
+    @pytest.mark.parametrize(
+        "n, seed", [(7, 2045507), (6, 59), (7, 414), (8, 606475835), (6, 3405489241)]
+    )
+    def test_last_step_takes_its_vertex_whole(self, n, seed):
+        # the walk on these d=4 inputs used to need one step past the bound
+        p = random_povm(4, n, seed)
+        cert = decompose(p)
+        assert verify_certificate(cert).passed
+        assert len(cert.components) <= _peel_bound(p)
 
     def test_baseline_sizes_meet_the_bound(self):
         for d, n in ((2, 8), (3, 8)):

@@ -14,6 +14,7 @@ from povm_forge import (
     rank_of,
     type_d_example,
 )
+from povm_forge.linalg import normalize_sum
 from povm_forge.errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -166,6 +167,30 @@ class TestInvSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
             inv_sqrt(SZ)
+
+
+class TestNormalizeSum:
+    def test_sums_to_identity(self):
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        ops = g @ g.conj().swapaxes(1, 2)
+        out = normalize_sum(ops)
+        assert np.linalg.norm(out.sum(axis=0) - np.eye(3)) <= DEFAULT_TOL.recon_tol
+        assert np.array_equal(out, out.conj().swapaxes(1, 2))
+        root = inv_sqrt(ops.sum(axis=0))
+        assert np.allclose(out, root @ ops @ root, rtol=0.0, atol=1e-14)
+
+    def test_sum_may_deviate_by_n_herm_tol(self):
+        # each op 0.9 herm_tol off Hermitian; their sum 5.4 herm_tol off
+        ops = np.stack([np.eye(2) / 6] * 6).astype(complex)
+        ops[:, 0, 1] += 0.9 * DEFAULT_TOL.herm_tol
+        with pytest.raises(NotHermitianError):
+            inv_sqrt(ops.sum(axis=0))
+        assert np.allclose(normalize_sum(ops).sum(axis=0), np.eye(2), rtol=0.0, atol=1e-12)
+
+    def test_rejects_singular_sum(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            normalize_sum(np.stack([np.diag([1.0, 0.0])] * 3).astype(complex))
 
 
 class TestLinearlyIndependent:

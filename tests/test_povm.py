@@ -347,3 +347,7 @@ class TestJsonRoundTrip:
     def test_relabel_entries_must_be_integers(self, entries):
         with pytest.raises(ValueError, match="integers"):
             RelabelMap.from_jsonable(entries, 2)
+
+    def test_empty_relabel_map_refused(self):
+        with pytest.raises(ValueError, match="integers"):  # [] parses as floats
+            RelabelMap.from_jsonable([], 2)
