@@ -23,8 +23,16 @@ from .errors import (
     SingularSumError,
 )
 from .extremality import is_extremal_rank1
-from .linalg import DEFAULT_TOL, ToleranceConfig, _unit_verdict, normalize_sum, rank_of
-from .povm import Povm, prune_zero_effects, validate
+from .linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    banded_verdict,
+    hermitian_coords,
+    independence_margin,
+    normalize_sum,
+    rank_of,
+)
+from .povm import Povm
 
 __all__ = [
     "hermitian_basis",
@@ -82,8 +90,8 @@ def _basis_projections(d: int) -> np.ndarray:
 
 
 def _normalize_extremal(ops: np.ndarray, tol: ToleranceConfig) -> Povm:
-    """S^{-1/2} ops S^{-1/2} (S = sum of ops), checked to be a valid extremal rank-1 POVM."""
-    out = validate(Povm(normalize_sum(ops, tol)), tol)
+    """S^{-1/2} ops S^{-1/2} (S = sum of ops), checked to be an extremal rank-1 POVM."""
+    out = Povm(normalize_sum(ops, tol))
     if not is_extremal_rank1(out, tol):
         raise InternalContradictionError("normalization lost extremality (tolerance inconsistency)")
     return out
@@ -101,23 +109,24 @@ def extend_extremal(
 
         effects -> T^{-1/2} A(j) T^{-1/2},  new outcome T^{-1/2} P T^{-1/2}.
     """
-    pruned, _ = prune_zero_effects(p, tol)
     try:
-        extremal = is_extremal_rank1(pruned, tol)
+        extremal = is_extremal_rank1(p, tol)
     except NotRank1Error as exc:
         raise NotExtremalRank1Error(str(exc)) from None
     if not extremal:
         raise NotExtremalRank1Error("input must be an extremal rank-1 POVM")
-    d = pruned.dim
-    n = pruned.n_outcomes
+    effects = p.effects[p.effect_norms() > tol.zero_effect_tol]  # the zero-effect pruning rule
+    d = p.dim
+    n = effects.shape[0]
     if n >= d * d:
         raise AlreadyMaximalError(
             f"an extremal rank-1 POVM on dimension {d} has at most {d * d} outcomes"
         )
 
     def outside_span(candidate: np.ndarray) -> bool:  # unit-normalized, as in is_extremal_rank1
-        ops = np.concatenate([pruned.effects, candidate[None]])  # n < d^2: at most d^2 operators
-        return _unit_verdict(ops / np.linalg.norm(ops, axis=(1, 2), keepdims=True), tol)[0]
+        rows = hermitian_coords(np.concatenate([effects, candidate[None]]))  # n < d^2 rows
+        margin = independence_margin(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        return bool(banded_verdict(margin, tol)[0])
 
     if projection is not None:
         proj = np.asarray(projection, dtype=np.complex128)
@@ -135,7 +144,7 @@ def extend_extremal(
             raise InternalContradictionError(
                 "no basis direction found outside the effect span (tolerance inconsistency)"
             )
-    return _normalize_extremal(np.concatenate([pruned.effects, proj[None]]), tol)
+    return _normalize_extremal(np.concatenate([effects, proj[None]]), tol)
 
 
 def construct_extremal_rank1(d: int, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:

@@ -25,10 +25,15 @@ from .errors import (
     NonConvergenceError,
     NotExtremalError,
     OutOfRangeError,
-    PovmForgeError,
 )
-from .extremality import is_extremal, is_extremal_rank1
-from .linalg import DEFAULT_TOL, ToleranceConfig, independence_cutoff, normalize_sum
+from .extremality import is_extremal, is_extremal_rank1, rank1_failures
+from .linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    hermitian_coords,
+    independence_cutoff,
+    normalize_sum,
+)
 from .povm import (
     Povm,
     RelabelMap,
@@ -168,15 +173,18 @@ def _shrink(x: np.ndarray, support: np.ndarray, null: np.ndarray, floor: float):
     A Householder reflection moves each dropped row into the first column,
     which goes too; the other columns stay orthonormal.
     """
-    gone = np.flatnonzero(x[support] <= floor)
+    gone = x[support] <= floor
+    if not gone.any():
+        return support, null
     x[support[gone]] = 0.0
-    for r in gone:
+    for r in np.flatnonzero(gone).tolist():
         h = null[r].copy()
         norm = float(np.linalg.norm(h))
         if norm > 0.0:
             h[0] += np.copysign(norm, h[0])
             null = (null - np.outer(null @ h, h * (2.0 / (h @ h))))[:, 1:]
-    return np.delete(support, gone), np.delete(null, gone, axis=0)
+    kept = ~gone
+    return support[kept], null[kept]
 
 
 def _walk_to_vertex(columns, identity, x, support, null, floor, tol):
@@ -213,17 +221,20 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
     x_j = |E_j|.  Each step walks from x to a vertex v (a support that passes
     the test of ``is_extremal_rank1``), refits v to sum to I exactly, emits the
     largest share t of v in x and goes on with (x - t*v)/(1 - t); the null space
-    is factored once and updated as coordinates leave the support.  Step
-    N - rank + 1 (rank: the real rank of the E_j), if reached, takes t = 1.
-    ``NonConvergenceError`` means the mixture misses the input by > recon_tol.
+    is factored once and updated as coordinates leave the support.  The E_j
+    enter as their d^2 :func:`hermitian_coords`.  Step N - rank + 1 (rank: the
+    real rank of the E_j), if reached, takes t = 1.  Every component is thus
+    what :func:`verify_certificate` asks of it: a POVM of rank-1, linearly
+    independent effects.  ``NonConvergenceError`` means the mixture misses the
+    input: a refit vertex sums to I only beyond recon_tol, or the mixture is
+    off the input by more than recon_tol.
     """
     p = validate(p, tol)
     pruned, prune_map = prune_zero_effects(p, tol)
     root, spectral_map = spectral_relabel(Povm(normalize_sum(pruned.effects, tol)), tol)
     targets = spectral_map.then(prune_map).targets
     dim = p.dim
-    flat = root.effects.reshape(root.n_outcomes, -1)
-    columns = np.concatenate([flat.real, flat.imag], axis=1).T
+    columns = hermitian_coords(root.effects).T
     norms = np.linalg.norm(columns, axis=0)
     columns = columns / norms
     # Coefficients (effect norms) at or below this are numerical debris: a
@@ -231,7 +242,7 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
     # dropping it moves the reconstruction by at most its own norm.
     floor = max(tol.zero_effect_tol, np.sqrt(dim) * tol.rank_tol)
 
-    identity = np.concatenate([np.eye(dim).ravel(), np.zeros(dim * dim)])
+    identity = hermitian_coords(np.eye(dim))
     x = np.where(norms > floor, norms, 0.0)
     support = np.flatnonzero(x)
     null, svd = _factor(columns[:, support], tol)
@@ -245,6 +256,12 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
         vertex_support, vertex, svd = _walk_to_vertex(
             columns, identity, x, support, null, floor, tol
         )
+        miss = float(np.linalg.norm(columns[:, vertex_support] @ vertex - identity))
+        if not miss <= tol.recon_tol:  # the remainder had left its constraint
+            raise NonConvergenceError(
+                f"peel result misses its input: component {len(components)} sums to I "
+                f"only within {miss:.3e} > recon_tol"
+            )
         ratios = x[vertex_support] / vertex
         j = int(np.argmin(ratios))
         last = not steps_left or vertex_support.size == support.size
@@ -281,11 +298,12 @@ def extremal_to_rank1(
 ) -> tuple[Povm, RelabelMap]:
     """Write an extremal POVM as a relabeling of an extremal rank-1 POVM.
 
-    For extremal input the spectral expansion is itself extremal; this
-    is asserted on the output, and a failure (possible only through
+    The input must be a valid POVM (else its first :func:`violations` is
+    raised).  For extremal input the spectral expansion is itself extremal;
+    this is asserted on the output, and a failure (possible only through
     tolerance inconsistency) raises ``InternalContradictionError``.
     """
-    if not is_extremal(p, tol):
+    if not is_extremal(validate(p, tol), tol):
         raise NotExtremalError("input POVM is not extremal")
     rank1, rmap = spectral_relabel(p, tol)
     if not is_extremal_rank1(rank1, tol):
@@ -301,8 +319,11 @@ class VerificationReport:
     """Certificate check results; ``passed`` aggregates all lines.
 
     Residuals are Frobenius norms; ``component_extremal`` holds one
-    verdict per component (False also covers components that are not
-    rank-1 at all).
+    verdict per component: True iff it is a POVM (every effect within
+    [0, I], the sum I within recon_tol) of rank-1, linearly independent
+    nonzero effects.  Each False comes with a failure line that gives the
+    reason, from :func:`rank1_failures`: not finite, not Hermitian, all
+    zero, not rank-1, not a POVM, or dependent.
     """
 
     weight_sum_residual: float
@@ -315,11 +336,13 @@ class VerificationReport:
 def verify_certificate(
     cert: DecompositionCertificate, tol: ToleranceConfig = DEFAULT_TOL
 ) -> VerificationReport:
-    """Check a certificate standalone: weights, extremality, reconstruction.
+    """Check a certificate standalone: weights, components, reconstruction.
 
-    A malformed certificate (non-finite weights, target or components, or
-    a component the extremality test cannot take) gives failure lines,
-    not an exception; every comparison is written so that NaN fails it.
+    Every component must be an extremal rank-1 POVM, judged for all of
+    them in one batched :func:`rank1_failures` call.  A malformed
+    certificate (non-finite weights, target or components, or a component
+    that is not a POVM or not rank-1) gives failure lines, not an
+    exception; every comparison is written so that NaN fails it.
     """
     failures: list[str] = []
     weights = np.array([c.weight for c in cert.components], dtype=np.float64)
@@ -331,15 +354,14 @@ def verify_certificate(
     if not np.isfinite(cert.target.effects).all():
         failures.append("target has a non-finite entry")
 
-    verdicts = []
-    for i, comp in enumerate(cert.components):
-        try:
-            ok = is_extremal_rank1(comp.extremal, tol)
-        except PovmForgeError:  # not rank-1, non-finite, not Hermitian, all zero
-            ok = False
-        verdicts.append(ok)
-        if not ok:
-            failures.append(f"component {i} is not an extremal rank-1 POVM")
+    component_failures = rank1_failures(
+        np.concatenate([comp.extremal.effects for comp in cert.components]),
+        [comp.extremal.n_outcomes for comp in cert.components],
+        tol,
+    )
+    for i, failure in enumerate(component_failures):
+        if failure is not None:
+            failures.append(f"component {i} is not an extremal rank-1 POVM: {failure}")
 
     residuals = np.linalg.norm(
         cert.reconstruction() - cert.target.effects, axis=(1, 2)
@@ -351,7 +373,7 @@ def verify_certificate(
     return VerificationReport(
         weight_sum_residual=float(weight_residual),
         effect_residuals=residuals,
-        component_extremal=tuple(verdicts),
+        component_extremal=tuple(failure is None for failure in component_failures),
         passed=not failures,
         failures=tuple(failures),
     )

@@ -22,18 +22,26 @@ from .errors import (
     AllZeroError,
     DegenerateDependenceError,
     EmptyInputError,
+    NonFiniteError,
     NotADependenceError,
+    NotExtremalRank1Error,
+    NotHermitianError,
+    NotNormalizedError,
+    NotPSDError,
     NotRank1Error,
+    PovmForgeError,
 )
 from .linalg import (
     DEFAULT_TOL,
     SpectralDecomposition,
     ToleranceConfig,
-    _unit_verdict,
+    banded_verdict,
     eig_herm,
+    hermitian_deviation,
+    hermitian_coords,
+    independence_margin,
     linearly_independent,
     rank_cutoff,
-    require_hermitian,
 )
 from .povm import Povm, prune_zero_effects, validate
 
@@ -46,6 +54,7 @@ __all__ = [
     "pair_independence",
     "is_extremal",
     "is_extremal_rank1",
+    "rank1_failures",
     "find_effect_dependence",
     "split_mixture",
 ]
@@ -136,8 +145,10 @@ def pair_independence(
     if count > d * d:
         return ExtremalityReport(False, False, 0.0, count)
     j, k, l = np.nonzero(keep[:, :, None] & keep[:, None, :])  # (outcome, k, l) order
+    # complex SVD: for k != l the pair operators are not Hermitian
     ops = np.einsum("ni,nj->nij", v[j, :, k], v[j, :, l].conj())
-    return ExtremalityReport(*_unit_verdict(ops, tol), count)
+    margin = float(independence_margin(ops.reshape(count, d * d)))
+    return ExtremalityReport(*banded_verdict(margin, tol), margin, count)
 
 
 def extremality_report(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> ExtremalityReport:
@@ -152,21 +163,119 @@ def is_extremal(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 def is_extremal_rank1(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Extremality test for rank-1 POVMs: independence of the nonzero effects."""
-    pruned, _ = prune_zero_effects(p, tol)
-    effects = require_hermitian(pruned.effects, tol)
+    """True iff ``p`` is an extremal rank-1 POVM: :func:`rank1_failures` of one POVM.
+
+    Raises ``NonFiniteError``, ``AllZeroError``, ``NotHermitianError`` or
+    ``NotRank1Error`` where the test cannot apply; a POVM check or a
+    dependence makes it False.
+    """
+    failure = rank1_failures(p.effects, [p.n_outcomes], tol)[0]
+    if isinstance(failure, (NonFiniteError, AllZeroError, NotHermitianError, NotRank1Error)):
+        raise failure
+    return failure is None
+
+
+def rank1_failures(
+    effects: np.ndarray, sizes, tol: ToleranceConfig = DEFAULT_TOL
+) -> list[PovmForgeError | None]:
+    """Why each POVM of a ragged stack is not an extremal rank-1 POVM; None where it is.
+
+    ``effects`` concatenates the (n_i, d, d) effect stacks of the POVMs and
+    ``sizes`` lists each n_i >= 1.  Zero effects (norm <= zero_effect_tol) and
+    rank-0 ones (no eigenvalue above the rank cutoff) do not count as nonzero.
+    Each POVM gets its first failure in this order: a non-finite entry
+    (``NonFiniteError``); no nonzero effect (``AllZeroError``); a nonzero effect
+    not Hermitian (``NotHermitianError``) or of rank > 1 (``NotRank1Error``);
+    then, as a POVM, an effect outside [-psd_tol, 1 + psd_tol] (``NotPSDError``)
+    or a sum off I by more than recon_tol (``NotNormalizedError``); last, the
+    unit-normalized nonzero effects linearly dependent under the banded rule
+    (``NotExtremalRank1Error``; more than d^2 always are).
+
+    One Hermitian check, one ``eigvalsh`` and one ``np.add.reduceat`` cover the
+    stack; each group of POVMs with equally many nonzero effects gets one SVD.
+    """
+    effects = np.asarray(effects, dtype=np.complex128)
+    sizes = np.asarray(sizes)
+    d = effects.shape[-1]
+    starts = sizes.cumsum() - sizes
+    finite = np.isfinite(effects).all(axis=(1, 2))
+    if not finite.all():  # eigvalsh cannot take NaN; those POVMs fail first anyway
+        effects = np.where(finite[:, None, None], effects, 0.0)
+    # every entry is finite from here on, so no comparison below meets a NaN
+    flat = effects.reshape(len(effects), -1).view(np.float64)  # no certificate-sized temporary
+    norms = np.sqrt(np.einsum("ki,ki->k", flat, flat))  # Frobenius norms
+    nonzero = norms > tol.zero_effect_tol
+    skew = nonzero & (hermitian_deviation(effects) > tol.herm_tol)
     w = np.linalg.eigvalsh(effects)
-    ranks = np.count_nonzero(np.abs(w) > rank_cutoff(w, tol), axis=1)
-    effects = effects[ranks > 0]  # as in pair_independence, a rank-0 effect does not count
-    if not effects.shape[0]:
-        raise AllZeroError("no effect has an eigenvalue above the rank cutoff")
-    if np.any(ranks > 1):
-        j = int(np.argmax(ranks > 1))
-        raise NotRank1Error(f"nonzero effect {j} has rank {ranks[j]}, expected 1")
-    if effects.shape[0] > pruned.dim ** 2:
-        return False  # more effects than the d^2-dimensional operator space holds
-    # unit-normalized, so that small-norm effects cannot pass for null directions
-    return _unit_verdict(effects / np.linalg.norm(effects, axis=(1, 2), keepdims=True), tol)[0]
+    ranks = nonzero * (np.abs(w) > rank_cutoff(w, tol)).sum(axis=1)
+    outside = (w[:, 0] < -tol.psd_tol) | (w[:, -1] > 1.0 + tol.psd_tol)
+    residuals = np.linalg.norm(np.add.reduceat(effects, starts) - np.eye(d), axis=(1, 2))
+
+    # checks in failure order: the effects hitting each one, counted per POVM; a POVM fails
+    # check 1 (every effect zero) or 3 (every nonzero effect of rank 0) when none hits it
+    per_effect = np.array([~finite, nonzero, skew, ranks > 0, ranks > 1, outside])
+    tally = np.add.reduceat(per_effect, starts, axis=1, dtype=np.intp)
+    failing = np.concatenate([tally > 0, [residuals > tol.recon_tol]])
+    failing[[1, 3]] ^= True
+
+    def first(check, i):  # the POVM's first effect that fails a per-effect check
+        return int(np.argmax(per_effect[check, starts[i]:starts[i] + sizes[i]]))
+
+    failed = failing.any(axis=0)
+    failures: list[PovmForgeError | None] = [None] * sizes.size
+    for i in failed.nonzero()[0].tolist():
+        check = int(np.argmax(failing[:, i]))
+        if check == 0:
+            j = first(0, i)
+            failures[i] = NonFiniteError(f"effect {j} has a non-finite entry", outcome=j)
+        elif check == 1:
+            failures[i] = AllZeroError("every effect is numerically zero")
+        elif check == 2:
+            j = first(2, i)
+            failures[i] = NotHermitianError(
+                f"effect {j} deviates from Hermitian symmetry by "
+                f"{hermitian_deviation(effects[starts[i] + j]):.3e} "
+                f"(herm_tol = {tol.herm_tol:.3e})"
+            )
+        elif check == 3:
+            failures[i] = AllZeroError("no effect has an eigenvalue above the rank cutoff")
+        elif check == 4:
+            j = first(4, i)
+            failures[i] = NotRank1Error(
+                f"nonzero effect {j} has rank {ranks[starts[i] + j]}, expected 1"
+            )
+        elif check == 5:
+            j = first(5, i)
+            low, high = w[starts[i] + j, [0, -1]]
+            failures[i] = NotPSDError(
+                f"effect {j} has eigenvalues in [{low:.3e}, {high:.6g}], outside [0, 1]",
+                outcome=j,
+            )
+        else:
+            failures[i] = NotNormalizedError(
+                f"effects do not sum to the identity: normalization residual "
+                f"{residuals[i]:.3e} (recon_tol = {tol.recon_tol:.3e})",
+                residual=float(residuals[i]),
+            )
+
+    # independence of the unit-normalized nonzero effects, so that small ones cannot pass for
+    # null directions: one SVD per group of POVMs with m of them (m > d^2: dependent)
+    counts, passed = tally[3], ~failed
+    coords = hermitian_coords(effects)
+    for m in np.flatnonzero(np.bincount(counts[passed])).tolist():
+        members = passed & (counts == m)
+        if m <= d * d:
+            picked = (ranks > 0) & np.repeat(members, sizes)
+            rows = coords[picked]
+            rows /= norms[picked, None]
+            independent = banded_verdict(independence_margin(rows.reshape(-1, m, d * d)), tol)[0]
+        else:
+            independent = np.zeros(np.count_nonzero(members), dtype=bool)
+        for i in np.flatnonzero(members)[~independent].tolist():
+            failures[i] = NotExtremalRank1Error(
+                f"its {m} nonzero effects are linearly dependent (d^2 = {d * d})"
+            )
+    return failures
 
 
 def find_effect_dependence(

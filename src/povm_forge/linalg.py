@@ -4,8 +4,9 @@ Everything downstream (POVM validation, extremality tests, the
 decomposition engine) reduces to a handful of primitives implemented
 here: eigendecomposition with a deterministic ordering and phase
 convention, rank decisions with explicit tolerances, inverse square
-roots and the one congruence that makes operators sum to I, and
-independence tests by a singular-value margin with one banded cutoff.
+roots and the one congruence that makes operators sum to I, real
+coordinates of Hermitian matrices, and independence tests by a
+singular-value margin with one banded cutoff.
 
 All functions are pure; numerical decisions are governed by a
 :class:`ToleranceConfig` passed explicitly (defaulting to
@@ -34,8 +35,10 @@ __all__ = [
     "eig_herm",
     "rank_of",
     "inv_sqrt",
+    "hermitian_coords",
     "independence_cutoff",
     "banded_verdict",
+    "independence_margin",
     "linearly_independent",
 ]
 
@@ -91,9 +94,13 @@ DEFAULT_TOL = ToleranceConfig()
 
 
 def hermitian_deviation(a: np.ndarray) -> np.ndarray:
-    """Max entrywise |a - a^H| of a matrix, or of each matrix in a (..., d, d) stack."""
-    with np.errstate(invalid="ignore"):  # a NaN or Inf entry gives NaN or Inf: no tolerance passes
-        return np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    """Max entrywise |a - a^H| of a matrix, or of each matrix in a (..., d, d) stack.
+
+    A NaN or Inf entry gives NaN or Inf, which no tolerance passes (Inf - Inf warns).
+    """
+    gap = np.conjugate(a.swapaxes(-1, -2), order="C")  # a^H, laid out as a: no temporary below
+    gap -= a
+    return np.abs(gap).max(axis=(-2, -1))
 
 
 def require_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -101,7 +108,8 @@ def require_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    deviation = float(hermitian_deviation(a).max())
+    with np.errstate(invalid="ignore"):  # Inf - Inf: NaN, which fails below
+        deviation = float(hermitian_deviation(a).max())
     if not deviation <= tol.herm_tol:
         raise NotHermitianError(
             f"matrix deviates from Hermitian symmetry by {deviation:.3e} "
@@ -209,18 +217,33 @@ def independence_cutoff(tol: ToleranceConfig) -> float:
     return tol.indep_tol * _BORDERLINE_FACTOR
 
 
-def banded_verdict(margin: float, tol: ToleranceConfig) -> tuple[bool, bool]:
-    """(independent, borderline) of a margin, with a safety band around the cutoff."""
+def hermitian_coords(a: np.ndarray) -> np.ndarray:
+    """Real coordinates (..., d^2) of a Hermitian matrix or a (..., d, d) stack of them.
+
+    The diagonal, then sqrt(2)*Re and sqrt(2)*Im of the strict upper triangle
+    in row-major order: an isometry of the real space of Hermitian matrices onto
+    R^{d^2}, so Frobenius norms, inner products and the singular values of a
+    stack are those of the complex vectorization, in half the real entries.
+    Only the upper triangle is read.
+    """
+    d = a.shape[-1]
+    upper = math.sqrt(2.0) * a[..., np.arange(d)[:, None] < np.arange(d)]
+    diagonal = np.diagonal(a, axis1=-2, axis2=-1).real
+    return np.concatenate([diagonal, upper.real, upper.imag], axis=-1)
+
+
+def banded_verdict(margin, tol: ToleranceConfig):
+    """(independent, borderline) of a margin, or of each in an array, with a band around the cutoff."""
     low = tol.indep_tol / _BORDERLINE_FACTOR
     high = independence_cutoff(tol)
-    return margin > high, low < margin <= high
+    return margin > high, (low < margin) & (margin <= high)
 
 
-def _unit_verdict(ops: np.ndarray, tol: ToleranceConfig) -> tuple[bool, bool, float]:
-    """(independent, borderline, margin) of at most d^2 operators, by singular values."""
-    s = np.linalg.svd(ops.reshape(ops.shape[0], -1), compute_uv=False)
-    margin = float(s[-1] / s[0])
-    return *banded_verdict(margin, tol), margin
+def independence_margin(rows: np.ndarray) -> np.ndarray:
+    """Smallest-to-largest singular-value ratio of K <= n rows, per (..., K, n) stack; one SVD."""
+    s = np.linalg.svd(rows, compute_uv=False)
+    return s[..., -1] / s[..., 0]
+
 
 
 @dataclass(frozen=True)

@@ -169,7 +169,7 @@ class TestConstructExtremalRank1:
         import povm_forge.linalg as linalg
 
         calls = {"inv_sqrt": 0, "span": 0}
-        inv_sqrt, unit_verdict = linalg.inv_sqrt, constructor._unit_verdict
+        inv_sqrt, span_test = linalg.inv_sqrt, constructor.independence_margin
 
         def counted_inv_sqrt(*args):
             calls["inv_sqrt"] += 1
@@ -177,10 +177,10 @@ class TestConstructExtremalRank1:
 
         def counted_span(*args):
             calls["span"] += 1
-            return unit_verdict(*args)
+            return span_test(*args)
 
         monkeypatch.setattr(linalg, "inv_sqrt", counted_inv_sqrt)
-        monkeypatch.setattr(constructor, "_unit_verdict", counted_span)
+        monkeypatch.setattr(constructor, "independence_margin", counted_span)
         construct_extremal_rank1(5, 20)
         assert calls == {"inv_sqrt": 1, "span": 0}
 

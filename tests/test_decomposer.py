@@ -37,8 +37,10 @@ from povm_forge.errors import (
     NonConvergenceError,
     NotExtremalError,
     OutOfRangeError,
+    PovmForgeError,
 )
 from povm_forge.decomposer import _random_states
+from povm_forge.extremality import rank1_failures
 
 
 class TestDecompose:
@@ -182,6 +184,24 @@ class TestPeel:
             assert len(cert.components) <= _peel_bound(p) == n * d - d * d + 1
 
 
+class TestRefitVertexCheck:
+    @pytest.mark.parametrize("d, n, seed, eps", [(4, 17, 300280, 5e-9), (5, 26, 300125, 8e-9)])
+    def test_off_the_identity_raises_or_verifies(self, d, n, seed, eps):
+        # the shift of test_input_off_the_identity_verifies_or_raises; without the refit check
+        # these give a component of weight ~1e-7 that sums to I only within 6e-2 and 6e-4
+        p = random_povm(d, n, seed, rank=1)
+        g = np.random.default_rng(seed).standard_normal((d, 2 * d)).view(np.complex128)
+        h = g @ g.conj().T
+        effects = np.array(p.effects)
+        effects[0] += eps * h / np.linalg.norm(h)
+        try:
+            cert = decompose(Povm(effects))
+        except NonConvergenceError as exc:
+            assert "misses its input" in str(exc)
+            return
+        assert verify_certificate(cert).passed
+
+
 class TestJointRelabeling:
     """One relabeling of the joint POVM against the per-component loops of ``per_effect``."""
 
@@ -301,6 +321,51 @@ class TestVerifyCertificate:
         assert not report.passed
         assert report.component_extremal[0] is False
         assert any("extremal" in line for line in report.failures)
+
+    def test_components_that_are_not_povms(self):
+        # the same mixture from two components that do not sum to I
+        cert = decompose(random_povm(2, 3, seed=1))
+        comps = list(cert.components)
+        (w0, e0, f0), (w1, e1, f1) = [(c.weight, c.extremal, c.relabel) for c in comps[:2]]
+        comps[0] = CertificateComponent(w0 / 2, Povm(2 * e0.effects), f0)
+        comps[1] = CertificateComponent(w1 + w0 / 2, Povm(e1.effects * w1 / (w1 + w0 / 2)), f1)
+        report = verify_certificate(DecompositionCertificate(cert.target, tuple(comps)))
+        assert report.effect_residuals.max() <= 1e-14
+        assert not report.passed
+        assert report.component_extremal[:2] == (False, False)
+        assert all(report.component_extremal[2:])
+        assert [line.split(" is ")[0] for line in report.failures] == ["component 0", "component 1"]
+        assert all("extremal rank-1 POVM" in line for line in report.failures)
+
+    @pytest.mark.parametrize("d, n", [(8, 16), (3, 60), (2, 100)])
+    def test_batched_verdicts_match_one_segment_calls(self, d, n):
+        comps = decompose(random_povm(d, n, seed=1)).components
+        # and the same components spoiled: scaled off I, an effect of rank 2, two equal effects
+        spoiled = []
+        for i, comp in enumerate(comps):
+            effects = np.array(comp.extremal.effects)
+            if i % 4 == 1:
+                effects *= 1.5
+            elif i % 4 == 2:
+                effects[0] += effects[1]
+            elif i % 4 == 3:
+                effects = np.concatenate([effects[:1] / 2, effects[:1] / 2, effects[1:]])
+            spoiled.append(Povm(effects))
+        for povms in ([c.extremal for c in comps], spoiled):
+            batched = rank1_failures(
+                np.concatenate([p.effects for p in povms]), [p.n_outcomes for p in povms]
+            )
+            for p, failure in zip(povms, batched):
+                try:
+                    one = is_extremal_rank1(p)
+                except PovmForgeError as exc:
+                    assert type(failure) is type(exc)
+                else:
+                    assert one == (failure is None)
+        assert all(failure is None for failure in rank1_failures(
+            np.concatenate([c.extremal.effects for c in comps]),
+            [c.extremal.n_outcomes for c in comps],
+        ))
 
     def test_reports_reconstruction_residuals_per_effect(self, qubit3):
         report = verify_certificate(decompose(qubit3))

@@ -14,7 +14,7 @@ from povm_forge import (
     rank_of,
     type_d_example,
 )
-from povm_forge.linalg import normalize_sum
+from povm_forge.linalg import hermitian_coords, normalize_sum
 from povm_forge.errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -191,6 +191,28 @@ class TestNormalizeSum:
     def test_rejects_singular_sum(self):
         with pytest.raises(NotPositiveDefiniteError):
             normalize_sum(np.stack([np.diag([1.0, 0.0])] * 3).astype(complex))
+
+
+class TestHermitianCoords:
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_keeps_norms_and_singular_values(self, d):
+        rng = np.random.default_rng(d)
+        for k in (1, d, d * d, d * d + 3):
+            stack = np.stack([random_hermitian(d, rng) for _ in range(k)])
+            coords = hermitian_coords(stack)
+            flat = stack.reshape(k, d * d)
+            assert coords.shape == (k, d * d) and coords.dtype == np.float64
+            norms = np.linalg.norm(flat, axis=1)
+            assert np.allclose(np.linalg.norm(coords, axis=1), norms, rtol=1e-13, atol=0.0)
+            s = np.linalg.svd(flat, compute_uv=False)
+            assert np.allclose(
+                np.linalg.svd(coords, compute_uv=False), s, rtol=0.0, atol=1e-13 * s[0]
+            )
+
+    def test_identity_and_batch_axes(self):
+        assert np.array_equal(hermitian_coords(np.eye(3)), [1, 1, 1, 0, 0, 0, 0, 0, 0])
+        stack = np.stack([SX, SZ, EYE2]).reshape(3, 1, 2, 2)
+        assert np.array_equal(hermitian_coords(stack)[:, 0], hermitian_coords(stack[:, 0]))
 
 
 class TestLinearlyIndependent:

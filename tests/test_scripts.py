@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("decomposition_sweep.py", ["--cases", "5"]),
         ("search_type_d_dim3.py", ["--attempts", "20"]),
         ("reproduce_reference_povms.py", []),
+        ("off_identity_sweep.py", ["--cases", "4"]),
     ],
 )
 def test_script_exits_cleanly(script, args):
