@@ -9,7 +9,6 @@ count.
 from .constructor import (
     construct_extremal_rank1,
     extend_extremal,
-    hermitian_basis,
     onb_pvm,
     qubit_example,
     random_povm,
@@ -44,6 +43,7 @@ from .linalg import (
     SpectralDecomposition,
     ToleranceConfig,
     eig_herm,
+    hermitian_basis,
     inv_sqrt,
     linearly_independent,
     rank_of,

@@ -27,6 +27,7 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     banded_verdict,
+    hermitian_basis,
     hermitian_coords,
     independence_margin,
     normalize_sum,
@@ -35,7 +36,6 @@ from .linalg import (
 from .povm import Povm
 
 __all__ = [
-    "hermitian_basis",
     "onb_pvm",
     "extend_extremal",
     "construct_extremal_rank1",
@@ -43,34 +43,6 @@ __all__ = [
     "type_d_example",
     "random_povm",
 ]
-
-
-def hermitian_basis(d: int) -> np.ndarray:
-    """Canonical basis of the d^2-dimensional real space of Hermitian matrices.
-
-    Scan order: diagonal units |i><i|, then symmetric pairs
-    |i><j| + |j><i|, then antisymmetric pairs -i|i><j| + i|j><i|, each
-    group in row-major (i, j) order.  Returns shape (d*d, d, d).
-    """
-    if d < 1:
-        raise BadDimensionError(f"dimension must be >= 1, got {d}")
-    ops = []
-    for i in range(d):
-        m = np.zeros((d, d), dtype=np.complex128)
-        m[i, i] = 1.0
-        ops.append(m)
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[i, j] = m[j, i] = 1.0
-            ops.append(m)
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[i, j] = -1.0j
-            m[j, i] = 1.0j
-            ops.append(m)
-    return np.stack(ops)
 
 
 def onb_pvm(d: int) -> Povm:

@@ -6,6 +6,12 @@ effect as a sum of outer products of nonzero mutually orthogonal vectors
 to the effect's rank) are linearly independent.  For rank-1 POVMs this
 reduces to independence of the effects themselves.
 
+An effect's pair operators span the operators V X V^H on its range V,
+whose Hermitian members have d^2 real coordinates
+(``linalg.hermitian_coords``), so the test is one real SVD: a rank-1
+effect enters as itself, unit-normalized, and only effects of rank >= 2
+need eigenvectors.  One ``eigvalsh`` of the effects gives every rank.
+
 When the nonzero effects are linearly dependent, ``split_mixture`` turns
 any dependence vector into two distinct POVMs whose convex combination
 reconstructs the input, each with strictly fewer nonzero effects.  The
@@ -33,15 +39,16 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    SpectralDecomposition,
     ToleranceConfig,
     banded_verdict,
     eig_herm,
-    hermitian_deviation,
     hermitian_coords,
+    hermitian_deviation,
+    hermitian_part,
     independence_margin,
     linearly_independent,
     rank_cutoff,
+    unit_hermitian_basis,
 )
 from .povm import Povm, prune_zero_effects, validate
 
@@ -103,8 +110,10 @@ class ExtremalityReport:
     """Extremality verdict with its numerical margin.
 
     ``margin`` is the smallest/largest singular-value ratio of the
-    stacked pair operators; ``borderline`` flags verdicts decided within
-    a factor of the independence cutoff.
+    stacked unit pair operators, taken in real Hermitian coordinates
+    (the same singular values), and 0.0 when there are more than d^2 of
+    them (``operator_count``); ``borderline`` flags verdicts decided
+    within a factor of the independence cutoff.
     """
 
     extremal: bool
@@ -129,32 +138,56 @@ def spectral_form(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralForm:
 
 
 def pair_independence(
-    dec: SpectralDecomposition, tol: ToleranceConfig = DEFAULT_TOL
+    effects: np.ndarray, w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
 ) -> ExtremalityReport:
-    """Extremality verdict from the batched eigensystem of the nonzero effects.
+    """Extremality verdict of a Hermitian effect stack from its ascending eigenvalues ``w``.
 
-    Tests the unit-norm pair operators v_k(j) v_l(j)^H of the terms above
-    the rank cutoff; more than d^2 of them are dependent without an SVD.
+    An effect with r eigenvalues above the rank cutoff contributes the r^2 unit
+    pair operators v_k v_l^H of its top eigenvectors; more than d^2 of them are
+    dependent without an SVD.  Otherwise they enter as real rows: a rank-1
+    effect as hermitian_coords(E) / |E|_F, and an effect of rank r >= 2 as
+    hermitian_coords(V B V^H) for its top r eigenvectors V and each B of
+    ``unit_hermitian_basis(r)``, an isometric image of its pair operators.  One
+    batched ``eigh`` over the rank >= 2 effects and one real SVD of at most
+    d^2 x d^2, singular values only, give the margin.  ``effects`` must be
+    symmetrized (``hermitian_part``): the solvers read one triangle each.
     """
-    w, v = dec.eigenvalues, dec.eigenvectors
-    keep = w > rank_cutoff(w, tol)
-    d = v.shape[-1]
-    count = int(np.sum(np.count_nonzero(keep, axis=1) ** 2))
+    d = effects.shape[-1]
+    cutoff = rank_cutoff(w, tol)
+    ranks = np.count_nonzero(w > cutoff, axis=1)
+    count = int(ranks @ ranks)
     if count == 0:
         raise EmptyInputError("independence test requires at least one operator")
     if count > d * d:
         return ExtremalityReport(False, False, 0.0, count)
-    j, k, l = np.nonzero(keep[:, :, None] & keep[:, None, :])  # (outcome, k, l) order
-    # complex SVD: for k != l the pair operators are not Hermitian
-    ops = np.einsum("ni,nj->nij", v[j, :, k], v[j, :, l].conj())
-    margin = float(independence_margin(ops.reshape(count, d * d)))
+    # E / |E|_F is the top eigenprojection when no other eigenvalue is beyond the cutoff
+    plain = (ranks == 1) & (w[:, 0] >= -cutoff[:, 0])
+    ops = np.empty((count, d, d), dtype=np.complex128)  # as many as the pair operators
+    start = n_plain = np.count_nonzero(plain)
+    np.compress(plain, effects, axis=0, out=ops[:n_plain])
+    if start < count:
+        spread = ~plain & (ranks > 0)
+        vectors, spread_ranks = np.linalg.eigh(effects[spread])[1], ranks[spread]
+        for r in np.flatnonzero(np.bincount(spread_ranks)).tolist():
+            top = vectors[spread_ranks == r][..., d - r:]  # eigh is ascending
+            stop = start + len(top) * r * r
+            np.matmul(
+                top[:, None] @ unit_hermitian_basis(r),
+                top.conj().swapaxes(-1, -2)[:, None],
+                out=ops[start:stop].reshape(len(top), r * r, d, d),
+            )
+            start = stop
+    rows = hermitian_coords(ops)
+    rows[:n_plain] /= np.linalg.norm(rows[:n_plain], axis=1, keepdims=True)
+    margin = float(independence_margin(rows))
     return ExtremalityReport(*banded_verdict(margin, tol), margin, count)
 
 
 def extremality_report(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> ExtremalityReport:
     """Extremality analysis of a valid POVM: :func:`pair_independence` of its nonzero effects."""
     pruned, _ = prune_zero_effects(p, tol)
-    return pair_independence(eig_herm(pruned.effects, tol), tol)
+    effects = hermitian_part(pruned.effects, tol)
+    return pair_independence(effects, np.linalg.eigvalsh(effects), tol)
 
 
 def is_extremal(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -5,8 +5,8 @@ decomposition engine) reduces to a handful of primitives implemented
 here: eigendecomposition with a deterministic ordering and phase
 convention, rank decisions with explicit tolerances, inverse square
 roots and the one congruence that makes operators sum to I, real
-coordinates of Hermitian matrices, and independence tests by a
-singular-value margin with one banded cutoff.
+coordinates of Hermitian matrices and their canonical basis, and
+independence tests by a singular-value margin with one banded cutoff.
 
 All functions are pure; numerical decisions are governed by a
 :class:`ToleranceConfig` passed explicitly (defaulting to
@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cache
 
 import numpy as np
 
 from .errors import (
+    BadDimensionError,
     DimensionMismatchError,
     EmptyInputError,
     NotHermitianError,
@@ -36,6 +38,7 @@ __all__ = [
     "rank_of",
     "inv_sqrt",
     "hermitian_coords",
+    "hermitian_basis",
     "independence_cutoff",
     "banded_verdict",
     "independence_margin",
@@ -45,7 +48,9 @@ __all__ = [
 # Verdicts require a margin clear of the independence cutoff by this
 # factor on either side; inside the band the verdict is "dependent"
 # with the borderline flag set (a false split is caught by
-# reconstruction checks, a false "extremal" would not be).
+# reconstruction checks, a false "extremal" would not be).  A constant, not a
+# ToleranceConfig field: the band already scales with indep_tol under
+# ``scaled()``, and a field would be a setting that no caller changes.
 _BORDERLINE_FACTOR = 2.0
 
 
@@ -118,6 +123,16 @@ def require_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return a
 
 
+def hermitian_part(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """(a + a^H) / 2 of ``m`` (a matrix or a stack) after :func:`require_hermitian`.
+
+    Every solver reading one triangle (``eigh``, ``eigvalsh``, :func:`hermitian_coords`)
+    then sees the same matrix.
+    """
+    a = require_hermitian(m, tol)
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+
+
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first nonzero component is real positive."""
     # entries at or below 1e-12 are rounding noise of eigh with an arbitrary phase
@@ -163,8 +178,7 @@ def eig_herm(m, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
     ``eigh``.  Eigenvalues are returned in descending order; each
     eigenvector's first nonzero component is made real positive.
     """
-    a = require_hermitian(m, tol)
-    w, v = np.linalg.eigh((a + a.conj().swapaxes(-1, -2)) / 2.0)
+    w, v = np.linalg.eigh(hermitian_part(m, tol))
     order = np.argsort(-w, axis=-1, kind="stable")  # eigh is ascending; keep tie order
     w = np.take_along_axis(w, order, axis=-1)
     v = _fix_phases(np.take_along_axis(v, order[..., None, :], axis=-1))
@@ -191,8 +205,7 @@ def inv_sqrt(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     The result R is Hermitian positive definite and satisfies
     ``R @ m @ R ~ identity`` within recon_tol.
     """
-    a = require_hermitian(m, tol)
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)  # ascending; no order or phase rule needed
+    w, v = np.linalg.eigh(hermitian_part(m, tol))  # ascending; no order or phase rule needed
     if not w[0] > tol.psd_tol:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite: smallest eigenvalue {w[0]:.3e} "
@@ -230,6 +243,49 @@ def hermitian_coords(a: np.ndarray) -> np.ndarray:
     upper = math.sqrt(2.0) * a[..., np.arange(d)[:, None] < np.arange(d)]
     diagonal = np.diagonal(a, axis1=-2, axis2=-1).real
     return np.concatenate([diagonal, upper.real, upper.imag], axis=-1)
+
+
+def hermitian_basis(d: int) -> np.ndarray:
+    """Canonical basis of the d^2-dimensional real space of Hermitian matrices.
+
+    Scan order: diagonal units |i><i|, then symmetric pairs
+    |i><j| + |j><i|, then antisymmetric pairs -i|i><j| + i|j><i|, each
+    group in row-major (i, j) order.  Returns shape (d*d, d, d).
+    """
+    if d < 1:
+        raise BadDimensionError(f"dimension must be >= 1, got {d}")
+    ops = []
+    for i in range(d):
+        m = np.zeros((d, d), dtype=np.complex128)
+        m[i, i] = 1.0
+        ops.append(m)
+    for i in range(d):
+        for j in range(i + 1, d):
+            m = np.zeros((d, d), dtype=np.complex128)
+            m[i, j] = m[j, i] = 1.0
+            ops.append(m)
+    for i in range(d):
+        for j in range(i + 1, d):
+            m = np.zeros((d, d), dtype=np.complex128)
+            m[i, j] = -1.0j
+            m[j, i] = 1.0j
+            ops.append(m)
+    return np.stack(ops)
+
+
+@cache
+def unit_hermitian_basis(r: int) -> np.ndarray:
+    """Orthonormal basis of the r x r Hermitian matrices, coordinates the r^2 unit vectors.
+
+    :func:`hermitian_basis` at unit Frobenius norm with the antisymmetric pairs
+    negated, so that :func:`hermitian_coords` maps it onto the identity; cached
+    per r and read-only.
+    """
+    pairs = r * (r - 1) // 2  # the antisymmetric ones have -Im of their upper entries
+    scale = np.repeat([1.0, math.sqrt(0.5), -math.sqrt(0.5)], [r, pairs, pairs])
+    basis = hermitian_basis(r) * scale[:, None, None]
+    basis.setflags(write=False)
+    return basis
 
 
 def banded_verdict(margin, tol: ToleranceConfig):

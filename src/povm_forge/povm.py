@@ -27,7 +27,14 @@ from .errors import (
     NotPSDError,
     PovmForgeError,
 )
-from .linalg import DEFAULT_TOL, ToleranceConfig, eig_herm, hermitian_deviation, rank_cutoff
+from .linalg import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    eig_herm,
+    hermitian_deviation,
+    hermitian_part,
+    rank_cutoff,
+)
 
 if TYPE_CHECKING:
     from .extremality import ExtremalityReport
@@ -350,6 +357,8 @@ def spectral_relabel(
 def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:
     """Rank-1 and PVM flags plus the extremality type label.
 
+    One ``eigvalsh`` of the nonzero effects gives the flags, the rank
+    profile and the operator count of ``extremality.pair_independence``.
     Only effects with an eigenvalue above the rank cutoff count, in the
     flags and the rank profile.  When multiple type predicates hold the
     most specific label wins (a > b > c > d); a rank-1 basis PVM
@@ -358,14 +367,14 @@ def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:
     from .extremality import pair_independence  # here: extremality builds on this module
 
     pruned, _ = prune_zero_effects(p, tol)
-    dec = eig_herm(pruned.effects, tol)
-    w = dec.eigenvalues
+    effects = hermitian_part(pruned.effects, tol)
+    w = np.linalg.eigvalsh(effects)
+    report = pair_independence(effects, w, tol)
     ranks = np.count_nonzero(np.abs(w) > rank_cutoff(w, tol), axis=1)  # the rank_of rule
     w, ranks = w[ranks > 0], ranks[ranks > 0]
     projection = np.linalg.norm(w * w - w, axis=1) <= tol.recon_tol  # = |E^2 - E|_F
     rank1 = bool(np.all(ranks == 1))
     pvm = bool(np.all(projection))
-    report = pair_independence(dec, tol)
     if not report.extremal:
         label = NOT_EXTREMAL
     elif rank1:

@@ -4,10 +4,13 @@ One eigensolve per effect in Python loops, pair operators by
 ``np.outer``, a full-matrix independence test, and the effect-by-effect
 validator: the computations ``classify``, ``extremality_report``,
 ``spectral_form``, ``spectral_relabel`` and ``validate`` made before they
-were batched.  Likewise one ``relabel`` and one distribution per
-certificate component: what ``reconstruction`` and
-``statistics_equivalence`` computed before they became one relabeling of
-the joint POVM.  The batched code is checked against these.
+were batched.  ``extremality_report`` here keeps the complex SVD of the
+pair operators v_k v_l^H, which are not Hermitian for k != l; the library
+tests their isometric image in real Hermitian coordinates instead.
+Likewise one ``relabel`` and one distribution per certificate component:
+what ``reconstruction`` and ``statistics_equivalence`` computed before
+they became one relabeling of the joint POVM.  The batched code is
+checked against these.
 """
 
 import numpy as np

@@ -14,7 +14,7 @@ from povm_forge import (
     rank_of,
     type_d_example,
 )
-from povm_forge.linalg import hermitian_coords, normalize_sum
+from povm_forge.linalg import hermitian_coords, normalize_sum, unit_hermitian_basis
 from povm_forge.errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -213,6 +213,13 @@ class TestHermitianCoords:
         assert np.array_equal(hermitian_coords(np.eye(3)), [1, 1, 1, 0, 0, 0, 0, 0, 0])
         stack = np.stack([SX, SZ, EYE2]).reshape(3, 1, 2, 2)
         assert np.array_equal(hermitian_coords(stack)[:, 0], hermitian_coords(stack[:, 0]))
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_unit_basis_has_the_unit_vectors_as_coordinates(self, r):
+        basis = unit_hermitian_basis(r)
+        assert basis.shape == (r * r, r, r) and not basis.flags.writeable
+        assert np.array_equal(basis, basis.conj().swapaxes(1, 2))
+        np.testing.assert_allclose(hermitian_coords(basis), np.eye(r * r), rtol=0, atol=1e-15)
 
 
 class TestLinearlyIndependent:

@@ -15,6 +15,7 @@ from povm_forge import (
     NOT_EXTREMAL,
     Povm,
     classify,
+    construct_extremal_rank1,
     eig_herm,
     extremality_report,
     is_extremal_rank1,
@@ -116,6 +117,95 @@ def test_spectral_form_and_relabel_match_per_effect_reference(p):
     pieces, sources = per_effect.spectral_relabel(p)
     assert np.array_equal(rmap.targets, sources)
     np.testing.assert_allclose(rank1.effects, pieces, rtol=0, atol=1e-12)
+
+
+def block_pvm(d, blocks, rng):
+    """PVM of ``blocks`` rank-d/blocks projections onto a random basis."""
+    u = random_unitary(d, rng)
+    cols = np.split(u, blocks, axis=1)
+    return Povm(np.stack([c @ c.conj().T for c in cols]))
+
+
+WIDE_CASES = (
+    [("rank1", d) for d in range(8, 13)]
+    + [("block_pvm", d) for d in (8, 12, 16, 20)]
+    + [("full", 20), ("type_d", 4)]
+)
+
+
+@pytest.mark.parametrize("kind, d", WIDE_CASES)
+def test_classify_and_report_match_per_effect_reference_at_wide_sizes(kind, d):
+    rng = np.random.default_rng([d, len(kind)])
+    if kind == "rank1":
+        p = random_povm(d, d * d, seed=100 + d, rank=1)
+    elif kind == "block_pvm":
+        p = block_pvm(d, 4, rng)
+    elif kind == "full":
+        p = random_povm(d, 3, seed=100 + d)
+    else:  # rotated
+        u = random_unitary(d, rng)
+        p = Povm(u @ type_d_example().effects @ u.conj().T)
+    got, want = classify(p), per_effect.classify(p)
+    assert (got.extremal_type, got.is_rank1, got.is_pvm, got.rank_profile) == (
+        want.extremal_type,
+        want.is_rank1,
+        want.is_pvm,
+        want.rank_profile,
+    )
+    assert_reports_agree(got.extremality, want.extremality)
+    assert_reports_agree(extremality_report(p), want.extremality)
+
+
+def test_eigh_only_for_rank_two_and_up_and_one_real_svd(monkeypatch):
+    calls = {"eigh": 0, "svd": []}
+    eigh, svd = np.linalg.eigh, np.linalg.svd
+
+    def counted_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def counted_svd(a, *args, **kwargs):
+        calls["svd"].append(np.asarray(a).dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    cases = [
+        (random_povm(4, 16, seed=5, rank=1), 0, [np.float64]),
+        (random_povm(3, 3, seed=0), 0, []),  # sum of rank^2 = 27 > 9
+        (type_d_example(), 1, [np.float64]),
+    ]
+    for p, eigh_calls, svd_dtypes in cases:
+        for analysis in (classify, extremality_report):
+            calls["eigh"], calls["svd"] = 0, []
+            analysis(p)
+            assert (calls["eigh"], calls["svd"]) == (eigh_calls, svd_dtypes)
+
+
+rank1_cases = st.one_of(
+    st.builds(
+        make_povm,
+        st.sampled_from(("rank1_square", "rank1_below")),
+        st.integers(2, 4),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 2),
+    ),
+    st.integers(2, 4).flatmap(
+        lambda d: st.integers(d, d * d).map(lambda n: construct_extremal_rank1(d, n))
+    ),
+)
+
+
+@given(rank1_cases, st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_type_a_exactly_when_extremal_rank1(p, split):
+    if split:  # effect E becomes E/2 twice: a dependent pair
+        j = int(np.argmax(p.effect_norms()))
+        half = p.effects[j] / 2
+        p = Povm(np.concatenate([p.effects[:j], [half, half], p.effects[j + 1:]]))
+    extremal = is_extremal_rank1(p)
+    assert (classify(p).extremal_type == "a") == extremal
+    assert extremal != split
 
 
 def test_stacked_eig_herm_matches_one_matrix_at_a_time():
