@@ -29,23 +29,19 @@ from .decomposer import (
 from .errors import PovmForgeError
 from .extremality import (
     ExtremalityReport,
-    MixtureSplit,
     SpectralForm,
     extremality_report,
     is_extremal,
     is_extremal_rank1,
     spectral_form,
-    split_mixture,
 )
 from .linalg import (
     DEFAULT_TOL,
-    IndependenceResult,
     SpectralDecomposition,
     ToleranceConfig,
     eig_herm,
     hermitian_basis,
     inv_sqrt,
-    linearly_independent,
     rank_of,
 )
 from .povm import (
@@ -73,9 +69,7 @@ __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
     "SpectralDecomposition",
-    "IndependenceResult",
     "SpectralForm",
-    "MixtureSplit",
     "ExtremalityReport",
     "DecompositionCertificate",
     "CertificateComponent",
@@ -87,7 +81,6 @@ __all__ = [
     "eig_herm",
     "rank_of",
     "inv_sqrt",
-    "linearly_independent",
     "violations",
     "validate",
     "prune_zero_effects",
@@ -100,7 +93,6 @@ __all__ = [
     "extremality_report",
     "is_extremal",
     "is_extremal_rank1",
-    "split_mixture",
     "decompose",
     "extremal_to_rank1",
     "verify_certificate",

@@ -72,18 +72,6 @@ class NotRank1Error(PovmForgeError):
     """A POVM required to be rank-1 has a nonzero effect of rank != 1."""
 
 
-class NotADependenceError(PovmForgeError):
-    """A claimed linear dependence does not annihilate the effects within tolerance."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
-
-class DegenerateDependenceError(PovmForgeError):
-    """A dependence vector lacks a positive or a negative entry."""
-
-
 class NotExtremalError(PovmForgeError):
     """The input POVM is not extremal."""
 

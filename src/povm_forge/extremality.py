@@ -1,4 +1,4 @@
-"""Extremality tests and the constructive mixture split.
+"""Extremality tests.
 
 A POVM is extremal in the convex set of POVMs iff, writing each nonzero
 effect as a sum of outer products of nonzero mutually orthogonal vectors
@@ -11,11 +11,6 @@ whose Hermitian members have d^2 real coordinates
 (``linalg.hermitian_coords``), so the test is one real SVD: a rank-1
 effect enters as itself, unit-normalized, and only effects of rank >= 2
 need eigenvectors.  One ``eigvalsh`` of the effects gives every rank.
-
-When the nonzero effects are linearly dependent, ``split_mixture`` turns
-any dependence vector into two distinct POVMs whose convex combination
-reconstructs the input, each with strictly fewer nonzero effects.  The
-decomposer walks the same null directions, but in coefficient space.
 """
 
 from __future__ import annotations
@@ -26,10 +21,8 @@ import numpy as np
 
 from .errors import (
     AllZeroError,
-    DegenerateDependenceError,
     EmptyInputError,
     NonFiniteError,
-    NotADependenceError,
     NotExtremalRank1Error,
     NotHermitianError,
     NotNormalizedError,
@@ -46,15 +39,13 @@ from .linalg import (
     hermitian_deviation,
     hermitian_part,
     independence_margin,
-    linearly_independent,
     rank_cutoff,
     unit_hermitian_basis,
 )
-from .povm import Povm, prune_zero_effects, validate
+from .povm import Povm, prune_zero_effects
 
 __all__ = [
     "SpectralForm",
-    "MixtureSplit",
     "ExtremalityReport",
     "spectral_form",
     "extremality_report",
@@ -62,8 +53,6 @@ __all__ = [
     "is_extremal",
     "is_extremal_rank1",
     "rank1_failures",
-    "find_effect_dependence",
-    "split_mixture",
 ]
 
 
@@ -85,24 +74,6 @@ class SpectralForm:
     def reconstruct(self, j: int) -> np.ndarray:
         block = self.vectors[j]
         return block.T @ block.conj()
-
-    def pair_operators(self) -> list[np.ndarray]:
-        """All |psi_k(j)><psi_l(j)| with k, l within each outcome j."""
-        ops = []
-        for block in self.vectors:
-            n, d = block.shape
-            ops.extend(np.einsum("ki,lj->klij", block, block.conj()).reshape(n * n, d, d))
-        return ops
-
-
-@dataclass(frozen=True)
-class MixtureSplit:
-    """Proper two-term mixture t*left + (1-t)*right of a source POVM."""
-
-    left: Povm
-    right: Povm
-    weight: float
-    dependence: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -309,85 +280,3 @@ def rank1_failures(
                 f"its {m} nonzero effects are linearly dependent (d^2 = {d * d})"
             )
     return failures
-
-
-def find_effect_dependence(
-    p: Povm, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray | None:
-    """Unit-norm real dependence among the effects, or None if independent.
-
-    Expects a POVM without zero effects (prune first).  The test runs on
-    unit-normalized effects and the dependence is mapped back through
-    the norms, so the returned vector annihilates the raw effects and is
-    suitable for :func:`split_mixture`.
-    """
-    norms = p.effect_norms()
-    result = linearly_independent(list(p.effects / norms[:, None, None]), tol)
-    if result.independent:
-        return None
-    lam = result.null_vector / norms
-    lam = lam / np.linalg.norm(lam)
-    pivot = lam[np.argmax(np.abs(lam))]
-    if pivot < 0.0:
-        lam = -lam
-    lam.setflags(write=False)
-    return lam
-
-
-def split_mixture(
-    p: Povm, lam, tol: ToleranceConfig = DEFAULT_TOL
-) -> MixtureSplit:
-    """Split a POVM with linearly dependent effects into a proper mixture.
-
-    Given real coefficients with ``sum_j lam[j] * p[j] ~ 0``, let i+ and
-    i- index the largest and smallest coefficients (ties to the lowest
-    index).  Then
-
-        left[j]  = (1 - lam[j]/lam[i+]) * p[j],   left[i+]  = 0,
-        right[j] = (1 - lam[j]/lam[i-]) * p[j],   right[i-] = 0,
-        t = lam[i+] / (lam[i+] - lam[i-]),
-
-    and ``t*left + (1-t)*right`` reconstructs ``p`` exactly.  Both
-    outputs are valid POVMs with at least one fewer nonzero effect, and
-    only depend on the ray of ``lam`` (it is normalized internally).
-    """
-    lam = np.asarray(lam)
-    if np.iscomplexobj(lam):
-        if float(np.max(np.abs(lam.imag))) > tol.recon_tol:
-            raise NotADependenceError("dependence coefficients must be real")
-        lam = lam.real
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != (p.n_outcomes,):
-        raise NotADependenceError(
-            f"dependence must have {p.n_outcomes} entries, got shape {lam.shape}"
-        )
-    norm = float(np.linalg.norm(lam))
-    if norm == 0.0:
-        raise DegenerateDependenceError("dependence vector is zero")
-    lam = lam / norm
-    residual = float(np.linalg.norm(np.tensordot(lam, p.effects, axes=1)))
-    if residual > tol.recon_tol:
-        raise NotADependenceError(
-            f"coefficients do not annihilate the effects: residual {residual:.3e} "
-            f"(recon_tol = {tol.recon_tol:.3e})",
-            residual=residual,
-        )
-    i_pos = int(np.argmax(lam))
-    i_neg = int(np.argmin(lam))
-    if lam[i_pos] <= 0.0 or lam[i_neg] >= 0.0:
-        raise DegenerateDependenceError(
-            "a dependence among nonzero PSD effects needs both positive and "
-            "negative coefficients"
-        )
-    left = (1.0 - lam / lam[i_pos])[:, None, None] * p.effects
-    left[i_pos] = 0.0
-    right = (1.0 - lam / lam[i_neg])[:, None, None] * p.effects
-    right[i_neg] = 0.0
-    weight = float(lam[i_pos] / (lam[i_pos] - lam[i_neg]))
-    lam.setflags(write=False)
-    return MixtureSplit(
-        left=validate(Povm(left), tol),
-        right=validate(Povm(right), tol),
-        weight=weight,
-        dependence=lam,
-    )

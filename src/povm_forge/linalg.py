@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (
     BadDimensionError,
     DimensionMismatchError,
-    EmptyInputError,
     NotHermitianError,
     NotPositiveDefiniteError,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
     "SpectralDecomposition",
-    "IndependenceResult",
     "eig_herm",
     "rank_of",
     "inv_sqrt",
@@ -42,13 +40,13 @@ __all__ = [
     "independence_cutoff",
     "banded_verdict",
     "independence_margin",
-    "linearly_independent",
 ]
 
 # Verdicts require a margin clear of the independence cutoff by this
 # factor on either side; inside the band the verdict is "dependent"
-# with the borderline flag set (a false split is caught by
-# reconstruction checks, a false "extremal" would not be).  A constant, not a
+# with the borderline flag set.  Such a set is reported not extremal and
+# flagged, and a certificate component inside the band fails
+# ``verify_certificate``; a wrong "extremal" would pass unnoticed.  A constant, not a
 # ToleranceConfig field: the band already scales with indep_tol under
 # ``scaled()``, and a field would be a setting that no caller changes.
 _BORDERLINE_FACTOR = 2.0
@@ -299,75 +297,3 @@ def independence_margin(rows: np.ndarray) -> np.ndarray:
     """Smallest-to-largest singular-value ratio of K <= n rows, per (..., K, n) stack; one SVD."""
     s = np.linalg.svd(rows, compute_uv=False)
     return s[..., -1] / s[..., 0]
-
-
-
-@dataclass(frozen=True)
-class IndependenceResult:
-    """Outcome of a linear-independence test over complex scalars.
-
-    ``margin`` is the smallest-to-largest singular-value ratio of the
-    stacked vectorized operators (0.0 when there are more operators than
-    the ambient dimension d^2 allows).  ``null_vector`` is a unit-norm
-    dependence vector, populated only when the set is dependent; it has
-    real entries whenever all input operators are Hermitian.
-    """
-
-    independent: bool
-    null_vector: np.ndarray | None
-    margin: float
-
-    def __bool__(self) -> bool:
-        return self.independent
-
-
-def _canonical_sign(vec: np.ndarray) -> np.ndarray:
-    """Scale a vector so its largest-magnitude entry is real positive."""
-    pivot = vec[np.argmax(np.abs(vec))]
-    if abs(pivot) == 0.0:
-        return vec
-    return vec * (pivot.conjugate() / abs(pivot))
-
-
-def linearly_independent(ops, tol: ToleranceConfig = DEFAULT_TOL) -> IndependenceResult:
-    """Test a list of same-dimension matrices for linear independence.
-
-    The matrices are vectorized into the columns of a d^2 x K matrix and
-    declared independent iff :func:`banded_verdict` of its smallest-to-largest
-    singular-value ratio says so.  When dependent, the right-singular
-    direction of the smallest singular value is returned as a unit-norm
-    dependence vector; for all-Hermitian inputs it is projected onto real
-    coefficients (a real dependence exists whenever a complex one does).
-    """
-    mats = [np.asarray(op, dtype=np.complex128) for op in ops]
-    if not mats:
-        raise EmptyInputError("independence test requires at least one operator")
-    d = mats[0].shape[0] if mats[0].ndim == 2 else -1
-    for a in mats:
-        if a.ndim != 2 or a.shape != (d, d):
-            raise DimensionMismatchError(
-                f"all operators must be {d}x{d}, got shape {a.shape}"
-            )
-    k = len(mats)
-    stack = np.stack(mats)
-    # vh has null rows beyond the first d^2 only when K > d^2
-    _, s, vh = np.linalg.svd(stack.reshape(k, d * d).T, full_matrices=k > d * d)
-    s_max = float(s[0]) if s.size else 0.0
-    if s_max == 0.0:
-        # All operators are exactly zero; any unit vector is a dependence.
-        null = np.zeros(k)
-        null[0] = 1.0
-        return IndependenceResult(independent=False, null_vector=null, margin=0.0)
-    smallest = float(s[k - 1]) if k <= s.size else 0.0
-    margin = smallest / s_max
-    if banded_verdict(margin, tol)[0]:
-        return IndependenceResult(independent=True, null_vector=None, margin=margin)
-
-    null = vh[-1, :].conj()
-    if np.all(hermitian_deviation(stack) <= tol.herm_tol):
-        real_part, imag_part = null.real, null.imag
-        null = real_part if np.linalg.norm(real_part) >= np.linalg.norm(imag_part) else imag_part
-        null = null / np.linalg.norm(null)
-    null = _canonical_sign(null)
-    null.setflags(write=False)
-    return IndependenceResult(independent=False, null_vector=null, margin=margin)

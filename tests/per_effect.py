@@ -15,13 +15,13 @@ checked against these.
 
 import numpy as np
 
+from split_tree import find_effect_dependence, linearly_independent
 from povm_forge import (
     DEFAULT_TOL,
     NOT_EXTREMAL,
     ExtremalityReport,
     PovmClass,
     eig_herm,
-    linearly_independent,
     outcome_probabilities,
     prune_zero_effects,
     random_density_matrix,
@@ -30,7 +30,6 @@ from povm_forge import (
     spectral_form,
 )
 from povm_forge.errors import NotHermitianError, NotPSDError
-from povm_forge.extremality import find_effect_dependence
 from povm_forge.linalg import banded_verdict
 
 
@@ -73,7 +72,7 @@ def outer_pair_operators(blocks):
 def extremality_report(p, tol=DEFAULT_TOL):
     """Scale-free full-SVD independence test of the public pair operators."""
     pruned, _ = prune_zero_effects(p, tol)
-    ops = spectral_form(pruned, tol).pair_operators()
+    ops = outer_pair_operators(spectral_form(pruned, tol).vectors)
     result = linearly_independent([op / np.linalg.norm(op) for op in ops], tol)
     extremal, borderline = banded_verdict(result.margin, tol)
     return ExtremalityReport(extremal, borderline, result.margin, len(ops))

@@ -11,7 +11,9 @@ import pytest
 
 from conftest import EYE2, SZ, random_mixed_rank_pvm, sigma_x_pvm
 from rational_rank import exact_independent
+from split_tree import find_effect_dependence, split_mixture
 from povm_forge import (
+    DEFAULT_TOL,
     classify,
     construct_extremal_rank1,
     decompose,
@@ -19,20 +21,18 @@ from povm_forge import (
     extremal_to_rank1,
     is_extremal,
     is_extremal_rank1,
-    linearly_independent,
     mix,
     prune_zero_effects,
     qubit_example,
     random_povm,
     rank_of,
     spectral_relabel,
-    split_mixture,
     statistics_equivalence,
     type_d_example,
     validate,
     verify_certificate,
 )
-from povm_forge.extremality import find_effect_dependence
+from povm_forge.linalg import banded_verdict, hermitian_coords, independence_margin
 
 CORPUS_COMBOS = [(d, n) for d in (2, 3, 4) for n in range(2, 7)]
 
@@ -260,10 +260,21 @@ def test_statistics_equivalence(corpus_certificates):
     )
 
 
+def _independent(rows) -> bool:
+    """The rule behind every library verdict: K <= n rows and a margin clear of the band."""
+    k, n = rows.shape
+    return k <= n and bool(banded_verdict(independence_margin(rows), DEFAULT_TOL)[0])
+
+
 def test_independence_oracle_agreement():
-    """Numerical independence matches exact rational elimination, 100/100."""
+    """Numerical independence matches exact rational elimination, 100/100 on each corpus.
+
+    The first corpus is complex integer matrices, vectorized; the second is
+    Hermitian integer matrices in the real coordinates every library
+    independence SVD reads.
+    """
     rng = np.random.default_rng(314)
-    agreements = 0
+    agreements = wide = 0
     for _ in range(100):
         d = int(rng.integers(2, 4))
         k = int(rng.integers(1, 10))
@@ -274,7 +285,32 @@ def test_independence_oracle_agreement():
         if rng.random() < 0.5 and k >= 2:
             coeffs = rng.integers(-2, 3, k - 1)
             ops[-1] = sum(int(c) * op for c, op in zip(coeffs, ops[:-1]))
-        if linearly_independent(ops).independent == exact_independent(ops):
-            agreements += 1
-    _report("independence oracle agreement", agreements == 100, f"{agreements}/100 cases agree")
+        agreements += _independent(np.reshape(ops, (k, d * d))) == exact_independent(ops)
+        wide += k > d * d
+    _report(
+        "independence oracle agreement",
+        agreements == 100,
+        f"{agreements}/100 cases agree ({wide} with K > d^2)",
+    )
+    assert agreements == 100
+
+    rng = np.random.default_rng(2718)
+    agreements = dependent = wide = 0
+    for _ in range(100):
+        d = int(rng.integers(2, 4))
+        k = int(rng.integers(1, d * d + 3))
+        a = rng.integers(-3, 4, (k, d, d)) + 1j * rng.integers(-3, 4, (k, d, d))
+        ops = a + a.conj().swapaxes(1, 2)
+        if rng.random() < 0.5 and k >= 2:
+            coeffs = rng.integers(-2, 3, k - 1)
+            ops[-1] = np.tensordot(coeffs, ops[:-1], axes=1)
+        exact = exact_independent(ops)
+        agreements += _independent(hermitian_coords(ops)) == exact
+        dependent += not exact
+        wide += k > d * d
+    _report(
+        "independence oracle agreement, Hermitian coordinates",
+        agreements == 100,
+        f"{agreements}/100 cases agree ({dependent} dependent, {wide} with K > d^2)",
+    )
     assert agreements == 100

@@ -1,7 +1,9 @@
-"""The public surface: every exported name exists."""
+"""The public surface: every exported name exists, and no module imports a name it never uses."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import povm_forge
 
@@ -15,3 +17,44 @@ def test_every_name_in_all_resolves():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def _quoted_annotation_names(tree):
+    """Names read by annotations written as strings, such as ``-> "ToleranceConfig"``."""
+    names = set()
+    for node in ast.walk(tree):
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                parsed = ast.parse(note.value, mode="eval")
+                names |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every imported name is read somewhere in its module or listed in ``__all__``.
+
+    ``__init__`` re-exports and ``__main__`` runs the CLI, so both are left out.
+    """
+    unused = []
+    for path in sorted(Path(povm_forge.__file__).parent.glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= _quoted_annotation_names(tree)
+        used |= {
+            element.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for element in node.value.elts
+        }
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert not unused, unused

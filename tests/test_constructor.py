@@ -3,6 +3,7 @@ import pytest
 
 from conftest import EYE2, SX, SZ, sigma_x_pvm
 from rational_rank import exact_independent
+from split_tree import linearly_independent
 from povm_forge import (
     DEFAULT_TOL,
     Povm,
@@ -13,7 +14,6 @@ from povm_forge import (
     hermitian_basis,
     is_extremal,
     is_extremal_rank1,
-    linearly_independent,
     onb_pvm,
     random_povm,
     rank_of,

@@ -9,28 +9,29 @@ from conftest import (
     sigma_z_pvm,
 )
 from rational_rank import exact_independent
+from split_tree import (
+    DegenerateDependenceError,
+    NotADependenceError,
+    find_effect_dependence,
+    linearly_independent,
+    split_mixture,
+)
 from povm_forge import (
     DEFAULT_TOL,
+    NOT_EXTREMAL,
     Povm,
+    classify,
     extremality_report,
     is_extremal,
     is_extremal_rank1,
-    linearly_independent,
     mix,
     onb_pvm,
     prune_zero_effects,
     random_povm,
     spectral_form,
-    split_mixture,
     type_d_example,
 )
-from povm_forge.errors import (
-    AllZeroError,
-    DegenerateDependenceError,
-    NotADependenceError,
-    NotRank1Error,
-)
-from povm_forge.extremality import find_effect_dependence
+from povm_forge.errors import AllZeroError, NotRank1Error
 from povm_forge.linalg import banded_verdict
 
 
@@ -141,6 +142,10 @@ class TestIsExtremalRank1:
         assert not result.independent
         assert find_effect_dependence(p) is not None
         assert not is_extremal_rank1(p)
+        report = extremality_report(p)
+        assert (report.extremal, report.borderline) == (False, True)
+        verdict = classify(p)
+        assert verdict.extremal_type == NOT_EXTREMAL and verdict.extremality.borderline
 
     def test_agrees_with_general_test_on_rank1(self):
         disagreements = 0

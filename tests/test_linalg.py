@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EYE2, SX, SZ
+from per_effect import outer_pair_operators
 from rational_rank import exact_independent
+from split_tree import linearly_independent
 from povm_forge import (
     DEFAULT_TOL,
     ToleranceConfig,
     eig_herm,
     inv_sqrt,
-    linearly_independent,
     rank_of,
     type_d_example,
 )
@@ -239,7 +240,7 @@ class TestLinearlyIndependent:
         from povm_forge import spectral_form
 
         form = spectral_form(type_d_example())
-        ops = form.pair_operators()
+        ops = outer_pair_operators(form.vectors)
         assert len(ops) == 12
         assert linearly_independent(ops).independent
 
