@@ -322,8 +322,10 @@ class VerificationReport:
     verdict per component: True iff it is a POVM (every effect within
     [0, I], the sum I within recon_tol) of rank-1, linearly independent
     nonzero effects.  Each False comes with a failure line that gives the
-    reason, from :func:`rank1_failures`: not finite, not Hermitian, all
-    zero, not rank-1, not a POVM, or dependent.
+    first reason, from :func:`rank1_failures`: not finite, all zero, not
+    Hermitian, all of rank 0, not rank-1, outside [0, I], not summing to
+    I, or dependent.  The non-finite, Hermitian, [0, I] and sum reasons
+    are the component's :func:`violations` messages.
     """
 
     weight_sum_residual: float

@@ -21,12 +21,11 @@ import numpy as np
 
 from .errors import (
     AllZeroError,
+    DimensionMismatchError,
     EmptyInputError,
     NonFiniteError,
     NotExtremalRank1Error,
     NotHermitianError,
-    NotNormalizedError,
-    NotPSDError,
     NotRank1Error,
     PovmForgeError,
 )
@@ -42,7 +41,7 @@ from .linalg import (
     rank_cutoff,
     unit_hermitian_basis,
 )
-from .povm import Povm, prune_zero_effects
+from .povm import Povm, prune_zero_effects, violations
 
 __all__ = [
     "SpectralForm",
@@ -169,9 +168,9 @@ def is_extremal(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 def is_extremal_rank1(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff ``p`` is an extremal rank-1 POVM: :func:`rank1_failures` of one POVM.
 
-    Raises ``NonFiniteError``, ``AllZeroError``, ``NotHermitianError`` or
-    ``NotRank1Error`` where the test cannot apply; a POVM check or a
-    dependence makes it False.
+    Raises ``NonFiniteError`` or ``NotHermitianError`` (as :func:`violations`
+    words them), ``AllZeroError`` or ``NotRank1Error`` where the test cannot
+    apply; an effect outside [0, I], a sum off I or a dependence makes it False.
     """
     failure = rank1_failures(p.effects, [p.n_outcomes], tol)[0]
     if isinstance(failure, (NonFiniteError, AllZeroError, NotHermitianError, NotRank1Error)):
@@ -185,87 +184,71 @@ def rank1_failures(
     """Why each POVM of a ragged stack is not an extremal rank-1 POVM; None where it is.
 
     ``effects`` concatenates the (n_i, d, d) effect stacks of the POVMs and
-    ``sizes`` lists each n_i >= 1.  Zero effects (norm <= zero_effect_tol) and
+    ``sizes`` lists the integers n_i >= 1, at least one, summing to len(effects)
+    (else ``DimensionMismatchError``).  Zero effects (norm <= zero_effect_tol) and
     rank-0 ones (no eigenvalue above the rank cutoff) do not count as nonzero.
-    Each POVM gets its first failure in this order: a non-finite entry
-    (``NonFiniteError``); no nonzero effect (``AllZeroError``); a nonzero effect
-    not Hermitian (``NotHermitianError``) or of rank > 1 (``NotRank1Error``);
-    then, as a POVM, an effect outside [-psd_tol, 1 + psd_tol] (``NotPSDError``)
-    or a sum off I by more than recon_tol (``NotNormalizedError``); last, the
+    Each POVM gets its first failure in this order: a non-finite entry; no
+    nonzero effect (``AllZeroError``); a nonzero effect not Hermitian; every
+    nonzero effect of rank 0 (``AllZeroError``); one of rank > 1
+    (``NotRank1Error``); an effect outside [0, I]; a sum off I; last, the
     unit-normalized nonzero effects linearly dependent under the banded rule
-    (``NotExtremalRank1Error``; more than d^2 always are).
+    (``NotExtremalRank1Error``; more than d^2 always are).  The non-finite,
+    Hermitian, [0, I] and sum failures are the POVM's first :func:`violations`
+    of that kind, worded as ``validate`` words them.
 
     One Hermitian check, one ``eigvalsh`` and one ``np.add.reduceat`` cover the
-    stack; each group of POVMs with equally many nonzero effects gets one SVD.
+    stack and flag the POVMs that may fail a check before the dependence test;
+    only those are judged one by one.  Each group of POVMs with equally many
+    nonzero effects gets one SVD.
     """
     effects = np.asarray(effects, dtype=np.complex128)
     sizes = np.asarray(sizes)
+    valid = sizes.dtype.kind in "iu" and sizes.ndim == 1 and sizes.size and (sizes >= 1).all()
+    if not (valid and sizes.sum() == len(effects)):
+        raise DimensionMismatchError(
+            f"sizes {sizes.tolist()} must be integers >= 1 summing to the {len(effects)} effects"
+        )
     d = effects.shape[-1]
     starts = sizes.cumsum() - sizes
     finite = np.isfinite(effects).all(axis=(1, 2))
-    if not finite.all():  # eigvalsh cannot take NaN; those POVMs fail first anyway
-        effects = np.where(finite[:, None, None], effects, 0.0)
-    # every entry is finite from here on, so no comparison below meets a NaN
-    flat = effects.reshape(len(effects), -1).view(np.float64)  # no certificate-sized temporary
+    # eigvalsh cannot take NaN; those POVMs fail first anyway, judged on their own entries
+    clean = effects if finite.all() else np.where(finite[:, None, None], effects, 0.0)
+    flat = clean.reshape(len(clean), -1).view(np.float64)  # no certificate-sized temporary
     norms = np.sqrt(np.einsum("ki,ki->k", flat, flat))  # Frobenius norms
     nonzero = norms > tol.zero_effect_tol
-    skew = nonzero & (hermitian_deviation(effects) > tol.herm_tol)
-    w = np.linalg.eigvalsh(effects)
+    w = np.linalg.eigvalsh(clean)
     ranks = nonzero * (np.abs(w) > rank_cutoff(w, tol)).sum(axis=1)
+    skew = nonzero & (hermitian_deviation(clean) > tol.herm_tol)
     outside = (w[:, 0] < -tol.psd_tol) | (w[:, -1] > 1.0 + tol.psd_tol)
-    residuals = np.linalg.norm(np.add.reduceat(effects, starts) - np.eye(d), axis=(1, 2))
+    suspect = ~finite | skew | (ranks > 1) | outside
+    counts = np.add.reduceat(ranks > 0, starts, dtype=np.intp)
+    residuals = np.linalg.norm(np.add.reduceat(clean, starts) - np.eye(d), axis=(1, 2))
+    flagged = np.logical_or.reduceat(suspect, starts) | (counts == 0) | (residuals > tol.recon_tol)
 
-    # checks in failure order: the effects hitting each one, counted per POVM; a POVM fails
-    # check 1 (every effect zero) or 3 (every nonzero effect of rank 0) when none hits it
-    per_effect = np.array([~finite, nonzero, skew, ranks > 0, ranks > 1, outside])
-    tally = np.add.reduceat(per_effect, starts, axis=1, dtype=np.intp)
-    failing = np.concatenate([tally > 0, [residuals > tol.recon_tol]])
-    failing[[1, 3]] ^= True
-
-    def first(check, i):  # the POVM's first effect that fails a per-effect check
-        return int(np.argmax(per_effect[check, starts[i]:starts[i] + sizes[i]]))
-
-    failed = failing.any(axis=0)
     failures: list[PovmForgeError | None] = [None] * sizes.size
-    for i in failed.nonzero()[0].tolist():
-        check = int(np.argmax(failing[:, i]))
-        if check == 0:
-            j = first(0, i)
-            failures[i] = NonFiniteError(f"effect {j} has a non-finite entry", outcome=j)
-        elif check == 1:
+    for i in np.flatnonzero(flagged).tolist():
+        part = slice(starts[i], starts[i] + sizes[i])
+        found = violations(Povm(effects[part]), tol)
+        kinds = [type(exc) for exc in found]
+        if NonFiniteError in kinds:
+            failures[i] = found[0]  # violations reports nothing else then
+        elif not nonzero[part].any():
             failures[i] = AllZeroError("every effect is numerically zero")
-        elif check == 2:
-            j = first(2, i)
-            failures[i] = NotHermitianError(
-                f"effect {j} deviates from Hermitian symmetry by "
-                f"{hermitian_deviation(effects[starts[i] + j]):.3e} "
-                f"(herm_tol = {tol.herm_tol:.3e})"
-            )
-        elif check == 3:
+        elif NotHermitianError in kinds:
+            failures[i] = found[kinds.index(NotHermitianError)]
+        elif counts[i] == 0:
             failures[i] = AllZeroError("no effect has an eigenvalue above the rank cutoff")
-        elif check == 4:
-            j = first(4, i)
-            failures[i] = NotRank1Error(
-                f"nonzero effect {j} has rank {ranks[starts[i] + j]}, expected 1"
-            )
-        elif check == 5:
-            j = first(5, i)
-            low, high = w[starts[i] + j, [0, -1]]
-            failures[i] = NotPSDError(
-                f"effect {j} has eigenvalues in [{low:.3e}, {high:.6g}], outside [0, 1]",
-                outcome=j,
-            )
-        else:
-            failures[i] = NotNormalizedError(
-                f"effects do not sum to the identity: normalization residual "
-                f"{residuals[i]:.3e} (recon_tol = {tol.recon_tol:.3e})",
-                residual=float(residuals[i]),
-            )
+        elif ranks[part].max() > 1:
+            j = int(np.argmax(ranks[part] > 1))
+            failures[i] = NotRank1Error(f"nonzero effect {j} has rank {ranks[part][j]}, expected 1")
+        elif found:
+            failures[i] = found[0]  # outside [0, I] effect by effect, then the sum
 
     # independence of the unit-normalized nonzero effects, so that small ones cannot pass for
-    # null directions: one SVD per group of POVMs with m of them (m > d^2: dependent)
-    counts, passed = tally[3], ~failed
-    coords = hermitian_coords(effects)
+    # null directions: one SVD per group of POVMs with m of them (m > d^2: dependent); a
+    # flagged POVM that no check fails (the two sums round differently) is judged here too
+    passed = np.array([failure is None for failure in failures])
+    coords = hermitian_coords(clean)
     for m in np.flatnonzero(np.bincount(counts[passed])).tolist():
         members = passed & (counts == m)
         if m <= d * d:

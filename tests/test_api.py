@@ -58,3 +58,27 @@ def test_no_module_imports_a_name_it_never_uses():
         }
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert not unused, unused
+
+
+def test_povm_failures_are_built_only_by_their_validators():
+    """``violations`` words every POVM failure; ``require_hermitian`` checks a bare matrix.
+
+    Any other module reports these failures by passing theirs on, so no second wording appears.
+    """
+    allowed = {
+        "NonFiniteError": {"povm.py"},
+        "NotPSDError": {"povm.py"},
+        "NotNormalizedError": {"povm.py"},
+        "NotHermitianError": {"povm.py", "linalg.py:require_hermitian"},
+    }
+    stray = []
+    for path in sorted(Path(povm_forge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:  # a call is placed by the module-level def or class holding it
+            places = {path.name, f"{path.name}:{getattr(top, 'name', '')}"}
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):  # X(...) or errors.X(...)
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in allowed and not places & allowed[name]:
+                        stray.append(f"{path.name}:{node.lineno}: {name}")
+    assert not stray, stray

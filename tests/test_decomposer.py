@@ -29,13 +29,18 @@ from povm_forge import (
     statistics_equivalence,
     validate,
     verify_certificate,
+    violations,
 )
 from povm_forge.errors import (
     DimensionMismatchError,
     EmptyInputError,
     MapSizeMismatchError,
     NonConvergenceError,
+    NonFiniteError,
     NotExtremalError,
+    NotHermitianError,
+    NotNormalizedError,
+    NotPSDError,
     OutOfRangeError,
     PovmForgeError,
 )
@@ -340,17 +345,23 @@ class TestVerifyCertificate:
     @pytest.mark.parametrize("d, n", [(8, 16), (3, 60), (2, 100)])
     def test_batched_verdicts_match_one_segment_calls(self, d, n):
         comps = decompose(random_povm(d, n, seed=1)).components
-        # and the same components spoiled: scaled off I, an effect of rank 2, two equal effects
+        # and the same components spoiled: scaled off I, an effect of rank 2, two equal effects,
+        # a NaN entry, a skew effect
         spoiled = []
         for i, comp in enumerate(comps):
             effects = np.array(comp.extremal.effects)
-            if i % 4 == 1:
+            if i % 6 == 1:
                 effects *= 1.5
-            elif i % 4 == 2:
+            elif i % 6 == 2:
                 effects[0] += effects[1]
-            elif i % 4 == 3:
+            elif i % 6 == 3:
                 effects = np.concatenate([effects[:1] / 2, effects[:1] / 2, effects[1:]])
+            elif i % 6 == 4:
+                effects[0, 0, 0] = np.nan
+            elif i % 6 == 5:
+                effects[0, 0, -1] += 1e-3
             spoiled.append(Povm(effects))
+        povm_checks = (NonFiniteError, NotHermitianError, NotPSDError, NotNormalizedError)
         for povms in ([c.extremal for c in comps], spoiled):
             batched = rank1_failures(
                 np.concatenate([p.effects for p in povms]), [p.n_outcomes for p in povms]
@@ -362,6 +373,9 @@ class TestVerifyCertificate:
                     assert type(failure) is type(exc)
                 else:
                     assert one == (failure is None)
+                if isinstance(failure, povm_checks):  # worded as validate words it
+                    same = [exc for exc in violations(p) if type(exc) is type(failure)]
+                    assert str(failure) == str(same[0])
         assert all(failure is None for failure in rank1_failures(
             np.concatenate([c.extremal.effects for c in comps]),
             [c.extremal.n_outcomes for c in comps],
