@@ -13,7 +13,7 @@ verification and measurement-statistics checks live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -32,12 +32,13 @@ from .linalg import (
     ToleranceConfig,
     hermitian_coords,
     independence_cutoff,
-    normalize_sum,
+    normalizer,
 )
 from .povm import (
     Povm,
     RelabelMap,
     _json_numbers,
+    _spectral_terms,
     prune_zero_effects,
     relabel,
     spectral_relabel,
@@ -102,18 +103,42 @@ class DecompositionCertificate:
     def _joint(self) -> tuple[Povm, RelabelMap]:
         """Joint POVM {weight_i * E_i[k]} over outcomes (i, k) and its map (i, k) -> f_i(k).
 
-        Built once per certificate; the rebuild check, verification and statistics share it.
+        Built once per certificate; the reconstruction and statistics share it.
         """
         return self._joint_pair
 
     @cached_property
+    def _component_effects(self) -> np.ndarray:
+        """The components' effect stacks, concatenated once and read-only.
+
+        The joint POVM is built from it, and :func:`verify_certificate` judges it.
+        """
+        effects = np.concatenate([comp.extremal.effects for comp in self.components])
+        effects.setflags(write=False)
+        return effects
+
+    @cached_property
     def _joint_pair(self) -> tuple[Povm, RelabelMap]:
-        effects = np.concatenate([comp.weight * comp.extremal.effects for comp in self.components])
+        weights = np.repeat(
+            [comp.weight for comp in self.components],
+            [comp.extremal.n_outcomes for comp in self.components],
+        )
         targets = np.concatenate([comp.relabel.targets for comp in self.components])
-        return Povm(effects), RelabelMap(targets.size, self.target.n_outcomes, targets)
+        return (
+            Povm(weights[:, None, None] * self._component_effects),
+            RelabelMap(targets.size, self.target.n_outcomes, targets),
+        )
 
     def reconstruction(self) -> np.ndarray:
-        """Effect stack of the weighted relabeled mixture."""
+        """Effect stack of the weighted relabeled mixture (read-only).
+
+        Built once per certificate, so that ``decompose``'s rebuild check and
+        :func:`verify_certificate` share one relabeling of the joint POVM.
+        """
+        return self._reconstruction
+
+    @cached_property
+    def _reconstruction(self) -> np.ndarray:
         return relabel(*self._joint()).effects
 
     def to_jsonable(self) -> dict:
@@ -155,16 +180,24 @@ class DecompositionCertificate:
 
 
 def _factor(columns: np.ndarray, tol: ToleranceConfig):
-    """Null basis of ``columns`` under the banded independence rule, and the rest of their SVD."""
-    u, s, vh = np.linalg.svd(columns, full_matrices=columns.shape[1] > columns.shape[0])
-    rank = int(np.count_nonzero(s > independence_cutoff(tol) * s[0]))
-    return vh[rank:].T, (u[:, :rank], s[:rank], vh[:rank])
+    """Null basis of ``columns`` under the banded independence rule, and a solver for them.
 
-
-def _solve(svd, rhs: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients of ``rhs`` in the columns factored by ``svd``."""
-    u, s, vh = svd
-    return vh.T @ ((u.T @ rhs) / s)
+    The solver maps a right-hand side to its least-squares coefficients in the
+    columns, null directions left out.  A square set that passes the rule has
+    no null basis and is its own solver (``np.linalg.solve``): it takes only
+    its singular values.  Any other set takes a full SVD, whose right singular
+    vectors past the rank are the null basis.
+    """
+    rows, size = columns.shape
+    cutoff = independence_cutoff(tol)
+    if size == rows:
+        s = np.linalg.svd(columns, compute_uv=False)
+        if s[-1] > cutoff * s[0]:
+            return np.empty((size, 0)), partial(np.linalg.solve, columns)
+    u, s, vh = np.linalg.svd(columns, full_matrices=size > rows)
+    rank = int(np.count_nonzero(s > cutoff * s[0]))
+    u, s, vh, null = u[:, :rank], s[:rank], vh[:rank], vh[rank:].T
+    return null, lambda rhs: vh.T @ ((u.T @ rhs) / s)
 
 
 def _shrink(x: np.ndarray, support: np.ndarray, null: np.ndarray, floor: float):
@@ -191,7 +224,7 @@ def _walk_to_vertex(columns, identity, x, support, null, floor, tol):
     """Vertex reached from ``x`` along null directions.
 
     Returns its support, its coefficients refit by least squares to sum
-    to I exactly (debris dropped), and the SVD of its columns.
+    to I exactly (debris dropped), and the solver of its columns.
     """
     x = x.copy()
     while True:
@@ -204,37 +237,51 @@ def _walk_to_vertex(columns, identity, x, support, null, floor, tol):
             x[support] += (ratios[j] if z[j] < 0.0 else -ratios[j]) * z
             x[support[j]] = 0.0
             support, null = _shrink(x, support, null, floor)
-        null, svd = _factor(columns[:, support], tol)
+        null, solve = _factor(columns[:, support], tol)
         if not null.shape[1]:
-            x[support] = _solve(svd, identity)
+            x[support] = solve(identity)
             size = support.size
             support, null = _shrink(x, support, null, floor)
             if support.size == size:
-                return support, x[support], svd
+                return support, x[support], solve
+
+
+def _normalized_terms(p: Povm, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Rank-1 terms |psi><psi| of the nonzero effects, made to sum to I, and their outcomes.
+
+    The effects are expanded once into term vectors psi (eigenvalues above the
+    rank cutoff); S^{-1/2} from :func:`normalizer`, S the sum of the retained
+    terms, is applied to each psi.
+    """
+    pruned, prune_map = prune_zero_effects(p, tol)
+    sources, psi = _spectral_terms(pruned.effects, tol)
+    psi = psi @ normalizer(psi.T @ psi.conj(), len(psi), tol).T
+    return psi[:, :, None] * psi.conj()[:, None, :], prune_map.targets[sources]
 
 
 def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCertificate:
     """Decompose a valid POVM into relabeled extremal rank-1 components.
 
-    The pruned effects are made to sum to I by :func:`normalize_sum`.  In the
-    coefficients x_j of their unit-normalized rank-1 terms E_j the target is
-    x_j = |E_j|.  Each step walks from x to a vertex v (a support that passes
-    the test of ``is_extremal_rank1``), refits v to sum to I exactly, emits the
-    largest share t of v in x and goes on with (x - t*v)/(1 - t); the null space
-    is factored once and updated as coordinates leave the support.  The E_j
-    enter as their d^2 :func:`hermitian_coords`.  Step N - rank + 1 (rank: the
-    real rank of the E_j), if reached, takes t = 1.  Every component is thus
-    what :func:`verify_certificate` asks of it: a POVM of rank-1, linearly
+    The nonzero effects are expanded once into rank-1 spectral terms, and the
+    retained terms are made to sum to I by one congruence of their vectors
+    (:func:`_normalized_terms`).  In the coefficients x_j of the unit-normalized
+    terms E_j the target is x_j = |E_j|.  Each step walks from x to a vertex v
+    (a support that passes the test of ``is_extremal_rank1``), refits v to sum
+    to I exactly, emits the largest share t of v in x and goes on with
+    (x - t*v)/(1 - t); the null space is factored once and updated as
+    coordinates leave the support.  The E_j enter as their d^2
+    :func:`hermitian_coords`.  Step N - rank + 1 (rank: the real rank of the
+    E_j), if reached, takes t = 1.  Every component is thus what
+    :func:`verify_certificate` asks of it: a POVM of rank-1, linearly
     independent effects.  ``NonConvergenceError`` means the mixture misses the
-    input: a refit vertex sums to I only beyond recon_tol, or the mixture is
-    off the input by more than recon_tol.
+    input: a refit vertex sums to I only beyond recon_tol, or the certificate's
+    reconstruction, built once and read again by :func:`verify_certificate`,
+    is off the input by more than recon_tol.
     """
     p = validate(p, tol)
-    pruned, prune_map = prune_zero_effects(p, tol)
-    root, spectral_map = spectral_relabel(Povm(normalize_sum(pruned.effects, tol)), tol)
-    targets = spectral_map.then(prune_map).targets
+    terms, targets = _normalized_terms(p, tol)
     dim = p.dim
-    columns = hermitian_coords(root.effects).T
+    columns = hermitian_coords(terms).T
     norms = np.linalg.norm(columns, axis=0)
     columns = columns / norms
     # Coefficients (effect norms) at or below this are numerical debris: a
@@ -245,15 +292,15 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
     identity = hermitian_coords(np.eye(dim))
     x = np.where(norms > floor, norms, 0.0)
     support = np.flatnonzero(x)
-    null, svd = _factor(columns[:, support], tol)
-    # The normalized effects sum to I, but the expansion dropped their terms below
-    # the rank cutoff: start from the nearest point that sums to I exactly.
-    x[support] += _solve(svd, identity - columns @ x)
+    null, solve = _factor(columns[:, support], tol)
+    # The terms sum to I, but not those the floor dropped: start from the
+    # nearest point that sums to I exactly.
+    x[support] += solve(identity - columns @ x)
     support, null = _shrink(x, support, null, floor)
     components: list[CertificateComponent] = []
     remaining = 1.0
     for steps_left in range(null.shape[1], -1, -1):  # the last step takes its vertex whole
-        vertex_support, vertex, svd = _walk_to_vertex(
+        vertex_support, vertex, solve = _walk_to_vertex(
             columns, identity, x, support, null, floor, tol
         )
         miss = float(np.linalg.norm(columns[:, vertex_support] @ vertex - identity))
@@ -270,7 +317,7 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
         components.append(
             CertificateComponent(
                 weight=remaining * t,
-                extremal=Povm(root.effects[vertex_support] * coefficients[:, None, None]),
+                extremal=Povm(terms[vertex_support] * coefficients[:, None, None]),
                 relabel=RelabelMap(vertex_support.size, p.n_outcomes, targets[vertex_support]),
             )
         )
@@ -281,7 +328,7 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
         # x - t*v, which would grow every rounding error by 1/(1 - t) a step.
         x[vertex_support] = 0.0
         x /= 1.0 - t
-        x[vertex_support] = _solve(svd, identity - columns @ x)
+        x[vertex_support] = solve(identity - columns @ x)
         x[vertex_support[j]] = 0.0
         remaining *= 1.0 - t
         support, null = _shrink(x, support, null, floor)
@@ -357,9 +404,7 @@ def verify_certificate(
         failures.append("target has a non-finite entry")
 
     component_failures = rank1_failures(
-        np.concatenate([comp.extremal.effects for comp in cert.components]),
-        [comp.extremal.n_outcomes for comp in cert.components],
-        tol,
+        cert._component_effects, [comp.extremal.n_outcomes for comp in cert.components], tol
     )
     for i, failure in enumerate(component_failures):
         if failure is not None:
@@ -382,13 +427,17 @@ def verify_certificate(
 
 
 def outcome_probabilities(p: Povm, rho: np.ndarray) -> np.ndarray:
-    """Outcome distributions q_j = tr(rho A(j)) of a state or a (..., d, d) stack of states."""
+    """Outcome distributions q_j = tr(rho A(j)) of a state or a (..., d, d) stack of states.
+
+    tr(rho A) = sum_ab rho[b, a] A[a, b]: one matmul of the flattened transposed
+    states against the flattened effects, which are reshaped without a copy.
+    """
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape[-2:] != (p.dim, p.dim):
-        raise DimensionMismatchError(
-            f"state must be {p.dim}x{p.dim}, got shape {rho.shape}"
-        )
-    return np.einsum("...ab,jba->...j", rho, p.effects, optimize=True).real
+    d = p.dim
+    if rho.shape[-2:] != (d, d):
+        raise DimensionMismatchError(f"state must be {d}x{d}, got shape {rho.shape}")
+    states = rho.swapaxes(-1, -2).reshape(*rho.shape[:-2], d * d)
+    return (states @ p.effects.reshape(p.n_outcomes, d * d).T).real
 
 
 def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:

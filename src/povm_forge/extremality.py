@@ -33,7 +33,6 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     banded_verdict,
-    eig_herm,
     hermitian_coords,
     hermitian_deviation,
     hermitian_part,
@@ -41,7 +40,7 @@ from .linalg import (
     rank_cutoff,
     unit_hermitian_basis,
 )
-from .povm import Povm, prune_zero_effects, violations
+from .povm import Povm, _spectral_terms, prune_zero_effects, violations
 
 __all__ = [
     "SpectralForm",
@@ -98,10 +97,7 @@ def spectral_form(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralForm:
     Callers interested in extremality should prune zero effects first;
     a zero effect is represented by an empty vector block.
     """
-    dec = eig_herm(p.effects, tol)
-    w = dec.eigenvalues
-    j, k = np.nonzero(w > rank_cutoff(w, tol))
-    rows = np.sqrt(w[j, k])[:, None] * dec.eigenvectors[j, :, k]
+    j, rows = _spectral_terms(p.effects, tol)
     rows.setflags(write=False)  # the blocks below are views
     blocks = np.split(rows, np.cumsum(np.bincount(j, minlength=p.n_outcomes))[:-1])
     return SpectralForm(vectors=tuple(blocks))
@@ -188,7 +184,7 @@ def rank1_failures(
     (else ``DimensionMismatchError``).  Zero effects (norm <= zero_effect_tol) and
     rank-0 ones (no eigenvalue above the rank cutoff) do not count as nonzero.
     Each POVM gets its first failure in this order: a non-finite entry; no
-    nonzero effect (``AllZeroError``); a nonzero effect not Hermitian; every
+    nonzero effect (``AllZeroError``); an effect not Hermitian; every
     nonzero effect of rank 0 (``AllZeroError``); one of rank > 1
     (``NotRank1Error``); an effect outside [0, I]; a sum off I; last, the
     unit-normalized nonzero effects linearly dependent under the banded rule
@@ -218,7 +214,7 @@ def rank1_failures(
     nonzero = norms > tol.zero_effect_tol
     w = np.linalg.eigvalsh(clean)
     ranks = nonzero * (np.abs(w) > rank_cutoff(w, tol)).sum(axis=1)
-    skew = nonzero & (hermitian_deviation(clean) > tol.herm_tol)
+    skew = hermitian_deviation(clean) > tol.herm_tol
     outside = (w[:, 0] < -tol.psd_tol) | (w[:, -1] > 1.0 + tol.psd_tol)
     suspect = ~finite | skew | (ranks > 1) | outside
     counts = np.add.reduceat(ranks > 0, starts, dtype=np.intp)

@@ -213,12 +213,19 @@ def inv_sqrt(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return (r + r.conj().T) / 2.0
 
 
-def normalize_sum(ops: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """S^{-1/2} ops S^{-1/2}, Hermitian-symmetrized: the one congruence making n ops sum to I.
+def normalizer(total: np.ndarray, count: int, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """S^{-1/2} for S the Hermitian part of ``total``, the sum of ``count`` operators.
 
-    S is the Hermitian part of sum(ops); each op may be herm_tol off Hermitian, S n times that.
+    The one congruence that makes operators sum to I: S^{-1/2} A S^{-1/2} for
+    each operator A, or S^{-1/2} psi for each vector psi when the operators are
+    |psi><psi|.  Each operator may be herm_tol off Hermitian, S ``count`` times that.
     """
-    root = inv_sqrt(ops.sum(axis=0), replace(tol, herm_tol=len(ops) * tol.herm_tol))
+    return inv_sqrt(total, replace(tol, herm_tol=count * tol.herm_tol))
+
+
+def normalize_sum(ops: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """S^{-1/2} ops S^{-1/2}, Hermitian-symmetrized, with S^{-1/2} from :func:`normalizer`."""
+    root = normalizer(ops.sum(axis=0), len(ops), tol)
     out = root @ ops @ root
     return (out + out.conj().swapaxes(-1, -2)) / 2.0
 

@@ -290,10 +290,14 @@ def prune_zero_effects(
     positions, so ``relabel(pruned, map)`` restores ``p`` (zeros placed
     at outcomes with empty preimage).
     """
-    bad = _non_finite(p)
+    flat = p.effects.reshape(p.n_outcomes, -1).view(np.float64)
+    norms = np.sqrt(np.einsum("ki,ki->k", flat, flat))  # Frobenius norms, no complex temporary
+    bad = _non_finite(p) if not np.isfinite(norms).all() else []  # NaN or Inf shows in its norm
     if bad:
         raise bad[0]
-    keep = np.flatnonzero(p.effect_norms() > tol.zero_effect_tol)
+    keep = np.flatnonzero(norms > tol.zero_effect_tol)
+    if keep.size == p.n_outcomes:
+        return p, RelabelMap.identity(p.n_outcomes)  # nothing to drop: no copy
     if keep.size == 0:
         raise AllZeroError("every effect is numerically zero")
     return Povm(p.effects[keep]), RelabelMap(keep.size, p.n_outcomes, keep)
@@ -346,12 +350,22 @@ def spectral_relabel(
     rank-1 POVM has at most N*d outcomes.
     """
     pruned, _ = prune_zero_effects(p, tol)
-    dec = eig_herm(pruned.effects, tol)
-    w = dec.eigenvalues
-    sources, k = np.nonzero(w > rank_cutoff(w, tol))  # row-major: (outcome, term)
-    v = dec.eigenvectors[sources, :, k]
-    pieces = w[sources, k][:, None, None] * (v[:, :, None] * v.conj()[:, None, :])
+    sources, psi = _spectral_terms(pruned.effects, tol)
+    pieces = psi[:, :, None] * psi.conj()[:, None, :]
     return Povm(pieces), RelabelMap(sources.size, pruned.n_outcomes, sources)
+
+
+def _spectral_terms(effects: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Term vectors psi = sqrt(lambda) v of a Hermitian effect stack, and the effect of each.
+
+    One term per eigenvalue above the rank cutoff, in row-major (effect,
+    term) order with :func:`eig_herm`'s descending eigenvalues, so that
+    effect j = sum of |psi><psi| over its terms up to the dropped ones.
+    """
+    dec = eig_herm(effects, tol)
+    w = dec.eigenvalues
+    sources, k = np.nonzero(w > rank_cutoff(w, tol))
+    return sources, np.sqrt(w[sources, k])[:, None] * dec.eigenvectors[sources, :, k]
 
 
 def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:

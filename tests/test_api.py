@@ -60,6 +60,22 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not unused, unused
 
 
+def _calls():
+    """(places, callee, "file:line") of every call in ``src``: X(...) or module.X(...).
+
+    A call is placed by its file and by the module-level def or class holding it,
+    as ``file`` and ``file:name``.
+    """
+    for path in sorted(Path(povm_forge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            places = {path.name, f"{path.name}:{getattr(top, 'name', '')}"}
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    yield places, name, f"{path.name}:{node.lineno}"
+
+
 def test_povm_failures_are_built_only_by_their_validators():
     """``violations`` words every POVM failure; ``require_hermitian`` checks a bare matrix.
 
@@ -71,14 +87,19 @@ def test_povm_failures_are_built_only_by_their_validators():
         "NotNormalizedError": {"povm.py"},
         "NotHermitianError": {"povm.py", "linalg.py:require_hermitian"},
     }
-    stray = []
-    for path in sorted(Path(povm_forge.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for top in tree.body:  # a call is placed by the module-level def or class holding it
-            places = {path.name, f"{path.name}:{getattr(top, 'name', '')}"}
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call):  # X(...) or errors.X(...)
-                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                    if name in allowed and not places & allowed[name]:
-                        stray.append(f"{path.name}:{node.lineno}: {name}")
+    stray = [
+        f"{where}: {name}"
+        for places, name, where in _calls()
+        if name in allowed and not places & allowed[name]
+    ]
+    assert not stray, stray
+
+
+def test_only_linalg_calls_inv_sqrt():
+    """The congruence that makes operators sum to I (``normalizer``) lives in ``linalg`` alone."""
+    stray = [
+        where
+        for places, name, where in _calls()
+        if name == "inv_sqrt" and "linalg.py" not in places
+    ]
     assert not stray, stray

@@ -44,8 +44,10 @@ from povm_forge.errors import (
     OutOfRangeError,
     PovmForgeError,
 )
-from povm_forge.decomposer import _random_states
+from povm_forge import decomposer
+from povm_forge.decomposer import _factor, _normalized_terms, _random_states
 from povm_forge.extremality import rank1_failures
+from povm_forge.linalg import independence_cutoff
 
 
 class TestDecompose:
@@ -94,6 +96,59 @@ class TestDecompose:
             p = random_povm(3, 4, seed)
             for comp in decompose(p).components:
                 assert 3 <= comp.extremal.n_outcomes <= 9
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("rank", [None, 1])
+    def test_normalized_terms_sum_to_identity(self, d, rank):
+        p = random_povm(d, d + 2, seed=d, rank=rank)
+        terms, targets = _normalized_terms(p, DEFAULT_TOL)
+        np.testing.assert_allclose(terms.sum(axis=0), np.eye(d), rtol=0, atol=1e-12)
+        merged = relabel(Povm(terms), RelabelMap(len(terms), p.n_outcomes, targets))
+        assert np.abs(merged.effects - p.effects).max() <= DEFAULT_TOL.recon_tol
+
+    def test_reconstruction_built_once(self, dependent4):
+        cert = decompose(dependent4)
+        assert cert.reconstruction() is cert.reconstruction()
+        assert not cert.reconstruction().flags.writeable
+
+    def test_verifier_reads_the_cached_component_effects(self, monkeypatch, dependent4):
+        cert = decompose(dependent4)
+        seen = []
+
+        def recording(effects, sizes, tol):
+            seen.append(effects)
+            return rank1_failures(effects, sizes, tol)
+
+        monkeypatch.setattr(decomposer, "rank1_failures", recording)
+        assert verify_certificate(cert).passed
+        assert len(seen) == 1 and seen[0] is cert._component_effects
+
+
+class TestFactor:
+    """The square path of ``_factor`` against the full SVD it stands in for."""
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0, 4.0])
+    @pytest.mark.parametrize("m, seed", [(4, 0), (9, 1), (16, 2), (64, 3)])
+    def test_square_sets_agree_with_the_full_svd(self, m, seed, k):
+        # one singular value scaled to a margin of k * indep_tol: below the cutoff
+        # 2 * indep_tol (dependent), at it, and above it (the square path)
+        rng = np.random.default_rng(seed)
+        u, s, vh = np.linalg.svd(rng.standard_normal((m, m)))
+        s /= s[0]
+        s[-1] = k * DEFAULT_TOL.indep_tol
+        columns = (u * s) @ vh
+        u, s, vh = np.linalg.svd(columns)
+        rank = int(np.count_nonzero(s > independence_cutoff(DEFAULT_TOL) * s[0]))
+        null, solve = _factor(columns, DEFAULT_TOL)
+        assert null.shape == (m, m - rank)
+        if rank < m:
+            np.testing.assert_array_equal(null, vh[rank:].T)
+        # a right-hand side the columns reach with positive coefficients, as the peel's I is
+        rhs = columns @ rng.random(m)
+        want = vh[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
+        # the coefficients differ by up to cond * eps (2.5e8 * 1.1e-16 at k = 4) between
+        # the two solvers; the sums they make agree
+        assert np.linalg.norm(columns @ (solve(rhs) - want)) <= 1e-12 * np.linalg.norm(rhs)
 
 
 def _peel_bound(p: Povm) -> int:
@@ -189,6 +244,16 @@ class TestPeel:
             assert len(cert.components) <= _peel_bound(p) == n * d - d * d + 1
 
 
+def _shifted(d, n, seed, eps):
+    """``random_povm(d, n, seed, rank=1)`` with eps * H / |H|_F added to effect 0, H = G G^*."""
+    p = random_povm(d, n, seed, rank=1)
+    g = np.random.default_rng(seed).standard_normal((d, 2 * d)).view(np.complex128)
+    h = g @ g.conj().T
+    effects = np.array(p.effects)
+    effects[0] += eps * h / np.linalg.norm(h)
+    return Povm(effects)
+
+
 class TestRefitVertexCheck:
     @pytest.mark.parametrize("d, n, seed, eps", [(4, 17, 300280, 5e-9), (5, 26, 300125, 8e-9)])
     def test_off_the_identity_raises_or_verifies(self, d, n, seed, eps):
@@ -204,6 +269,13 @@ class TestRefitVertexCheck:
         except NonConvergenceError as exc:
             assert "misses its input" in str(exc)
             return
+        assert verify_certificate(cert).passed
+
+    @pytest.mark.parametrize("d, n, seed, eps", [(4, 18, 200508, 5e-9), (5, 29, 200662, 3e-9)])
+    def test_inputs_that_missed_now_verify(self, d, n, seed, eps):
+        # both raised NonConvergenceError when the effects were normalized before the expansion:
+        # a refit vertex 0.41 off I, and a mixture 2.4e-7 off the input
+        cert = decompose(_shifted(d, n, seed, eps))
         assert verify_certificate(cert).passed
 
 

@@ -19,7 +19,10 @@ from split_tree import (
 from povm_forge import (
     DEFAULT_TOL,
     NOT_EXTREMAL,
+    CertificateComponent,
+    DecompositionCertificate,
     Povm,
+    RelabelMap,
     classify,
     extremality_report,
     is_extremal,
@@ -30,12 +33,15 @@ from povm_forge import (
     random_povm,
     spectral_form,
     type_d_example,
+    verify_certificate,
+    violations,
 )
 from povm_forge import extremality
 from povm_forge.errors import (
     AllZeroError,
     DimensionMismatchError,
     NotExtremalRank1Error,
+    NotHermitianError,
     NotRank1Error,
 )
 from povm_forge.extremality import rank1_failures
@@ -153,6 +159,22 @@ class TestIsExtremalRank1:
         assert (report.extremal, report.borderline) == (False, True)
         verdict = classify(p)
         assert verdict.extremal_type == NOT_EXTREMAL and verdict.extremality.borderline
+
+    def test_skew_effect_below_the_zero_tolerance_is_not_hermitian(self):
+        # norm 9.9e-11 <= zero_effect_tol, but skew by 1.4e-10 > herm_tol: validate rejects it
+        skew = np.array([[0.0, 7e-11], [-7e-11, 0.0]])
+        p = Povm(np.concatenate([onb_pvm(2).effects, skew[None]]))
+        assert isinstance(violations(p)[0], NotHermitianError)
+        with pytest.raises(NotHermitianError):
+            is_extremal_rank1(p)
+        target = Povm(np.concatenate([onb_pvm(2).effects, np.zeros((1, 2, 2))]))
+        component = CertificateComponent(1.0, p, RelabelMap.identity(3))
+        cert = DecompositionCertificate(target, (component,))
+        report = verify_certificate(cert)
+        assert report.component_extremal == (False,)
+        assert report.failures == (
+            f"component 0 is not an extremal rank-1 POVM: {violations(p)[0]}",
+        )
 
     def test_agrees_with_general_test_on_rank1(self):
         disagreements = 0

@@ -104,6 +104,7 @@ class TestPrune:
         pruned, rmap = prune_zero_effects(qubit3)
         assert np.array_equal(pruned.effects, qubit3.effects)
         assert np.array_equal(rmap.targets, np.arange(3))
+        assert pruned is qubit3  # no copy when nothing is pruned
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
