@@ -1,14 +1,20 @@
 #!/usr/bin/env python3
-"""Decompose rank-1 POVMs pushed off the identity and count verified certificates.
+"""Decompose POVMs pushed off the identity and count verified certificates.
 
-Input i is ``random_povm(d, d^2 + 1 + i % 5, 300000 + i, rank=1)`` with
-d = 3 + i % 3, and eps * H / |H|_F added to effect 0 for each eps in
-{3, 5, 8} * 1e-9, where H = G G^* and G is a complex (d, d) Gaussian drawn
-from ``default_rng(300000 + i)``.  The effects then sum to I only within
-about eps.  Each input ends one of three ways: ``decompose`` returns a
-certificate that ``verify_certificate`` passes (verified), it raises
-``NonConvergenceError`` (missed), or it returns a certificate that fails
-verification (unsound).  The script exits 1 if any certificate is unsound.
+Sweep (default): input i is ``random_povm(d, d^2 + 1 + i % 5, 300000 + i,
+rank=1)`` with d = 3 + i % 3, at each eps in {3, 5, 8} * 1e-9.
+
+Grid (``--grid``): for d in 2..7, rank in {1, full}, eps in {0, 3, 8} * 1e-9
+and s < ``--cases``, the input is ``random_povm(d, n, 500000 + 97 d + s)``
+with n = d^2 + 1 + s % 5 at rank 1 and n = d + 2 + s % 4 at full rank.
+
+Either way eps * H / |H|_F is added to effect 0, where H = G G^* and G is a
+complex (d, d) Gaussian drawn from ``default_rng(seed)`` with the input's
+seed.  The effects then sum to I only within about eps.  Each input ends
+one of three ways: ``decompose`` returns a certificate that
+``verify_certificate`` passes (verified), it raises ``NonConvergenceError``
+(missed), or it returns a certificate that fails verification (unsound).
+The script exits 1 if any certificate is unsound.
 """
 
 import argparse
@@ -20,12 +26,11 @@ from povm_forge import Povm, decompose, random_povm, verify_certificate
 from povm_forge.errors import NonConvergenceError
 
 EPSILONS = (3e-9, 5e-9, 8e-9)
+GRID_EPSILONS = (0.0, 3e-9, 8e-9)
 
 
-def shifted(i: int, eps: float) -> Povm:
-    d = 3 + i % 3
-    seed = 300000 + i
-    p = random_povm(d, d * d + 1 + i % 5, seed, rank=1)
+def shifted(d: int, n: int, seed: int, eps: float, rank: int | None = 1) -> Povm:
+    p = random_povm(d, n, seed, rank=rank)
     g = np.random.default_rng(seed).standard_normal((d, 2 * d)).view(np.complex128)
     h = g @ g.conj().T
     effects = np.array(p.effects)
@@ -33,36 +38,63 @@ def shifted(i: int, eps: float) -> Povm:
     return Povm(effects)
 
 
+def sweep(cases: int):
+    """(label, input) of the sweep: seeds i < ``cases``, each at three eps."""
+    for i in range(cases):
+        d = 3 + i % 3
+        for eps in EPSILONS:
+            yield f"i={i} eps={eps:.0e}", shifted(d, d * d + 1 + i % 5, 300000 + i, eps)
+
+
+def grid(cases: int):
+    """(label, input) of the grid: d = 2..7, rank 1 and full, three eps, s < ``cases``."""
+    for d in range(2, 8):
+        for rank in (1, None):
+            for eps in GRID_EPSILONS:
+                for s in range(cases):
+                    n = d * d + 1 + s % 5 if rank else d + 2 + s % 4
+                    seed = 500000 + 97 * d + s
+                    label = f"d={d} n={n} rank={rank or 'full'} seed={seed} eps={eps:.0e}"
+                    yield label, shifted(d, n, seed, eps, rank)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--cases", type=int, default=300, help="seeds i, each at three eps (default 300)"
+        "--grid", action="store_true", help="run the grid instead of the sweep"
+    )
+    parser.add_argument(
+        "--cases",
+        type=int,
+        help="sweep: seeds i, each at three eps (default 300); "
+        "grid: values of s per (d, rank, eps) (default 40)",
     )
     args = parser.parse_args()
+    cases = args.cases if args.cases is not None else (40 if args.grid else 300)
 
-    verified = missed = 0
+    inputs = verified = missed = 0
     unsound = []
     start = time.perf_counter()
-    for i in range(args.cases):
-        for eps in EPSILONS:
-            try:
-                cert = decompose(shifted(i, eps))
-            except NonConvergenceError:
-                missed += 1
-                continue
-            report = verify_certificate(cert)
-            if report.passed:
-                verified += 1
-            else:
-                unsound.append((i, eps, report.failures))
+    for label, p in (grid if args.grid else sweep)(cases):
+        inputs += 1
+        try:
+            cert = decompose(p)
+        except NonConvergenceError:
+            missed += 1
+            continue
+        report = verify_certificate(cert)
+        if report.passed:
+            verified += 1
+        else:
+            unsound.append((label, report.failures))
     elapsed = time.perf_counter() - start
 
-    print(f"inputs:    {3 * args.cases}")
+    print(f"inputs:    {inputs}")
     print(f"verified:  {verified}")
     print(f"missed:    {missed} (NonConvergenceError)")
     print(f"unsound:   {len(unsound)} (returned certificates that fail verify_certificate)")
-    for i, eps, failures in unsound:
-        print(f"  i={i} eps={eps:.0e}: {failures[0]}")
+    for label, failures in unsound:
+        print(f"  {label}: {failures[0]}")
     print(f"time:      {elapsed:.1f} s")
     if unsound:
         raise SystemExit(1)

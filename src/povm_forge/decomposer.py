@@ -37,10 +37,10 @@ from .linalg import (
 from .povm import (
     Povm,
     RelabelMap,
+    _checked,
     _json_numbers,
     _spectral_terms,
     prune_zero_effects,
-    relabel,
     spectral_relabel,
     validate,
 )
@@ -100,46 +100,50 @@ class DecompositionCertificate:
                     f"the target has {self.target.n_outcomes}"
                 )
 
-    def _joint(self) -> tuple[Povm, RelabelMap]:
-        """Joint POVM {weight_i * E_i[k]} over outcomes (i, k) and its map (i, k) -> f_i(k).
-
-        Built once per certificate; the reconstruction and statistics share it.
-        """
-        return self._joint_pair
-
     @cached_property
     def _component_effects(self) -> np.ndarray:
         """The components' effect stacks, concatenated once and read-only.
 
-        The joint POVM is built from it, and :func:`verify_certificate` judges it.
+        :func:`verify_certificate` judges it, and the reconstruction and the
+        mixed statistics read it through :attr:`_relabeling`.
         """
         effects = np.concatenate([comp.extremal.effects for comp in self.components])
         effects.setflags(write=False)
         return effects
 
     @cached_property
-    def _joint_pair(self) -> tuple[Povm, RelabelMap]:
-        weights = np.repeat(
-            [comp.weight for comp in self.components],
-            [comp.extremal.n_outcomes for comp in self.components],
-        )
+    def _relabeling(self) -> np.ndarray:
+        """Weighted relabeling matrix M, (target outcomes x joint outcomes), read-only.
+
+        Joint outcome (i, k) is outcome k of component i, in the order of
+        :attr:`_component_effects`; M[f_i(k), (i, k)] = weight_i, with f_i the
+        component's map.  Target effect j is then sum_(i,k) M[j, (i, k)] E_i[k].
+        """
+        sizes = [comp.extremal.n_outcomes for comp in self.components]
         targets = np.concatenate([comp.relabel.targets for comp in self.components])
-        return (
-            Povm(weights[:, None, None] * self._component_effects),
-            RelabelMap(targets.size, self.target.n_outcomes, targets),
+        m = np.zeros((self.target.n_outcomes, targets.size))
+        m[targets, np.arange(targets.size)] = np.repeat(
+            [comp.weight for comp in self.components], sizes
         )
+        m.setflags(write=False)
+        return m
 
     def reconstruction(self) -> np.ndarray:
         """Effect stack of the weighted relabeled mixture (read-only).
 
-        Built once per certificate, so that ``decompose``'s rebuild check and
-        :func:`verify_certificate` share one relabeling of the joint POVM.
+        M (:attr:`_relabeling`) applied to a float view of the component
+        effects, built once per certificate, so that ``decompose``'s rebuild
+        check and :func:`verify_certificate` share it.
         """
         return self._reconstruction
 
     @cached_property
     def _reconstruction(self) -> np.ndarray:
-        return relabel(*self._joint()).effects
+        effects = self._component_effects
+        flat = effects.reshape(effects.shape[0], -1).view(np.float64)  # (re, im) pairs
+        out = (self._relabeling @ flat).view(np.complex128).reshape(-1, *effects.shape[1:])
+        out.setflags(write=False)
+        return out
 
     def to_jsonable(self) -> dict:
         return {
@@ -204,7 +208,8 @@ def _shrink(x: np.ndarray, support: np.ndarray, null: np.ndarray, floor: float):
     """Drop the coordinates at or below ``floor`` from the support and null basis.
 
     A Householder reflection moves each dropped row into the first column,
-    which goes too; the other columns stay orthonormal.
+    which goes too; the other columns stay orthonormal.  A row already at
+    rounding level moves along no null direction and is dropped alone.
     """
     gone = x[support] <= floor
     if not gone.any():
@@ -213,7 +218,10 @@ def _shrink(x: np.ndarray, support: np.ndarray, null: np.ndarray, floor: float):
     for r in np.flatnonzero(gone).tolist():
         h = null[r].copy()
         norm = float(np.linalg.norm(h))
-        if norm > 0.0:
+        # Rows of an orthonormal basis have norms up to 1.  An earlier
+        # reflection in this call leaves a row that depended on its row at
+        # about 1e-16; reflecting on that would remove a valid null direction.
+        if norm > 1e-12:
             h[0] += np.copysign(norm, h[0])
             null = (null - np.outer(null @ h, h * (2.0 / (h @ h))))[:, 1:]
     kept = ~gone
@@ -227,34 +235,37 @@ def _walk_to_vertex(columns, identity, x, support, null, floor, tol):
     to I exactly (debris dropped), and the solver of its columns.
     """
     x = x.copy()
-    while True:
-        while null.shape[1]:
-            z = null[:, 0]
-            with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):  # x / 0 at a zero entry of z, where np.where puts inf
+        while True:
+            while null.shape[1]:
+                z = null[:, 0]
                 ratios = np.where(z != 0.0, x[support] / np.abs(z), np.inf)
-            j = int(np.argmin(ratios))
-            # to the nearer facet along +z or -z
-            x[support] += (ratios[j] if z[j] < 0.0 else -ratios[j]) * z
-            x[support[j]] = 0.0
-            support, null = _shrink(x, support, null, floor)
-        null, solve = _factor(columns[:, support], tol)
-        if not null.shape[1]:
-            x[support] = solve(identity)
-            size = support.size
-            support, null = _shrink(x, support, null, floor)
-            if support.size == size:
-                return support, x[support], solve
+                j = int(np.argmin(ratios))
+                # to the nearer facet along +z or -z
+                x[support] += (ratios[j] if z[j] < 0.0 else -ratios[j]) * z
+                x[support[j]] = 0.0
+                support, null = _shrink(x, support, null, floor)
+            null, solve = _factor(columns[:, support], tol)
+            if not null.shape[1]:
+                x[support] = solve(identity)
+                size = support.size
+                support, null = _shrink(x, support, null, floor)
+                if support.size == size:
+                    return support, x[support], solve
 
 
-def _normalized_terms(p: Povm, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+def _normalized_terms(
+    p: Povm, w: np.ndarray, tol: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray]:
     """Rank-1 terms |psi><psi| of the nonzero effects, made to sum to I, and their outcomes.
 
-    The effects are expanded once into term vectors psi (eigenvalues above the
-    rank cutoff); S^{-1/2} from :func:`normalizer`, S the sum of the retained
-    terms, is applied to each psi.
+    The effects are expanded once into term vectors psi by
+    :func:`_spectral_terms`, from their ascending eigenvalues ``w``;
+    S^{-1/2} from :func:`normalizer`, S the sum of the retained terms, is
+    applied to each psi.
     """
     pruned, prune_map = prune_zero_effects(p, tol)
-    sources, psi = _spectral_terms(pruned.effects, tol)
+    sources, psi = _spectral_terms(pruned.effects, w[prune_map.targets], tol)
     psi = psi @ normalizer(psi.T @ psi.conj(), len(psi), tol).T
     return psi[:, :, None] * psi.conj()[:, None, :], prune_map.targets[sources]
 
@@ -262,7 +273,10 @@ def _normalized_terms(p: Povm, tol: ToleranceConfig) -> tuple[np.ndarray, np.nda
 def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCertificate:
     """Decompose a valid POVM into relabeled extremal rank-1 components.
 
-    The nonzero effects are expanded once into rank-1 spectral terms, and the
+    One ``eigvalsh`` pass validates the input (an invalid one raises what
+    :func:`validate` raises) and gives the eigenvalues from which the nonzero
+    effects are expanded once into rank-1 spectral terms
+    (:func:`_spectral_terms`: eigenvectors only for effects of rank >= 2).  The
     retained terms are made to sum to I by one congruence of their vectors
     (:func:`_normalized_terms`).  In the coefficients x_j of the unit-normalized
     terms E_j the target is x_j = |E_j|.  Each step walks from x to a vertex v
@@ -278,8 +292,10 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
     reconstruction, built once and read again by :func:`verify_certificate`,
     is off the input by more than recon_tol.
     """
-    p = validate(p, tol)
-    terms, targets = _normalized_terms(p, tol)
+    found, w = _checked(p, tol)
+    if found:
+        raise found[0]
+    terms, targets = _normalized_terms(p, w, tol)
     dim = p.dim
     columns = hermitian_coords(terms).T
     norms = np.linalg.norm(columns, axis=0)
@@ -436,8 +452,14 @@ def outcome_probabilities(p: Povm, rho: np.ndarray) -> np.ndarray:
     d = p.dim
     if rho.shape[-2:] != (d, d):
         raise DimensionMismatchError(f"state must be {d}x{d}, got shape {rho.shape}")
+    return _probabilities(p.effects, rho)
+
+
+def _probabilities(effects: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """tr(rho E) for each effect of an (n, d, d) stack and each state of a (..., d, d) one."""
+    d = effects.shape[-1]
     states = rho.swapaxes(-1, -2).reshape(*rho.shape[:-2], d * d)
-    return (states @ p.effects.reshape(p.n_outcomes, d * d).T).real
+    return (states @ effects.reshape(effects.shape[0], d * d).T).real
 
 
 def random_density_matrix(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -472,17 +494,16 @@ def statistics_equivalence(
     """Compare target statistics against the mixed-relabeled implementation.
 
     For seeded random states rho, the target's distribution is compared
-    with the joint POVM's (effects weight_i * E_i[k]) pushed forward
-    through (i, k) -> relabel_i(k).  Passes iff the max absolute
-    deviation over all trials is <= recon_tol (vacuously for trials=0).
+    with the mixture's: the components' outcome probabilities tr(rho E_i[k])
+    times the transposed weighted relabeling matrix M (M[f_i(k), (i, k)] =
+    weight_i).  Passes iff the max absolute deviation over all trials is
+    <= recon_tol (vacuously for trials=0).
     """
     if trials < 0:
         raise OutOfRangeError(f"trials must be >= 0, got {trials}")
     rng = np.random.default_rng(seed)
     states = _random_states(trials, cert.target.dim, rng)
-    joint, joint_map = cert._joint()
-    pushforward = joint_map.targets[:, None] == np.arange(cert.target.n_outcomes)
-    mixed = outcome_probabilities(joint, states) @ pushforward
+    mixed = _probabilities(cert._component_effects, states) @ cert._relabeling.T
     deviations = np.abs(outcome_probabilities(cert.target, states) - mixed).max(axis=1)
     max_dev = float(deviations.max()) if trials else 0.0
     return StatisticsReport(

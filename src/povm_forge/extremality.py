@@ -97,7 +97,8 @@ def spectral_form(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralForm:
     Callers interested in extremality should prune zero effects first;
     a zero effect is represented by an empty vector block.
     """
-    j, rows = _spectral_terms(p.effects, tol)
+    effects = hermitian_part(p.effects, tol)
+    j, rows = _spectral_terms(effects, np.linalg.eigvalsh(effects), tol)
     rows.setflags(write=False)  # the blocks below are views
     blocks = np.split(rows, np.cumsum(np.bincount(j, minlength=p.n_outcomes))[:-1])
     return SpectralForm(vectors=tuple(blocks))

@@ -30,6 +30,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _fix_phases,
     eig_herm,
     hermitian_deviation,
     hermitian_part,
@@ -227,18 +228,17 @@ def _non_finite(p: Povm) -> list[NonFiniteError]:
     return [NonFiniteError(f"effect {j} has a non-finite entry", outcome=int(j)) for j in bad]
 
 
-def violations(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> list[PovmForgeError]:
-    """Every violated POVM invariant, in check order; an empty list means valid.
+def _checked(
+    p: Povm, tol: ToleranceConfig = DEFAULT_TOL
+) -> tuple[list[PovmForgeError], np.ndarray | None]:
+    """:func:`violations` of ``p`` and the ascending ``eigvalsh`` eigenvalues behind them.
 
-    Every entry must be finite; if one is not, only the non-finite effects
-    are reported.  Then, effect by effect: Hermitian (herm_tol; a
-    non-Hermitian effect is not judged further), PSD (psd_tol), and
-    bounded by the identity (psd_tol slack).  Last, the effects must sum
-    to the identity within recon_tol in Frobenius norm.
+    The eigenvalues are None when an entry is not finite.  ``validate`` and
+    ``decompose`` share this pass: ``decompose`` expands the effects from it.
     """
     found: list[PovmForgeError] = _non_finite(p)
     if found:
-        return found  # eigvalsh and the residual are meaningless on NaN/Inf
+        return found, None  # eigvalsh and the residual are meaningless on NaN/Inf
     deviation = hermitian_deviation(p.effects)
     w = np.linalg.eigvalsh(p.effects)
     failing = (deviation > tol.herm_tol) | (w[:, 0] < -tol.psd_tol) | (w[:, -1] > 1 + tol.psd_tol)
@@ -267,12 +267,24 @@ def violations(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> list[PovmForgeErr
             f"(recon_tol = {tol.recon_tol:.3e})",
             residual=residual,
         ))
-    return found
+    return found, w
+
+
+def violations(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> list[PovmForgeError]:
+    """Every violated POVM invariant, in check order; an empty list means valid.
+
+    Every entry must be finite; if one is not, only the non-finite effects
+    are reported.  Then, effect by effect: Hermitian (herm_tol; a
+    non-Hermitian effect is not judged further), PSD (psd_tol), and
+    bounded by the identity (psd_tol slack).  Last, the effects must sum
+    to the identity within recon_tol in Frobenius norm.
+    """
+    return _checked(p, tol)[0]
 
 
 def validate(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     """Return ``p`` unchanged if it is a valid POVM; else raise its first :func:`violations`."""
-    found = violations(p, tol)
+    found, _ = _checked(p, tol)
     if found:
         raise found[0]
     return p
@@ -350,22 +362,59 @@ def spectral_relabel(
     rank-1 POVM has at most N*d outcomes.
     """
     pruned, _ = prune_zero_effects(p, tol)
-    sources, psi = _spectral_terms(pruned.effects, tol)
+    effects = hermitian_part(pruned.effects, tol)
+    sources, psi = _spectral_terms(effects, np.linalg.eigvalsh(effects), tol)
     pieces = psi[:, :, None] * psi.conj()[:, None, :]
     return Povm(pieces), RelabelMap(sources.size, pruned.n_outcomes, sources)
 
 
-def _spectral_terms(effects: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+def _spectral_terms(
+    effects: np.ndarray, w: np.ndarray, tol: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray]:
     """Term vectors psi = sqrt(lambda) v of a Hermitian effect stack, and the effect of each.
 
-    One term per eigenvalue above the rank cutoff, in row-major (effect,
-    term) order with :func:`eig_herm`'s descending eigenvalues, so that
-    effect j = sum of |psi><psi| over its terms up to the dropped ones.
+    ``w`` holds the stack's ascending ``eigvalsh`` eigenvalues; effect j has
+    one term per entry of ``w[j]`` above the rank cutoff, so that effect j =
+    sum of |psi><psi| over its terms up to the dropped ones.  Terms come in
+    row-major (effect, term) order, each effect's in :func:`eig_herm`'s
+    descending order and phase convention.  A rank-1 effect's one term comes
+    from two power steps on its largest-diagonal column e_k: y = E e_k,
+    z = E y, lambda = y^H z / y^H y and psi = sqrt(lambda) z / |z|.  Only
+    effects of rank >= 2 take eigenvectors from ``eig_herm``, and so does a
+    rank-1 effect with an eigenvalue below -cutoff (not PSD), on which the
+    power steps would not converge.
     """
-    dec = eig_herm(effects, tol)
-    w = dec.eigenvalues
-    sources, k = np.nonzero(w > rank_cutoff(w, tol))
-    return sources, np.sqrt(w[sources, k])[:, None] * dec.eigenvectors[sources, :, k]
+    cutoff = rank_cutoff(w, tol)
+    ranks = np.count_nonzero(w > cutoff, axis=1)
+    starts = np.cumsum(ranks) - ranks
+    psi = np.empty((int(ranks.sum()), effects.shape[-1]), dtype=np.complex128)
+    power = (ranks == 1) & (w[:, 0] >= -cutoff[:, 0])
+    one = np.flatnonzero(power)
+    if one.size:
+        psi[starts[one]] = _top_terms(effects[one])
+    many = np.flatnonzero(~power & (ranks > 0))
+    if many.size:
+        dec = eig_herm(effects[many], tol)
+        rows, k = np.nonzero(np.arange(effects.shape[-1]) < ranks[many, None])
+        psi[starts[many][rows] + k] = (
+            np.sqrt(dec.eigenvalues[rows, k])[:, None] * dec.eigenvectors[rows, :, k]
+        )
+    return np.repeat(np.arange(ranks.size), ranks), psi
+
+
+def _top_terms(effects: np.ndarray) -> np.ndarray:
+    """sqrt(lambda) v of each rank-1 effect's top eigenpair, phase-fixed as :func:`eig_herm` does.
+
+    The largest diagonal entry E_kk is at least the trace over d, so the
+    column y = E e_k is not small against the top eigenvector; a second
+    product z = E y damps what the dropped eigenvalues left in it.
+    """
+    k = np.argmax(np.diagonal(effects, axis1=1, axis2=2).real, axis=1)
+    y = effects[np.arange(k.size), :, k]
+    z = (effects @ y[:, :, None])[:, :, 0]
+    lam = np.einsum("ij,ij->i", y.conj(), z).real / np.einsum("ij,ij->i", y.conj(), y).real
+    v = _fix_phases((z / np.linalg.norm(z, axis=1, keepdims=True))[:, :, None])[:, :, 0]
+    return np.sqrt(lam)[:, None] * v
 
 
 def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:

@@ -2,13 +2,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import per_effect
 from conftest import EYE2, SZ, four_outcome_qubit, random_mixed_rank_pvm, sigma_x_pvm, sigma_z_pvm
 from rational_rank import exact_independent
 from split_tree import split_tree
+from test_spectral_pass import make_povm
 from povm_forge import (
     DEFAULT_TOL,
     CertificateComponent,
@@ -16,6 +17,7 @@ from povm_forge import (
     Povm,
     RelabelMap,
     decompose,
+    eig_herm,
     equivalent,
     extremal_to_rank1,
     is_extremal_rank1,
@@ -47,7 +49,8 @@ from povm_forge.errors import (
 from povm_forge import decomposer
 from povm_forge.decomposer import _factor, _normalized_terms, _random_states
 from povm_forge.extremality import rank1_failures
-from povm_forge.linalg import independence_cutoff
+from povm_forge.linalg import hermitian_coords, independence_cutoff
+from povm_forge.povm import _spectral_terms
 
 
 class TestDecompose:
@@ -101,7 +104,7 @@ class TestDecompose:
     @pytest.mark.parametrize("rank", [None, 1])
     def test_normalized_terms_sum_to_identity(self, d, rank):
         p = random_povm(d, d + 2, seed=d, rank=rank)
-        terms, targets = _normalized_terms(p, DEFAULT_TOL)
+        terms, targets = _normalized_terms(p, np.linalg.eigvalsh(p.effects), DEFAULT_TOL)
         np.testing.assert_allclose(terms.sum(axis=0), np.eye(d), rtol=0, atol=1e-12)
         merged = relabel(Povm(terms), RelabelMap(len(terms), p.n_outcomes, targets))
         assert np.abs(merged.effects - p.effects).max() <= DEFAULT_TOL.recon_tol
@@ -152,10 +155,16 @@ class TestFactor:
 
 
 def _peel_bound(p: Povm) -> int:
-    """N - rank + 1, with rank the real rank of the N rank-1 spectral terms."""
+    """N - rank + 1, with rank the real rank of the N rank-1 spectral terms.
+
+    The rank is counted by the peel's rule (``_factor``): singular values of
+    the unit-normalized terms above independence_cutoff times the largest.
+    Machine-epsilon rank counts a rounding-level direction of equal terms.
+    """
     root, _ = spectral_relabel(prune_zero_effects(p)[0])
-    flat = root.effects.reshape(root.n_outcomes, -1)
-    rank = np.linalg.matrix_rank(np.concatenate([flat.real, flat.imag], axis=1))
+    coords = hermitian_coords(root.effects)
+    s = np.linalg.svd(coords / np.linalg.norm(coords, axis=1, keepdims=True), compute_uv=False)
+    rank = np.count_nonzero(s > independence_cutoff(DEFAULT_TOL) * s[0])
     return root.n_outcomes - int(rank) + 1
 
 
@@ -189,6 +198,7 @@ class TestPeel:
         )
 
     @given(st.integers(1, 4), st.integers(1, 8), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(d=2, n=2, rank1=False, seed=1814399)  # E_2 = I - E_1: two pairs of equal terms
     @settings(max_examples=60, deadline=None)
     def test_positive_weights_and_component_bound(self, d, n, rank1, seed):
         n = max(n, d) if rank1 else n
@@ -244,6 +254,110 @@ class TestPeel:
             assert len(cert.components) <= _peel_bound(p) == n * d - d * d + 1
 
 
+class TestWalk:
+    @pytest.mark.parametrize("d, n, calls", [(3, 8, 17), (4, 10, 26)])
+    def test_rows_at_rounding_level_keep_their_null_directions(self, monkeypatch, d, n, calls):
+        # reflecting on every dropped row with a norm above 0 made 18 and 28 calls:
+        # a row left at ~1e-16 by an earlier reflection removed a valid null direction,
+        # and the walk refactored to find it again
+        count = [0]
+
+        def counted(columns, tol):
+            count[0] += 1
+            return _factor(columns, tol)
+
+        monkeypatch.setattr(decomposer, "_factor", counted)
+        cert = decompose(random_povm(d, n, 1))
+        assert count[0] == calls
+        assert verify_certificate(cert).passed
+
+
+def _record_eigensolvers(monkeypatch):
+    """Wrap ``eigh`` and ``eigvalsh``; each call appends (name, a copy of its matrix)."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def recorded(a, *args, _name=name, _solver=solver, **kwargs):
+            calls.append((_name, np.array(a)))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
+class TestOneEigenvaluePass:
+    def test_rank1_input_takes_one_eigvalsh_and_no_eigh(self, monkeypatch):
+        p = random_povm(4, 18, seed=3, rank=1)
+        calls = _record_eigensolvers(monkeypatch)
+        cert = decompose(p)
+        # the one other call: S^{-1/2} of the 4 x 4 sum of the terms
+        assert [(name, a.shape) for name, a in calls] == [
+            ("eigvalsh", p.effects.shape),
+            ("eigh", (4, 4)),
+        ]
+        assert verify_certificate(cert).passed
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixed_rank_input_takes_eigh_only_on_rank_two_and_up(self, monkeypatch, seed):
+        # rotated type c: three rank-1 effects beside a rank-2 projection, two zero effects
+        p = make_povm("hybrid", 4, seed, 2)
+        rank2 = np.flatnonzero(np.linalg.norm(p.effects, axis=(1, 2)) > 1.0)
+        calls = _record_eigensolvers(monkeypatch)
+        cert = decompose(p)
+        stacks = [(name, a) for name, a in calls if a.ndim == 3]
+        assert [(name, a.shape) for name, a in stacks] == [
+            ("eigvalsh", (6, 4, 4)),
+            ("eigh", (1, 4, 4)),
+        ]
+        np.testing.assert_allclose(stacks[1][1][0], p.effects[rank2[0]], rtol=0, atol=1e-15)
+        assert verify_certificate(cert).passed
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_rank1_terms_match_eig_herm(self, d):
+        p = random_povm(d, d * d, seed=d, rank=1)
+        sources, psi = _spectral_terms(p.effects, np.linalg.eigvalsh(p.effects), DEFAULT_TOL)
+        assert np.array_equal(sources, np.arange(d * d))
+        dec = eig_herm(p.effects)
+        want = dec.eigenvalues[:, 0, None, None] * dec.projection(0)
+        assert np.abs(psi[:, :, None] * psi.conj()[:, None, :] - want).max() <= 1e-12
+
+    def test_rank1_effect_with_a_second_eigenvalue_below_the_cutoff(self):
+        # effect 0 gains 0.5 * rank cutoff along a direction orthogonal to its own;
+        # it stays rank 1, and the effects sum to I within recon_tol
+        p = random_povm(3, 10, seed=4, rank=1)
+        effects = np.array(p.effects)
+        dec = eig_herm(effects[0])
+        u = dec.eigenvectors[:, 1]
+        effects[0] += 0.5 * DEFAULT_TOL.rank_tol * np.outer(u, u.conj())
+        p = Povm(effects)
+        w = np.linalg.eigvalsh(p.effects)
+        sources, psi = _spectral_terms(p.effects, w, DEFAULT_TOL)
+        assert np.array_equal(sources, np.arange(10))
+        term = np.outer(psi[0], psi[0].conj())
+        assert np.linalg.norm(term - p.effects[0]) <= DEFAULT_TOL.recon_tol
+        assert verify_certificate(decompose(p)).passed
+
+    @pytest.mark.parametrize("defect", ["not_psd", "not_normalized", "not_hermitian", "nan"])
+    def test_invalid_input_raises_what_validate_raises(self, defect):
+        effects = np.array(random_povm(3, 4, seed=2).effects)
+        if defect == "not_psd":
+            effects[1] -= 0.5 * np.eye(3)
+        elif defect == "not_normalized":
+            effects[2] *= 1.01
+        elif defect == "not_hermitian":
+            effects[0, 0, 2] += 1e-6
+        else:
+            effects[3, 2, 0] = np.nan
+        p = Povm(effects)
+        with pytest.raises(PovmForgeError) as want:
+            validate(p)
+        with pytest.raises(type(want.value)) as got:
+            decompose(p)
+        assert str(got.value) == str(want.value)
+        assert getattr(got.value, "outcome", None) == getattr(want.value, "outcome", None)
+
+
 def _shifted(d, n, seed, eps):
     """``random_povm(d, n, seed, rank=1)`` with eps * H / |H|_F added to effect 0, H = G G^*."""
     p = random_povm(d, n, seed, rank=1)
@@ -279,8 +393,21 @@ class TestRefitVertexCheck:
         assert verify_certificate(cert).passed
 
 
+def assert_relabeling_matrix(cert):
+    """M holds weight_i at (f_i(k), (i, k)) and nothing else, and M's weights make a joint POVM."""
+    m, column = cert._relabeling, 0
+    assert m.shape == (cert.target.n_outcomes, len(cert._component_effects))
+    for comp in cert.components:
+        block = m[:, column:column + comp.extremal.n_outcomes]
+        want = np.zeros_like(block)
+        want[comp.relabel.targets, np.arange(comp.extremal.n_outcomes)] = comp.weight
+        assert np.array_equal(block, want)
+        column += comp.extremal.n_outcomes
+    validate(Povm(m.sum(axis=0)[:, None, None] * cert._component_effects))
+
+
 class TestJointRelabeling:
-    """One relabeling of the joint POVM against the per-component loops of ``per_effect``."""
+    """The weighted relabeling matrix against the per-component loops of ``per_effect``."""
 
     @given(SMALL, st.booleans(), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -293,17 +420,21 @@ class TestJointRelabeling:
         deviations = statistics_equivalence(cert, trials=5, seed=seed).deviations
         assert np.abs(deviations - per_effect.statistics_deviations(cert, 5, seed)).max() <= 1e-14
         if not tree:
-            validate(cert._joint()[0])
+            assert_relabeling_matrix(cert)
 
     def test_joint_built_once(self, dependent4):
         cert = decompose(dependent4)
-        assert cert._joint() is cert._joint()
+        m = cert._relabeling
+        assert m is cert._relabeling and not m.flags.writeable
+        statistics_equivalence(cert, trials=3, seed=0)
+        assert verify_certificate(cert).passed
+        assert cert._relabeling is m
 
     def test_deep_certificate_statistics(self):
         cert = decompose(random_povm(8, 16, seed=1))
         deviations = statistics_equivalence(cert, trials=100, seed=7).deviations
         assert np.abs(deviations - per_effect.statistics_deviations(cert, 100, 7)).max() <= 1e-15
-        validate(cert._joint()[0])
+        assert_relabeling_matrix(cert)
 
 
 class TestCertificateFitsTarget:

@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("search_type_d_dim3.py", ["--attempts", "20"]),
         ("reproduce_reference_povms.py", []),
         ("off_identity_sweep.py", ["--cases", "4"]),
+        ("off_identity_sweep.py", ["--grid", "--cases", "1"]),
     ],
 )
 def test_script_exits_cleanly(script, args):
