@@ -14,7 +14,8 @@ seed.  The effects then sum to I only within about eps.  Each input ends
 one of three ways: ``decompose`` returns a certificate that
 ``verify_certificate`` passes (verified), it raises ``NonConvergenceError``
 (missed), or it returns a certificate that fails verification (unsound).
-The script exits 1 if any certificate is unsound.
+Each missed or unsound input's label is printed under its count.  The
+script exits 1 if any certificate is unsound.
 """
 
 import argparse
@@ -72,15 +73,15 @@ def main():
     args = parser.parse_args()
     cases = args.cases if args.cases is not None else (40 if args.grid else 300)
 
-    inputs = verified = missed = 0
-    unsound = []
+    inputs = verified = 0
+    missed, unsound = [], []
     start = time.perf_counter()
     for label, p in (grid if args.grid else sweep)(cases):
         inputs += 1
         try:
             cert = decompose(p)
         except NonConvergenceError:
-            missed += 1
+            missed.append(label)
             continue
         report = verify_certificate(cert)
         if report.passed:
@@ -91,7 +92,9 @@ def main():
 
     print(f"inputs:    {inputs}")
     print(f"verified:  {verified}")
-    print(f"missed:    {missed} (NonConvergenceError)")
+    print(f"missed:    {len(missed)} (NonConvergenceError)")
+    for label in missed:
+        print(f"  {label}")
     print(f"unsound:   {len(unsound)} (returned certificates that fail verify_certificate)")
     for label, failures in unsound:
         print(f"  {label}: {failures[0]}")

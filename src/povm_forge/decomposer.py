@@ -40,7 +40,6 @@ from .povm import (
     _checked,
     _json_numbers,
     _spectral_terms,
-    prune_zero_effects,
     spectral_relabel,
     validate,
 )
@@ -254,20 +253,27 @@ def _walk_to_vertex(columns, identity, x, support, null, floor, tol):
                     return support, x[support], solve
 
 
+def _debris_floor(dim: int, tol: ToleranceConfig) -> float:
+    """Norm at or below which a d x d term is debris: no eigenvalue of it clears the rank cutoff."""
+    return max(tol.zero_effect_tol, np.sqrt(dim) * tol.rank_tol)
+
+
 def _normalized_terms(
     p: Povm, w: np.ndarray, tol: ToleranceConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rank-1 terms |psi><psi| of the nonzero effects, made to sum to I, and their outcomes.
 
     The effects are expanded once into term vectors psi by
-    :func:`_spectral_terms`, from their ascending eigenvalues ``w``;
-    S^{-1/2} from :func:`normalizer`, S the sum of the retained terms, is
-    applied to each psi.
+    :func:`_spectral_terms`, from their ascending eigenvalues ``w``.  Those with
+    |psi|^2 at or below :func:`_debris_floor` (every term of a zero effect among
+    them) are dropped before S^{-1/2} from :func:`normalizer`, S the sum of the
+    retained terms, is applied to each psi.
     """
-    pruned, prune_map = prune_zero_effects(p, tol)
-    sources, psi = _spectral_terms(pruned.effects, w[prune_map.targets], tol)
+    sources, psi = _spectral_terms(p.effects, w, tol)
+    kept = np.einsum("ij,ij->i", psi.conj(), psi).real > _debris_floor(p.dim, tol)
+    sources, psi = sources[kept], psi[kept]
     psi = psi @ normalizer(psi.T @ psi.conj(), len(psi), tol).T
-    return psi[:, :, None] * psi.conj()[:, None, :], prune_map.targets[sources]
+    return psi[:, :, None] * psi.conj()[:, None, :], sources
 
 
 def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCertificate:
@@ -277,22 +283,22 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
     :func:`validate` raises) and gives the eigenvalues from which the nonzero
     effects are expanded once into rank-1 spectral terms
     (:func:`_spectral_terms`: eigenvectors only for effects of rank >= 2).  The
-    retained terms are made to sum to I by one congruence of their vectors
-    (:func:`_normalized_terms`).  In the coefficients x_j of the unit-normalized
-    terms E_j the target is x_j = |E_j|.  Each step walks from x to a vertex v
-    (a support that passes the test of ``is_extremal_rank1``), refits v to sum
-    to I exactly, emits the largest share t of v in x and goes on with
-    (x - t*v)/(1 - t); the null space is factored once and updated as
-    coordinates leave the support.  The E_j enter as their d^2
-    :func:`hermitian_coords`.  Step N - rank + 1 (rank: the real rank of the
-    E_j), if reached, takes t = 1.  Every component is thus what
-    :func:`verify_certificate` asks of it: a POVM of rank-1, linearly
-    independent effects.  ``NonConvergenceError`` means the mixture misses the
-    input: a refit vertex sums to I only beyond recon_tol, or the certificate's
-    reconstruction, built once and read again by :func:`verify_certificate`,
-    is off the input by more than recon_tol.
+    terms above the debris floor are made to sum to I by one congruence of their
+    vectors (:func:`_normalized_terms`), so the peel starts on I.  In the
+    coefficients x_j of the unit-normalized terms E_j the target is
+    x_j = |E_j|.  Each step walks from x to a vertex v (a support that passes
+    the test of ``is_extremal_rank1``), refits v to sum to I exactly, emits
+    the largest share t of v in x and goes on with (x - t*v)/(1 - t); the
+    null space is factored once and updated as coordinates leave the support.
+    The E_j enter as their d^2 :func:`hermitian_coords`.  Step N - rank + 1
+    (rank: the real rank of the E_j), if reached, takes t = 1.  Every
+    component is thus what :func:`verify_certificate` asks of it: a POVM of
+    rank-1, linearly independent effects.  ``NonConvergenceError`` means the
+    mixture misses the input: a refit vertex sums to I only beyond recon_tol,
+    or the certificate's reconstruction, built once and read again by
+    :func:`verify_certificate`, is off the input by more than recon_tol.
     """
-    found, w = _checked(p, tol)
+    (found,), w = _checked(p.effects, (p.n_outcomes,), tol)
     if found:
         raise found[0]
     terms, targets = _normalized_terms(p, w, tol)
@@ -300,19 +306,12 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
     columns = hermitian_coords(terms).T
     norms = np.linalg.norm(columns, axis=0)
     columns = columns / norms
-    # Coefficients (effect norms) at or below this are numerical debris: a
-    # d x d effect that small has no eigenvalue clear of the rank cutoff, and
-    # dropping it moves the reconstruction by at most its own norm.
-    floor = max(tol.zero_effect_tol, np.sqrt(dim) * tol.rank_tol)
+    floor = _debris_floor(dim, tol)
 
     identity = hermitian_coords(np.eye(dim))
     x = np.where(norms > floor, norms, 0.0)
     support = np.flatnonzero(x)
-    null, solve = _factor(columns[:, support], tol)
-    # The terms sum to I, but not those the floor dropped: start from the
-    # nearest point that sums to I exactly.
-    x[support] += solve(identity - columns @ x)
-    support, null = _shrink(x, support, null, floor)
+    null, _ = _factor(columns[:, support], tol)
     components: list[CertificateComponent] = []
     remaining = 1.0
     for steps_left in range(null.shape[1], -1, -1):  # the last step takes its vertex whole

@@ -34,13 +34,12 @@ from .linalg import (
     ToleranceConfig,
     banded_verdict,
     hermitian_coords,
-    hermitian_deviation,
     hermitian_part,
     independence_margin,
     rank_cutoff,
     unit_hermitian_basis,
 )
-from .povm import Povm, _spectral_terms, prune_zero_effects, violations
+from .povm import Povm, _checked, _spectral_terms, prune_zero_effects
 
 __all__ = [
     "SpectralForm",
@@ -190,13 +189,13 @@ def rank1_failures(
     (``NotRank1Error``); an effect outside [0, I]; a sum off I; last, the
     unit-normalized nonzero effects linearly dependent under the banded rule
     (``NotExtremalRank1Error``; more than d^2 always are).  The non-finite,
-    Hermitian, [0, I] and sum failures are the POVM's first :func:`violations`
-    of that kind, worded as ``validate`` words them.
+    Hermitian, [0, I] and sum failures are entries of the POVM's
+    ``violations``, worded as ``validate`` words them.
 
-    One Hermitian check, one ``eigvalsh`` and one ``np.add.reduceat`` cover the
-    stack and flag the POVMs that may fail a check before the dependence test;
-    only those are judged one by one.  Each group of POVMs with equally many
-    nonzero effects gets one SVD.
+    One validator pass (``povm._checked``: one Hermitian check, one ``eigvalsh``,
+    one ``np.add.reduceat`` sum) covers the stack and gives every POVM's
+    violations and every rank.  Each group of POVMs with equally many nonzero
+    effects gets one SVD.
     """
     effects = np.asarray(effects, dtype=np.complex128)
     sizes = np.asarray(sizes)
@@ -207,25 +206,17 @@ def rank1_failures(
         )
     d = effects.shape[-1]
     starts = sizes.cumsum() - sizes
-    finite = np.isfinite(effects).all(axis=(1, 2))
-    # eigvalsh cannot take NaN; those POVMs fail first anyway, judged on their own entries
-    clean = effects if finite.all() else np.where(finite[:, None, None], effects, 0.0)
-    flat = clean.reshape(len(clean), -1).view(np.float64)  # no certificate-sized temporary
+    povm_failures, w = _checked(effects, sizes.tolist(), tol)
+    flat = effects.reshape(len(effects), -1).view(np.float64)  # no certificate-sized temporary
     norms = np.sqrt(np.einsum("ki,ki->k", flat, flat))  # Frobenius norms
     nonzero = norms > tol.zero_effect_tol
-    w = np.linalg.eigvalsh(clean)
     ranks = nonzero * (np.abs(w) > rank_cutoff(w, tol)).sum(axis=1)
-    skew = hermitian_deviation(clean) > tol.herm_tol
-    outside = (w[:, 0] < -tol.psd_tol) | (w[:, -1] > 1.0 + tol.psd_tol)
-    suspect = ~finite | skew | (ranks > 1) | outside
     counts = np.add.reduceat(ranks > 0, starts, dtype=np.intp)
-    residuals = np.linalg.norm(np.add.reduceat(clean, starts) - np.eye(d), axis=(1, 2))
-    flagged = np.logical_or.reduceat(suspect, starts) | (counts == 0) | (residuals > tol.recon_tol)
+    top = np.maximum.reduceat(ranks, starts).tolist()  # 0: no nonzero effect of rank >= 1
 
     failures: list[PovmForgeError | None] = [None] * sizes.size
-    for i in np.flatnonzero(flagged).tolist():
-        part = slice(starts[i], starts[i] + sizes[i])
-        found = violations(Povm(effects[part]), tol)
+    for i in [i for i, found in enumerate(povm_failures) if found or top[i] != 1]:
+        found, part = povm_failures[i], slice(starts[i], starts[i] + sizes[i])
         kinds = [type(exc) for exc in found]
         if NonFiniteError in kinds:
             failures[i] = found[0]  # violations reports nothing else then
@@ -233,19 +224,18 @@ def rank1_failures(
             failures[i] = AllZeroError("every effect is numerically zero")
         elif NotHermitianError in kinds:
             failures[i] = found[kinds.index(NotHermitianError)]
-        elif counts[i] == 0:
+        elif top[i] == 0:
             failures[i] = AllZeroError("no effect has an eigenvalue above the rank cutoff")
-        elif ranks[part].max() > 1:
+        elif top[i] > 1:
             j = int(np.argmax(ranks[part] > 1))
             failures[i] = NotRank1Error(f"nonzero effect {j} has rank {ranks[part][j]}, expected 1")
-        elif found:
+        else:
             failures[i] = found[0]  # outside [0, I] effect by effect, then the sum
 
     # independence of the unit-normalized nonzero effects, so that small ones cannot pass for
-    # null directions: one SVD per group of POVMs with m of them (m > d^2: dependent); a
-    # flagged POVM that no check fails (the two sums round differently) is judged here too
+    # null directions: one SVD per group of POVMs with m of them (m > d^2: dependent)
     passed = np.array([failure is None for failure in failures])
-    coords = hermitian_coords(clean)
+    coords = hermitian_coords(effects)
     for m in np.flatnonzero(np.bincount(counts[passed])).tolist():
         members = passed & (counts == m)
         if m <= d * d:

@@ -10,7 +10,9 @@ with at most N*d outcomes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -222,51 +224,56 @@ class PovmClass:
     extremality: ExtremalityReport | None = None
 
 
-def _non_finite(p: Povm) -> list[NonFiniteError]:
-    """One error per effect with a NaN or infinite entry."""
-    bad = np.flatnonzero(~np.isfinite(p.effects).all(axis=(1, 2)))
-    return [NonFiniteError(f"effect {j} has a non-finite entry", outcome=int(j)) for j in bad]
-
-
 def _checked(
-    p: Povm, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[list[PovmForgeError], np.ndarray | None]:
-    """:func:`violations` of ``p`` and the ascending ``eigvalsh`` eigenvalues behind them.
+    effects: np.ndarray, sizes, tol: ToleranceConfig = DEFAULT_TOL
+) -> tuple[list[list[PovmForgeError]], np.ndarray]:
+    """:func:`violations` of each POVM of a ragged stack, and the stack's ``eigvalsh`` eigenvalues.
 
-    The eigenvalues are None when an entry is not finite.  ``validate`` and
-    ``decompose`` share this pass: ``decompose`` expands the effects from it.
+    ``effects`` concatenates the POVMs' effect stacks, of the (checked) ``sizes``.
+    One ``isfinite``, Hermitian deviation, ``eigvalsh`` and ``np.add.reduceat``
+    sum cover the stack; errors are built only where a check fails.  The
+    deviation, the eigenvalues and the sum read a non-finite effect as zero,
+    and its POVM reports its non-finite effects only.
     """
-    found: list[PovmForgeError] = _non_finite(p)
-    if found:
-        return found, None  # eigvalsh and the residual are meaningless on NaN/Inf
-    deviation = hermitian_deviation(p.effects)
-    w = np.linalg.eigvalsh(p.effects)
-    failing = (deviation > tol.herm_tol) | (w[:, 0] < -tol.psd_tol) | (w[:, -1] > 1 + tol.psd_tol)
-    for j in np.flatnonzero(failing).tolist():
-        if deviation[j] > tol.herm_tol:
-            found.append(NotHermitianError(
-                f"effect {j}: matrix deviates from Hermitian symmetry by {deviation[j]:.3e} "
+    ends = list(accumulate(sizes))
+    starts = [0, *ends[:-1]]
+    finite = np.isfinite(effects).all(axis=(1, 2))
+    clean = effects if finite.all() else np.where(finite[:, None, None], effects, 0.0)
+    deviation = hermitian_deviation(clean)
+    w = np.linalg.eigvalsh(clean)
+    sums = np.add.reduceat(clean, starts) - np.eye(effects.shape[-1])
+    residuals = np.linalg.norm(sums, axis=(1, 2))
+    failing = ~finite | (deviation > tol.herm_tol)
+    failing |= (w[:, 0] < -tol.psd_tol) | (w[:, -1] > 1 + tol.psd_tol)
+    owners = {k: bisect_right(ends, k) for k in np.flatnonzero(failing).tolist()}
+    broken = {i for k, i in owners.items() if not finite[k]}  # report non-finite effects only
+    found: list[list[PovmForgeError]] = [[] for _ in range(len(sums))]
+    for k, i in owners.items():
+        j = k - starts[i]
+        if i in broken:
+            if not finite[k]:
+                found[i].append(NonFiniteError(f"effect {j} has a non-finite entry", outcome=j))
+            continue
+        if deviation[k] > tol.herm_tol:
+            found[i].append(NotHermitianError(
+                f"effect {j}: matrix deviates from Hermitian symmetry by {deviation[k]:.3e} "
                 f"(herm_tol = {tol.herm_tol:.3e})"
             ))
             continue
-        if w[j, 0] < -tol.psd_tol:
-            found.append(NotPSDError(
-                f"effect {j} is not PSD: smallest eigenvalue {w[j, 0]:.3e}", outcome=j
+        if w[k, 0] < -tol.psd_tol:
+            found[i].append(NotPSDError(
+                f"effect {j} is not PSD: smallest eigenvalue {w[k, 0]:.3e}", outcome=j
             ))
-        if w[j, -1] > 1 + tol.psd_tol:
-            found.append(NotPSDError(
-                f"effect {j} exceeds the identity: largest eigenvalue {w[j, -1]:.6g}",
-                outcome=j,
+        if w[k, -1] > 1 + tol.psd_tol:
+            found[i].append(NotPSDError(
+                f"effect {j} exceeds the identity: largest eigenvalue {w[k, -1]:.6g}", outcome=j
             ))
-    residual = float(
-        np.linalg.norm(p.effects.sum(axis=0) - np.eye(p.dim, dtype=np.complex128))
-    )
-    if residual > tol.recon_tol:
-        found.append(NotNormalizedError(
-            f"effects do not sum to the identity: normalization residual {residual:.3e} "
-            f"(recon_tol = {tol.recon_tol:.3e})",
-            residual=residual,
-        ))
+    for i, residual in enumerate(residuals.tolist()):
+        if residual > tol.recon_tol and i not in broken:
+            found[i].append(NotNormalizedError(
+                f"effects do not sum to the identity: normalization residual {residual:.3e} "
+                f"(recon_tol = {tol.recon_tol:.3e})", residual=residual
+            ))
     return found, w
 
 
@@ -277,14 +284,16 @@ def violations(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> list[PovmForgeErr
     are reported.  Then, effect by effect: Hermitian (herm_tol; a
     non-Hermitian effect is not judged further), PSD (psd_tol), and
     bounded by the identity (psd_tol slack).  Last, the effects must sum
-    to the identity within recon_tol in Frobenius norm.
+    to the identity within recon_tol in Frobenius norm.  This is the one
+    validator pass (``_checked``) that ``extremality.rank1_failures`` runs
+    over a certificate's stack of components.
     """
-    return _checked(p, tol)[0]
+    return _checked(p.effects, (p.n_outcomes,), tol)[0][0]
 
 
 def validate(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:
     """Return ``p`` unchanged if it is a valid POVM; else raise its first :func:`violations`."""
-    found, _ = _checked(p, tol)
+    found = violations(p, tol)
     if found:
         raise found[0]
     return p
@@ -304,9 +313,8 @@ def prune_zero_effects(
     """
     flat = p.effects.reshape(p.n_outcomes, -1).view(np.float64)
     norms = np.sqrt(np.einsum("ki,ki->k", flat, flat))  # Frobenius norms, no complex temporary
-    bad = _non_finite(p) if not np.isfinite(norms).all() else []  # NaN or Inf shows in its norm
-    if bad:
-        raise bad[0]
+    if not np.isfinite(norms).all():  # NaN or Inf shows in its norm
+        raise violations(p, tol)[0]
     keep = np.flatnonzero(norms > tol.zero_effect_tol)
     if keep.size == p.n_outcomes:
         return p, RelabelMap.identity(p.n_outcomes)  # nothing to drop: no copy

@@ -60,10 +60,10 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not unused, unused
 
 
-def _calls():
-    """(places, callee, "file:line") of every call in ``src``: X(...) or module.X(...).
+def _placed_nodes():
+    """(places, node, "file:line") of every syntax node in ``src``.
 
-    A call is placed by its file and by the module-level def or class holding it,
+    A node is placed by its file and by the module-level def or class holding it,
     as ``file`` and ``file:name``.
     """
     for path in sorted(Path(povm_forge.__file__).parent.glob("*.py")):
@@ -71,9 +71,14 @@ def _calls():
         for top in tree.body:
             places = {path.name, f"{path.name}:{getattr(top, 'name', '')}"}
             for node in ast.walk(top):
-                if isinstance(node, ast.Call):
-                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                    yield places, name, f"{path.name}:{node.lineno}"
+                yield places, node, f"{path.name}:{getattr(node, 'lineno', top.lineno)}"
+
+
+def _calls():
+    """(places, callee, "file:line") of every call in ``src``: X(...) or module.X(...)."""
+    for places, node, where in _placed_nodes():
+        if isinstance(node, ast.Call):
+            yield places, getattr(node.func, "id", getattr(node.func, "attr", None)), where
 
 
 def test_povm_failures_are_built_only_by_their_validators():
@@ -101,5 +106,25 @@ def test_only_linalg_calls_inv_sqrt():
         where
         for places, name, where in _calls()
         if name == "inv_sqrt" and "linalg.py" not in places
+    ]
+    assert not stray, stray
+
+
+def test_only_the_validator_holds_the_hermitian_and_psd_thresholds():
+    """``hermitian_deviation`` is called, and ``psd_tol`` read, in ``linalg`` and ``_checked`` only.
+
+    Every other module takes its POVM verdicts from ``_checked``, so no second
+    copy of its numbers can round to the other side of a tolerance.
+    """
+    allowed = {"linalg.py", "povm.py:_checked"}
+    stray = [
+        f"{where}: hermitian_deviation"
+        for places, name, where in _calls()
+        if name == "hermitian_deviation" and not places & allowed
+    ]
+    stray += [
+        f"{where}: psd_tol"
+        for places, node, where in _placed_nodes()
+        if isinstance(node, ast.Attribute) and node.attr == "psd_tol" and not places & allowed
     ]
     assert not stray, stray

@@ -50,7 +50,7 @@ from povm_forge import decomposer
 from povm_forge.decomposer import _factor, _normalized_terms, _random_states
 from povm_forge.extremality import rank1_failures
 from povm_forge.linalg import hermitian_coords, independence_cutoff
-from povm_forge.povm import _spectral_terms
+from povm_forge.povm import _checked, _spectral_terms
 
 
 class TestDecompose:
@@ -385,10 +385,20 @@ class TestRefitVertexCheck:
             return
         assert verify_certificate(cert).passed
 
-    @pytest.mark.parametrize("d, n, seed, eps", [(4, 18, 200508, 5e-9), (5, 29, 200662, 3e-9)])
+    @pytest.mark.parametrize(
+        "d, n, seed, eps",
+        [
+            (4, 18, 200508, 5e-9),
+            (5, 29, 200662, 3e-9),
+            (5, 26, 300020, 3e-9),
+            (5, 28, 300152, 3e-9),
+            (5, 26, 300095, 8e-9),
+        ],
+    )
     def test_inputs_that_missed_now_verify(self, d, n, seed, eps):
-        # both raised NonConvergenceError when the effects were normalized before the expansion:
-        # a refit vertex 0.41 off I, and a mixture 2.4e-7 off the input
+        # the first two raised NonConvergenceError when the effects were normalized before the
+        # expansion: a refit vertex 0.41 off I, and a mixture 2.4e-7 off the input; the last three
+        # when the debris floor was applied after the congruence
         cert = decompose(_shifted(d, n, seed, eps))
         assert verify_certificate(cert).passed
 
@@ -583,6 +593,49 @@ class TestVerifyCertificate:
             np.concatenate([c.extremal.effects for c in comps]),
             [c.extremal.n_outcomes for c in comps],
         ))
+
+    @pytest.mark.parametrize("d, n", [(8, 16), (3, 60), (2, 100)])
+    def test_ragged_validator_matches_violations_of_each_povm(self, d, n):
+        # the clean and spoiled stacks of test_batched_verdicts_match_one_segment_calls
+        comps = decompose(random_povm(d, n, seed=1)).components
+        spoiled = []
+        for i, comp in enumerate(comps):
+            effects = np.array(comp.extremal.effects)
+            if i % 6 == 1:
+                effects *= 1.5
+            elif i % 6 == 2:
+                effects[0] += effects[1]
+            elif i % 6 == 3:
+                effects = np.concatenate([effects[:1] / 2, effects[:1] / 2, effects[1:]])
+            elif i % 6 == 4:
+                effects[0, 0, 0] = np.nan
+            elif i % 6 == 5:
+                effects[0, 0, -1] += 1e-3
+            spoiled.append(Povm(effects))
+        for povms in ([c.extremal for c in comps], spoiled):
+            found, _ = _checked(
+                np.concatenate([p.effects for p in povms]), [p.n_outcomes for p in povms]
+            )
+            assert len(found) == len(povms)
+            for p, got in zip(povms, found):
+                want = violations(p)
+                assert [(type(e), str(e), getattr(e, "outcome", None)) for e in got] == [
+                    (type(e), str(e), getattr(e, "outcome", None)) for e in want
+                ]
+        assert any(found)  # the spoiled stack, judged last, has violations
+
+    def test_spoiled_components_take_no_second_eigenvalue_pass(self, monkeypatch):
+        cert = decompose(random_povm(3, 8, seed=1))
+        comps = list(cert.components)
+        for i in (0, 1):
+            weight, extremal, f = comps[i].weight, comps[i].extremal, comps[i].relabel
+            comps[i] = CertificateComponent(weight, Povm(1.5 * extremal.effects), f)
+        spoiled = DecompositionCertificate(cert.target, tuple(comps))
+        calls = _record_eigensolvers(monkeypatch)
+        report = verify_certificate(spoiled)
+        assert [name for name, _ in calls] == ["eigvalsh"]
+        assert report.component_extremal[:2] == (False, False)
+        assert all(report.component_extremal[2:])
 
     def test_reports_reconstruction_residuals_per_effect(self, qubit3):
         report = verify_certificate(decompose(qubit3))

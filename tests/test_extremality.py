@@ -36,11 +36,9 @@ from povm_forge import (
     verify_certificate,
     violations,
 )
-from povm_forge import extremality
 from povm_forge.errors import (
     AllZeroError,
     DimensionMismatchError,
-    NotExtremalRank1Error,
     NotHermitianError,
     NotRank1Error,
 )
@@ -196,17 +194,6 @@ def test_rank1_failures_rejects_sizes_that_do_not_split_the_stack(n, sizes):
     # unchecked, [1] folds the unlisted effect into the sum of |0><0| and [2, 0] indexes past it
     with pytest.raises(DimensionMismatchError):
         rank1_failures(onb_pvm(2).effects[:n], sizes)
-
-
-def test_flagged_povm_that_violations_clears_goes_on_to_the_dependence_test(
-    monkeypatch, dependent4
-):
-    # the batched sum (reduceat) and violations' sum(axis=0) may round to either side of recon_tol
-    monkeypatch.setattr(extremality, "violations", lambda p, tol: [])
-    off = 1.5 * onb_pvm(2).effects  # flagged by its sum and its bound alone
-    failures = rank1_failures(np.concatenate([off, 1.5 * dependent4.effects]), [2, 4])
-    assert failures[0] is None
-    assert isinstance(failures[1], NotExtremalRank1Error)
 
 
 class TestSplitMixture:
