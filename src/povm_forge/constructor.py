@@ -33,7 +33,7 @@ from .linalg import (
     normalize_sum,
     rank_of,
 )
-from .povm import Povm
+from .povm import Povm, prune_zero_effects
 
 __all__ = [
     "onb_pvm",
@@ -87,7 +87,7 @@ def extend_extremal(
         raise NotExtremalRank1Error(str(exc)) from None
     if not extremal:
         raise NotExtremalRank1Error("input must be an extremal rank-1 POVM")
-    effects = p.effects[p.effect_norms() > tol.zero_effect_tol]  # the zero-effect pruning rule
+    effects = prune_zero_effects(p, tol)[0].effects
     d = p.dim
     n = effects.shape[0]
     if n >= d * d:

@@ -26,7 +26,7 @@ from .errors import (
     NotExtremalError,
     OutOfRangeError,
 )
-from .extremality import is_extremal, is_extremal_rank1, rank1_failures
+from .extremality import is_extremal_rank1, pair_independence, rank1_failures
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -40,7 +40,7 @@ from .povm import (
     _checked,
     _json_numbers,
     _spectral_terms,
-    spectral_relabel,
+    _spectrum,
     validate,
 )
 
@@ -361,19 +361,21 @@ def extremal_to_rank1(
     """Write an extremal POVM as a relabeling of an extremal rank-1 POVM.
 
     The input must be a valid POVM (else its first :func:`violations` is
-    raised).  For extremal input the spectral expansion is itself extremal;
-    this is asserted on the output, and a failure (possible only through
-    tolerance inconsistency) raises ``InternalContradictionError``.
+    raised); one ``povm._spectrum`` pass gives the verdict and the expansion.
+    That expansion of an extremal input is extremal; a failure on the output
+    (only through tolerance inconsistency) raises ``InternalContradictionError``.
     """
-    if not is_extremal(validate(p, tol), tol):
+    back, effects, w = _spectrum(validate(p, tol), tol)
+    if not pair_independence(effects, w, tol).extremal:
         raise NotExtremalError("input POVM is not extremal")
-    rank1, rmap = spectral_relabel(p, tol)
+    sources, psi = _spectral_terms(effects, w, tol)
+    rank1 = Povm(psi[:, :, None] * psi.conj()[:, None, :])
     if not is_extremal_rank1(rank1, tol):
         raise InternalContradictionError(
             "spectral expansion of an extremal POVM failed the rank-1 "
             "extremality test (tolerance inconsistency)"
         )
-    return rank1, rmap
+    return rank1, RelabelMap(sources.size, back.source_size, sources)
 
 
 @dataclass(frozen=True)

@@ -34,12 +34,11 @@ from .linalg import (
     ToleranceConfig,
     banded_verdict,
     hermitian_coords,
-    hermitian_part,
     independence_margin,
     rank_cutoff,
     unit_hermitian_basis,
 )
-from .povm import Povm, _checked, _spectral_terms, prune_zero_effects
+from .povm import Povm, _checked, _spectral_terms, _spectrum
 
 __all__ = [
     "SpectralForm",
@@ -93,13 +92,13 @@ class ExtremalityReport:
 def spectral_form(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralForm:
     """Spectral vectors of every effect, eigenvalues above the rank cutoff.
 
-    Callers interested in extremality should prune zero effects first;
-    a zero effect is represented by an empty vector block.
+    A zero effect is represented by an empty vector block; a non-finite or
+    all-zero input raises as ``povm._spectrum`` does.
     """
-    effects = hermitian_part(p.effects, tol)
-    j, rows = _spectral_terms(effects, np.linalg.eigvalsh(effects), tol)
+    back, effects, w = _spectrum(p, tol)
+    j, rows = _spectral_terms(effects, w, tol)
     rows.setflags(write=False)  # the blocks below are views
-    blocks = np.split(rows, np.cumsum(np.bincount(j, minlength=p.n_outcomes))[:-1])
+    blocks = np.split(rows, np.cumsum(np.bincount(back.targets[j], minlength=p.n_outcomes))[:-1])
     return SpectralForm(vectors=tuple(blocks))
 
 
@@ -151,9 +150,8 @@ def pair_independence(
 
 def extremality_report(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> ExtremalityReport:
     """Extremality analysis of a valid POVM: :func:`pair_independence` of its nonzero effects."""
-    pruned, _ = prune_zero_effects(p, tol)
-    effects = hermitian_part(pruned.effects, tol)
-    return pair_independence(effects, np.linalg.eigvalsh(effects), tol)
+    _, effects, w = _spectrum(p, tol)
+    return pair_independence(effects, w, tol)
 
 
 def is_extremal(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -79,7 +79,7 @@ class Povm:
 
     def __post_init__(self):
         try:
-            arr = np.asarray(self.effects, dtype=np.complex128)
+            arr = np.array(self.effects, dtype=np.complex128)  # a copy: the caller keeps its array
         except (ValueError, TypeError) as exc:
             raise DimensionMismatchError(f"effects are not a uniform complex array: {exc}")
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
@@ -88,7 +88,6 @@ class Povm:
             )
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise EmptyInputError("a POVM needs at least one effect on dimension >= 1")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "effects", arr)
 
@@ -170,7 +169,7 @@ class RelabelMap:
     targets: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.targets, dtype=np.int64).copy()
+        arr = np.array(self.targets, dtype=np.int64)
         if arr.shape != (self.source_size,):
             raise MapSizeMismatchError(
                 f"map must have {self.source_size} entries, got shape {arr.shape}"
@@ -369,11 +368,17 @@ def spectral_relabel(
     indexing, so ``relabel(rank1, map)`` reproduces the pruned POVM.  The
     rank-1 POVM has at most N*d outcomes.
     """
-    pruned, _ = prune_zero_effects(p, tol)
-    effects = hermitian_part(pruned.effects, tol)
-    sources, psi = _spectral_terms(effects, np.linalg.eigvalsh(effects), tol)
+    back, effects, w = _spectrum(p, tol)
+    sources, psi = _spectral_terms(effects, w, tol)
     pieces = psi[:, :, None] * psi.conj()[:, None, :]
-    return Povm(pieces), RelabelMap(sources.size, pruned.n_outcomes, sources)
+    return Povm(pieces), RelabelMap(sources.size, back.source_size, sources)
+
+
+def _spectrum(p: Povm, tol: ToleranceConfig) -> tuple[RelabelMap, np.ndarray, np.ndarray]:
+    """Every analysis' front end: map back to ``p``, Hermitian nonzero effects, eigvalsh."""
+    pruned, back = prune_zero_effects(p, tol)
+    effects = hermitian_part(pruned.effects, tol)
+    return back, effects, np.linalg.eigvalsh(effects)
 
 
 def _spectral_terms(
@@ -437,9 +442,7 @@ def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:
     """
     from .extremality import pair_independence  # here: extremality builds on this module
 
-    pruned, _ = prune_zero_effects(p, tol)
-    effects = hermitian_part(pruned.effects, tol)
-    w = np.linalg.eigvalsh(effects)
+    _, effects, w = _spectrum(p, tol)
     report = pair_independence(effects, w, tol)
     ranks = np.count_nonzero(np.abs(w) > rank_cutoff(w, tol), axis=1)  # the rank_of rule
     w, ranks = w[ranks > 0], ranks[ranks > 0]

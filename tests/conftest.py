@@ -50,6 +50,20 @@ def qubit3_with_rank0_outcome() -> Povm:
     return Povm(np.concatenate([effects, small[None]]))
 
 
+def record_eigensolvers(monkeypatch):
+    """Wrap ``eigh`` and ``eigvalsh``; each call appends (name, a copy of its matrix)."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def recorded(a, *args, _name=name, _solver=solver, **kwargs):
+            calls.append((_name, np.array(a)))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
 @pytest.fixture
 def qubit3() -> Povm:
     return qubit_example()

@@ -110,6 +110,24 @@ def test_only_linalg_calls_inv_sqrt():
     assert not stray, stray
 
 
+def test_one_spectral_pass():
+    """``eigvalsh`` runs in the validator, in ``povm._spectrum`` and in ``rank_of`` only.
+
+    Every analysis takes its eigenvalues from ``_spectrum`` (prune, ``hermitian_part``,
+    ``eigvalsh``), which is also the one caller of ``hermitian_part`` outside ``linalg``.
+    """
+    allowed = {
+        "eigvalsh": {"povm.py:_checked", "povm.py:_spectrum", "linalg.py:rank_of"},
+        "hermitian_part": {"linalg.py", "povm.py:_spectrum"},
+    }
+    stray = [
+        f"{where}: {name}"
+        for places, name, where in _calls()
+        if name in allowed and not places & allowed[name]
+    ]
+    assert not stray, stray
+
+
 def test_only_the_validator_holds_the_hermitian_and_psd_thresholds():
     """``hermitian_deviation`` is called, and ``psd_tol`` read, in ``linalg`` and ``_checked`` only.
 

@@ -6,7 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import per_effect
-from conftest import EYE2, SZ, four_outcome_qubit, random_mixed_rank_pvm, sigma_x_pvm, sigma_z_pvm
+from conftest import (
+    EYE2,
+    SZ,
+    four_outcome_qubit,
+    random_mixed_rank_pvm,
+    record_eigensolvers,
+    sigma_x_pvm,
+    sigma_z_pvm,
+)
 from rational_rank import exact_independent
 from split_tree import split_tree
 from test_spectral_pass import make_povm
@@ -272,24 +280,10 @@ class TestWalk:
         assert verify_certificate(cert).passed
 
 
-def _record_eigensolvers(monkeypatch):
-    """Wrap ``eigh`` and ``eigvalsh``; each call appends (name, a copy of its matrix)."""
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        solver = getattr(np.linalg, name)
-
-        def recorded(a, *args, _name=name, _solver=solver, **kwargs):
-            calls.append((_name, np.array(a)))
-            return _solver(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, recorded)
-    return calls
-
-
 class TestOneEigenvaluePass:
     def test_rank1_input_takes_one_eigvalsh_and_no_eigh(self, monkeypatch):
         p = random_povm(4, 18, seed=3, rank=1)
-        calls = _record_eigensolvers(monkeypatch)
+        calls = record_eigensolvers(monkeypatch)
         cert = decompose(p)
         # the one other call: S^{-1/2} of the 4 x 4 sum of the terms
         assert [(name, a.shape) for name, a in calls] == [
@@ -303,7 +297,7 @@ class TestOneEigenvaluePass:
         # rotated type c: three rank-1 effects beside a rank-2 projection, two zero effects
         p = make_povm("hybrid", 4, seed, 2)
         rank2 = np.flatnonzero(np.linalg.norm(p.effects, axis=(1, 2)) > 1.0)
-        calls = _record_eigensolvers(monkeypatch)
+        calls = record_eigensolvers(monkeypatch)
         cert = decompose(p)
         stacks = [(name, a) for name, a in calls if a.ndim == 3]
         assert [(name, a.shape) for name, a in stacks] == [
@@ -501,6 +495,19 @@ class TestExtremalToRank1:
         with pytest.raises(NotExtremalError):
             extremal_to_rank1(Povm(np.stack([EYE2 / 2, EYE2 / 2])))
 
+    def test_one_spectral_pass_feeds_verdict_and_expansion(self, monkeypatch, type_d):
+        calls = record_eigensolvers(monkeypatch)
+        extremal_to_rank1(type_d)
+        # validate, the spectral pass, pair_independence's and the expansion's eigenvectors
+        # of the rank-2 effects, then is_extremal_rank1 on the six-outcome output
+        assert [(name, a.shape) for name, a in calls] == [
+            ("eigvalsh", (3, 4, 4)),
+            ("eigvalsh", (3, 4, 4)),
+            ("eigh", (3, 4, 4)),
+            ("eigh", (3, 4, 4)),
+            ("eigvalsh", (6, 4, 4)),
+        ]
+
     def test_mixed_rank_pvm_family(self):
         rng = np.random.default_rng(21)
         for d in (2, 3, 4):
@@ -631,7 +638,7 @@ class TestVerifyCertificate:
             weight, extremal, f = comps[i].weight, comps[i].extremal, comps[i].relabel
             comps[i] = CertificateComponent(weight, Povm(1.5 * extremal.effects), f)
         spoiled = DecompositionCertificate(cert.target, tuple(comps))
-        calls = _record_eigensolvers(monkeypatch)
+        calls = record_eigensolvers(monkeypatch)
         report = verify_certificate(spoiled)
         assert [name for name, _ in calls] == ["eigvalsh"]
         assert report.component_extremal[:2] == (False, False)

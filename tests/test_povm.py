@@ -11,6 +11,8 @@ from povm_forge import (
     RelabelMap,
     classify,
     equivalent,
+    extremal_to_rank1,
+    extremality_report,
     is_extremal,
     is_extremal_rank1,
     mix,
@@ -18,10 +20,12 @@ from povm_forge import (
     prune_zero_effects,
     random_povm,
     relabel,
+    spectral_form,
     spectral_relabel,
     validate,
 )
 from povm_forge.errors import (
+    AllZeroError,
     BadWeightError,
     DimensionMismatchError,
     MapSizeMismatchError,
@@ -37,6 +41,26 @@ def small_random_povm(seed):
     d = int(rng.integers(2, 5))
     n = int(rng.integers(2, 6))
     return random_povm(d, n, seed)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("kind", ["complex128", "float64", "list"])
+    def test_povm_keeps_a_read_only_copy_of_its_input(self, kind):
+        source = np.stack([EYE2 / 2, EYE2 / 2]).real
+        given = source.tolist() if kind == "list" else source.astype(kind)
+        p = Povm(given)
+        given[0][0][0] = 9.0
+        assert np.array_equal(p.effects, source)
+        assert not p.effects.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["int64", "int32", "list"])
+    def test_relabel_map_keeps_a_read_only_copy_of_its_input(self, kind):
+        source = np.array([0, 1, 1])
+        given = source.tolist() if kind == "list" else source.astype(kind)
+        f = RelabelMap(3, 2, given)
+        given[0] = 1
+        assert np.array_equal(f.targets, source)
+        assert not f.targets.flags.writeable
 
 
 class TestValidate:
@@ -108,7 +132,16 @@ class TestPrune:
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
-        "analysis", [classify, is_extremal, is_extremal_rank1, spectral_relabel]
+        "analysis",
+        [
+            classify,
+            is_extremal,
+            is_extremal_rank1,
+            spectral_relabel,
+            spectral_form,
+            extremality_report,
+            extremal_to_rank1,
+        ],
     )
     def test_non_finite_effect_is_rejected_not_dropped(self, qubit3, analysis, entry):
         effects = np.array(qubit3.effects)
@@ -116,6 +149,13 @@ class TestPrune:
         with pytest.raises(NonFiniteError) as info:
             analysis(Povm(effects))
         assert info.value.outcome == 0
+
+    @pytest.mark.parametrize(
+        "analysis", [classify, extremality_report, spectral_relabel, spectral_form]
+    )
+    def test_all_zero_stack_is_rejected(self, analysis):
+        with pytest.raises(AllZeroError):
+            analysis(Povm(np.zeros((2, 2, 2))))
 
 
 class TestRelabel:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import per_effect
-from conftest import EYE2, random_mixed_rank_pvm
+from conftest import EYE2, random_mixed_rank_pvm, record_eigensolvers
 from povm_forge import (
     NOT_EXTREMAL,
     Povm,
@@ -175,6 +175,16 @@ def test_eigh_only_for_rank_two_and_up_and_one_real_svd(monkeypatch):
             calls["eigh"], calls["svd"] = 0, []
             analysis(p)
             assert (calls["eigh"], calls["svd"]) == (eigh_calls, svd_dtypes)
+
+
+@pytest.mark.parametrize(
+    "analysis", [classify, extremality_report, spectral_relabel, spectral_form]
+)
+def test_each_analysis_takes_one_eigvalsh_of_the_nonzero_effects(monkeypatch, analysis):
+    p = make_povm("hybrid", 4, 0, 2)  # four nonzero effects, two zero ones
+    calls = record_eigensolvers(monkeypatch)
+    analysis(p)
+    assert [a.shape for name, a in calls if name == "eigvalsh"] == [(4, 4, 4)]
 
 
 rank1_cases = st.one_of(
