@@ -163,18 +163,11 @@ class DecompositionCertificate:
             target = Povm.from_jsonable(obj["target"])
             comps = []
             for entry in obj["components"]:
-                extremal = Povm.from_jsonable(entry["extremal"])
-                entries = entry["relabel"]
-                if len(entries) != extremal.n_outcomes:
-                    raise ValueError(
-                        f"relabel map has {len(entries)} entries for a "
-                        f"{extremal.n_outcomes}-outcome component"
-                    )
                 comps.append(
                     CertificateComponent(
+                        extremal=Povm.from_jsonable(entry["extremal"]),
                         weight=float(_json_numbers(entry["weight"], "iuf", "weight", scalar=True)),
-                        extremal=extremal,
-                        relabel=RelabelMap.from_jsonable(entries, target.n_outcomes),
+                        relabel=RelabelMap.from_jsonable(entry["relabel"], target.n_outcomes),
                     )
                 )
         except (KeyError, TypeError) as exc:
@@ -430,7 +423,7 @@ def verify_certificate(
     residuals = np.linalg.norm(
         cert.reconstruction() - cert.target.effects, axis=(1, 2)
     )
-    worst = float(residuals.max()) if residuals.size else 0.0
+    worst = float(residuals.max())
     if not worst <= tol.recon_tol:
         failures.append(f"reconstruction residual {worst:.3e} exceeds recon_tol")
 

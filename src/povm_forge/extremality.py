@@ -33,9 +33,9 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     banded_verdict,
+    effect_ranks,
     hermitian_coords,
     independence_margin,
-    rank_cutoff,
     unit_hermitian_basis,
 )
 from .povm import Povm, _checked, _spectral_terms, _spectrum
@@ -107,26 +107,23 @@ def pair_independence(
 ) -> ExtremalityReport:
     """Extremality verdict of a Hermitian effect stack from its ascending eigenvalues ``w``.
 
-    An effect with r eigenvalues above the rank cutoff contributes the r^2 unit
+    An effect of rank r (:func:`linalg.effect_ranks`) contributes the r^2 unit
     pair operators v_k v_l^H of its top eigenvectors; more than d^2 of them are
-    dependent without an SVD.  Otherwise they enter as real rows: a rank-1
-    effect as hermitian_coords(E) / |E|_F, and an effect of rank r >= 2 as
+    dependent without an SVD.  Otherwise they enter as real rows: a plain rank-1
+    effect as hermitian_coords(E) / |E|_F, and any other effect of rank r as
     hermitian_coords(V B V^H) for its top r eigenvectors V and each B of
     ``unit_hermitian_basis(r)``, an isometric image of its pair operators.  One
-    batched ``eigh`` over the rank >= 2 effects and one real SVD of at most
+    batched ``eigh`` over those other effects and one real SVD of at most
     d^2 x d^2, singular values only, give the margin.  ``effects`` must be
     symmetrized (``hermitian_part``): the solvers read one triangle each.
     """
     d = effects.shape[-1]
-    cutoff = rank_cutoff(w, tol)
-    ranks = np.count_nonzero(w > cutoff, axis=1)
+    ranks, plain = effect_ranks(w, tol)
     count = int(ranks @ ranks)
     if count == 0:
         raise EmptyInputError("independence test requires at least one operator")
     if count > d * d:
         return ExtremalityReport(False, False, 0.0, count)
-    # E / |E|_F is the top eigenprojection when no other eigenvalue is beyond the cutoff
-    plain = (ranks == 1) & (w[:, 0] >= -cutoff[:, 0])
     ops = np.empty((count, d, d), dtype=np.complex128)  # as many as the pair operators
     start = n_plain = np.count_nonzero(plain)
     np.compress(plain, effects, axis=0, out=ops[:n_plain])
@@ -208,7 +205,7 @@ def rank1_failures(
     flat = effects.reshape(len(effects), -1).view(np.float64)  # no certificate-sized temporary
     norms = np.sqrt(np.einsum("ki,ki->k", flat, flat))  # Frobenius norms
     nonzero = norms > tol.zero_effect_tol
-    ranks = nonzero * (np.abs(w) > rank_cutoff(w, tol)).sum(axis=1)
+    ranks = nonzero * effect_ranks(w, tol)[0]
     counts = np.add.reduceat(ranks > 0, starts, dtype=np.intp)
     top = np.maximum.reduceat(ranks, starts).tolist()  # 0: no nonzero effect of rank >= 1
 

@@ -3,7 +3,7 @@
 Everything downstream (POVM validation, extremality tests, the
 decomposition engine) reduces to a handful of primitives implemented
 here: eigendecomposition with a deterministic ordering and phase
-convention, rank decisions with explicit tolerances, inverse square
+convention, one rank rule (:func:`effect_ranks`), inverse square
 roots and the one congruence that makes operators sum to I, real
 coordinates of Hermitian matrices and their canonical basis, and
 independence tests by a singular-value margin with one banded cutoff.
@@ -185,16 +185,22 @@ def eig_herm(m, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def rank_cutoff(w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Per-row rank cutoff rank_tol * max(1, |lambda|_max) of eigenvalues ``w``, axis kept."""
-    return tol.rank_tol * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
+def effect_ranks(w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
+    """(ranks, plain) of each row of ascending eigenvalues ``w``: int and bool arrays.
+
+    A rank counts the eigenvalues above the cutoff rank_tol * max(1, |lambda|_max);
+    a negative one never counts.  A plain row has rank 1 and none below -cutoff,
+    so E / |E|_F is its effect's one unit pair operator and power steps on E find
+    its eigenvector without an ``eigh`` (past a large negative one they would not).
+    """
+    cutoff = tol.rank_tol * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
+    ranks = np.count_nonzero(w > cutoff, axis=-1)
+    return ranks, (ranks == 1) & (w[..., 0] >= -cutoff[..., 0])
 
 
 def rank_of(m, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Eigenvalue count above the relative cutoff rank_tol * max(1, |lambda|_max)."""
-    a = require_hermitian(m, tol)
-    w = np.linalg.eigvalsh(a)
-    return int(np.count_nonzero(np.abs(w) > rank_cutoff(w, tol)))
+    """Eigenvalue count above the cutoff rank_tol * max(1, |lambda|_max): :func:`effect_ranks`."""
+    return int(effect_ranks(np.linalg.eigvalsh(require_hermitian(m, tol)), tol)[0])
 
 
 def inv_sqrt(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -33,10 +33,10 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     _fix_phases,
+    effect_ranks,
     eig_herm,
     hermitian_deviation,
     hermitian_part,
-    rank_cutoff,
 )
 
 if TYPE_CHECKING:
@@ -394,14 +394,11 @@ def _spectral_terms(
     from two power steps on its largest-diagonal column e_k: y = E e_k,
     z = E y, lambda = y^H z / y^H y and psi = sqrt(lambda) z / |z|.  Only
     effects of rank >= 2 take eigenvectors from ``eig_herm``, and so does a
-    rank-1 effect with an eigenvalue below -cutoff (not PSD), on which the
-    power steps would not converge.
+    rank-1 effect that is not plain (:func:`linalg.effect_ranks`).
     """
-    cutoff = rank_cutoff(w, tol)
-    ranks = np.count_nonzero(w > cutoff, axis=1)
+    ranks, power = effect_ranks(w, tol)
     starts = np.cumsum(ranks) - ranks
     psi = np.empty((int(ranks.sum()), effects.shape[-1]), dtype=np.complex128)
-    power = (ranks == 1) & (w[:, 0] >= -cutoff[:, 0])
     one = np.flatnonzero(power)
     if one.size:
         psi[starts[one]] = _top_terms(effects[one])
@@ -444,7 +441,7 @@ def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:
 
     _, effects, w = _spectrum(p, tol)
     report = pair_independence(effects, w, tol)
-    ranks = np.count_nonzero(np.abs(w) > rank_cutoff(w, tol), axis=1)  # the rank_of rule
+    ranks = effect_ranks(w, tol)[0]
     w, ranks = w[ranks > 0], ranks[ranks > 0]
     projection = np.linalg.norm(w * w - w, axis=1) <= tol.recon_tol  # = |E^2 - E|_F
     rank1 = bool(np.all(ranks == 1))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from povm_forge import Povm, qubit_example, type_d_example
+from povm_forge import Povm, construct_extremal_rank1, eig_herm, qubit_example, type_d_example
 
 EYE2 = np.eye(2, dtype=np.complex128)
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -48,6 +48,18 @@ def qubit3_with_rank0_outcome() -> Povm:
     small = 5e-10 * np.diag([1.0, 0.0]).astype(np.complex128)
     effects[2] -= small
     return Povm(np.concatenate([effects, small[None]]))
+
+
+def rank1_within_psd_slack() -> Povm:
+    """construct_extremal_rank1(3, 7) with -5e-9 u u^H added to effect 0, u its second eigenvector.
+
+    Valid once psd_tol is 1e-8, and still extremal rank-1: the negative eigenvalue
+    lies beyond the rank cutoff (rank_tol 1e-9) but must not count as rank.
+    """
+    effects = np.array(construct_extremal_rank1(3, 7).effects)
+    u = eig_herm(effects[0]).eigenvectors[:, 1]
+    effects[0] -= 5e-9 * np.outer(u, u.conj())
+    return Povm(effects)
 
 
 def record_eigensolvers(monkeypatch):

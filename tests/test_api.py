@@ -146,3 +146,18 @@ def test_only_the_validator_holds_the_hermitian_and_psd_thresholds():
         if isinstance(node, ast.Attribute) and node.attr == "psd_tol" and not places & allowed
     ]
     assert not stray, stray
+
+
+def test_one_rank_rule():
+    """``rank_tol`` is read in ``linalg.effect_ranks`` and ``decomposer._debris_floor`` only.
+
+    Every rank, and every rank-1 shortcut, comes from ``effect_ranks``, so no two
+    analyses can count an effect's rank by different rules.
+    """
+    allowed = {"linalg.py:effect_ranks", "decomposer.py:_debris_floor"}
+    stray = [
+        f"{where}: rank_tol"
+        for places, node, where in _placed_nodes()
+        if isinstance(node, ast.Attribute) and node.attr == "rank_tol" and not places & allowed
+    ]
+    assert not stray, stray

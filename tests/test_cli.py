@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import EYE2, four_outcome_qubit, qubit3_with_rank0_outcome
+from conftest import EYE2, four_outcome_qubit, qubit3_with_rank0_outcome, rank1_within_psd_slack
 from povm_forge import (
     DEFAULT_TOL,
     DecompositionCertificate,
@@ -130,6 +130,11 @@ class TestClassifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert (report["outcomes"], report["nonzero_outcomes"], report["type"]) == (4, 3, "a")
         assert report["rank_profile"] == [1, 1, 1]
+
+    def test_negative_eigenvalue_within_psd_slack_is_not_rank(self, tmp_path, capsys):
+        path = write_povm(tmp_path / "slack.json", rank1_within_psd_slack())
+        assert main(["classify", path, "--tol-psd", "1e-8", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["type"] == "a"
 
     def test_invalid_povm(self, tmp_path):
         path = write_povm(tmp_path / "bad.json", Povm(np.stack([EYE2, EYE2])))
@@ -267,6 +272,12 @@ class TestStatsCommand:
         self.spoil(cert_path, extremal=onb_pvm(3).to_jsonable(), relabel=[1, 2, 2])
         assert main(["stats", povm_path, cert_path, "--trials", "10"]) == 1
         assert "dimension" in capsys.readouterr().err
+
+    def test_relabel_of_another_length_does_not_fit(self, tmp_path, capsys):
+        povm_path, cert_path = self.make_pair(tmp_path, qubit_example())
+        self.spoil(cert_path, relabel=[1, 2])
+        assert main(["stats", povm_path, cert_path, "--trials", "10"]) == 1
+        assert "component 0: map source size 2 != outcome count 3" in capsys.readouterr().err
 
     def test_fractional_relabel_is_a_parse_failure(self, tmp_path, capsys):
         povm_path, cert_path = self.make_pair(tmp_path, qubit_example())

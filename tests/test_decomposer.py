@@ -461,6 +461,12 @@ class TestCertificateFitsTarget:
         with pytest.raises(MapSizeMismatchError):
             DecompositionCertificate(qubit3, (comp,))
 
+    def test_file_with_a_relabel_of_another_length(self, qubit3):
+        doc = decompose(qubit3).to_jsonable()
+        doc["components"][0]["relabel"] = [1, 2]
+        with pytest.raises(MapSizeMismatchError, match="map source size 2 != outcome count 3"):
+            DecompositionCertificate.from_jsonable(doc)
+
     def test_file_with_a_component_of_another_dimension(self):
         doc = decompose(onb_pvm(2)).to_jsonable()
         doc["components"][0].update(extremal=onb_pvm(3).to_jsonable(), relabel=[1, 2, 2])
@@ -520,6 +526,28 @@ class TestExtremalToRank1:
                 )
 
 
+def _spoiled(comps) -> list[Povm]:
+    """The components' POVMs, every sixth kept and the others spoiled in turn.
+
+    Scaled off I, an effect of rank 2, two equal effects, a NaN entry, a skew effect.
+    """
+    spoiled = []
+    for i, comp in enumerate(comps):
+        effects = np.array(comp.extremal.effects)
+        if i % 6 == 1:
+            effects *= 1.5
+        elif i % 6 == 2:
+            effects[0] += effects[1]
+        elif i % 6 == 3:
+            effects = np.concatenate([effects[:1] / 2, effects[:1] / 2, effects[1:]])
+        elif i % 6 == 4:
+            effects[0, 0, 0] = np.nan
+        elif i % 6 == 5:
+            effects[0, 0, -1] += 1e-3
+        spoiled.append(Povm(effects))
+    return spoiled
+
+
 class TestVerifyCertificate:
     def test_detects_perturbed_weight(self, dependent4):
         cert = decompose(dependent4)
@@ -565,22 +593,7 @@ class TestVerifyCertificate:
     @pytest.mark.parametrize("d, n", [(8, 16), (3, 60), (2, 100)])
     def test_batched_verdicts_match_one_segment_calls(self, d, n):
         comps = decompose(random_povm(d, n, seed=1)).components
-        # and the same components spoiled: scaled off I, an effect of rank 2, two equal effects,
-        # a NaN entry, a skew effect
-        spoiled = []
-        for i, comp in enumerate(comps):
-            effects = np.array(comp.extremal.effects)
-            if i % 6 == 1:
-                effects *= 1.5
-            elif i % 6 == 2:
-                effects[0] += effects[1]
-            elif i % 6 == 3:
-                effects = np.concatenate([effects[:1] / 2, effects[:1] / 2, effects[1:]])
-            elif i % 6 == 4:
-                effects[0, 0, 0] = np.nan
-            elif i % 6 == 5:
-                effects[0, 0, -1] += 1e-3
-            spoiled.append(Povm(effects))
+        spoiled = _spoiled(comps)
         povm_checks = (NonFiniteError, NotHermitianError, NotPSDError, NotNormalizedError)
         for povms in ([c.extremal for c in comps], spoiled):
             batched = rank1_failures(
@@ -605,20 +618,7 @@ class TestVerifyCertificate:
     def test_ragged_validator_matches_violations_of_each_povm(self, d, n):
         # the clean and spoiled stacks of test_batched_verdicts_match_one_segment_calls
         comps = decompose(random_povm(d, n, seed=1)).components
-        spoiled = []
-        for i, comp in enumerate(comps):
-            effects = np.array(comp.extremal.effects)
-            if i % 6 == 1:
-                effects *= 1.5
-            elif i % 6 == 2:
-                effects[0] += effects[1]
-            elif i % 6 == 3:
-                effects = np.concatenate([effects[:1] / 2, effects[:1] / 2, effects[1:]])
-            elif i % 6 == 4:
-                effects[0, 0, 0] = np.nan
-            elif i % 6 == 5:
-                effects[0, 0, -1] += 1e-3
-            spoiled.append(Povm(effects))
+        spoiled = _spoiled(comps)
         for povms in ([c.extremal for c in comps], spoiled):
             found, _ = _checked(
                 np.concatenate([p.effects for p in povms]), [p.n_outcomes for p in povms]

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import (
     EYE2,
     qubit3_with_rank0_outcome,
+    rank1_within_psd_slack,
     random_mixed_rank_pvm,
     sigma_x_pvm,
     sigma_z_pvm,
@@ -24,6 +27,7 @@ from povm_forge import (
     Povm,
     RelabelMap,
     classify,
+    decompose,
     extremality_report,
     is_extremal,
     is_extremal_rank1,
@@ -43,7 +47,7 @@ from povm_forge.errors import (
     NotRank1Error,
 )
 from povm_forge.extremality import rank1_failures
-from povm_forge.linalg import banded_verdict
+from povm_forge.linalg import banded_verdict, rank_of
 
 
 def uniform_pair():
@@ -183,6 +187,18 @@ class TestIsExtremalRank1:
             if is_extremal_rank1(p) != is_extremal(p):
                 disagreements += 1
         assert disagreements == 0
+
+
+def test_one_rank_rule_when_psd_tol_exceeds_rank_tol():
+    # a negative eigenvalue within psd_tol but beyond the rank cutoff counts as rank nowhere
+    tol = dataclasses.replace(DEFAULT_TOL, psd_tol=1e-8)
+    p = rank1_within_psd_slack()
+    assert violations(p, tol) == []
+    c = classify(p, tol)
+    assert (c.extremal_type, c.rank_profile) == ("a", (1,) * 7)
+    assert is_extremal_rank1(p, tol) is True
+    assert rank_of(p.effects[0], tol) == 1
+    assert len(decompose(p, tol).components) == 1
 
 
 @pytest.mark.parametrize(

@@ -134,6 +134,9 @@ class TestRankOf:
     def test_zero_matrix(self):
         assert rank_of(np.zeros((4, 4))) == 0
 
+    def test_negative_eigenvalues_never_count(self):
+        assert rank_of(np.diag([1.0, -1.0])) == 1
+
 
 class TestInvSqrt:
     def test_identity(self):
