@@ -30,6 +30,7 @@ from .extremality import is_extremal_rank1, pair_independence, rank1_failures
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    effect_ranks,
     hermitian_coords,
     independence_cutoff,
     normalizer,
@@ -262,7 +263,7 @@ def _normalized_terms(
     them) are dropped before S^{-1/2} from :func:`normalizer`, S the sum of the
     retained terms, is applied to each psi.
     """
-    sources, psi = _spectral_terms(p.effects, w, tol)
+    sources, psi = _spectral_terms(p.effects, *effect_ranks(w, tol), tol)
     kept = np.einsum("ij,ij->i", psi.conj(), psi).real > _debris_floor(p.dim, tol)
     sources, psi = sources[kept], psi[kept]
     psi = psi @ normalizer(psi.T @ psi.conj(), len(psi), tol).T
@@ -359,9 +360,10 @@ def extremal_to_rank1(
     (only through tolerance inconsistency) raises ``InternalContradictionError``.
     """
     back, effects, w = _spectrum(validate(p, tol), tol)
-    if not pair_independence(effects, w, tol).extremal:
+    ranks, plain = effect_ranks(w, tol)
+    if not pair_independence(effects, ranks, plain, tol).extremal:
         raise NotExtremalError("input POVM is not extremal")
-    sources, psi = _spectral_terms(effects, w, tol)
+    sources, psi = _spectral_terms(effects, ranks, plain, tol)
     rank1 = Povm(psi[:, :, None] * psi.conj()[:, None, :])
     if not is_extremal_rank1(rank1, tol):
         raise InternalContradictionError(

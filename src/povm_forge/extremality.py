@@ -96,21 +96,24 @@ def spectral_form(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralForm:
     all-zero input raises as ``povm._spectrum`` does.
     """
     back, effects, w = _spectrum(p, tol)
-    j, rows = _spectral_terms(effects, w, tol)
+    j, rows = _spectral_terms(effects, *effect_ranks(w, tol), tol)
     rows.setflags(write=False)  # the blocks below are views
     blocks = np.split(rows, np.cumsum(np.bincount(back.targets[j], minlength=p.n_outcomes))[:-1])
     return SpectralForm(vectors=tuple(blocks))
 
 
 def pair_independence(
-    effects: np.ndarray, w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
+    effects: np.ndarray,
+    ranks: np.ndarray,
+    plain: np.ndarray,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> ExtremalityReport:
-    """Extremality verdict of a Hermitian effect stack from its ascending eigenvalues ``w``.
+    """Extremality verdict of a Hermitian effect stack from its :func:`linalg.effect_ranks`.
 
-    An effect of rank r (:func:`linalg.effect_ranks`) contributes the r^2 unit
-    pair operators v_k v_l^H of its top eigenvectors; more than d^2 of them are
-    dependent without an SVD.  Otherwise they enter as real rows: a plain rank-1
-    effect as hermitian_coords(E) / |E|_F, and any other effect of rank r as
+    An effect of rank r (``ranks``) contributes the r^2 unit pair operators
+    v_k v_l^H of its top eigenvectors; more than d^2 of them are dependent
+    without an SVD.  Otherwise they enter as real rows: a ``plain`` rank-1 effect
+    as hermitian_coords(E) / |E|_F, and any other effect of rank r as
     hermitian_coords(V B V^H) for its top r eigenvectors V and each B of
     ``unit_hermitian_basis(r)``, an isometric image of its pair operators.  One
     batched ``eigh`` over those other effects and one real SVD of at most
@@ -118,18 +121,20 @@ def pair_independence(
     symmetrized (``hermitian_part``): the solvers read one triangle each.
     """
     d = effects.shape[-1]
-    ranks, plain = effect_ranks(w, tol)
     count = int(ranks @ ranks)
     if count == 0:
         raise EmptyInputError("independence test requires at least one operator")
     if count > d * d:
         return ExtremalityReport(False, False, 0.0, count)
-    ops = np.empty((count, d, d), dtype=np.complex128)  # as many as the pair operators
-    start = n_plain = np.count_nonzero(plain)
-    np.compress(plain, effects, axis=0, out=ops[:n_plain])
-    if start < count:
+    rows = hermitian_coords(effects)  # the plain effects' rows first, the pair operators' after
+    n_plain = np.count_nonzero(plain)
+    if n_plain < len(rows):
+        rows = rows[plain]
+    if n_plain < count:
         spread = ~plain & (ranks > 0)
         vectors, spread_ranks = np.linalg.eigh(effects[spread])[1], ranks[spread]
+        ops = np.empty((count - n_plain, d, d), dtype=np.complex128)
+        start = 0
         for r in np.flatnonzero(np.bincount(spread_ranks)).tolist():
             top = vectors[spread_ranks == r][..., d - r:]  # eigh is ascending
             stop = start + len(top) * r * r
@@ -139,7 +144,7 @@ def pair_independence(
                 out=ops[start:stop].reshape(len(top), r * r, d, d),
             )
             start = stop
-    rows = hermitian_coords(ops)
+        rows = np.concatenate([rows, hermitian_coords(ops)])
     rows[:n_plain] /= np.linalg.norm(rows[:n_plain], axis=1, keepdims=True)
     margin = float(independence_margin(rows))
     return ExtremalityReport(*banded_verdict(margin, tol), margin, count)
@@ -148,7 +153,7 @@ def pair_independence(
 def extremality_report(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> ExtremalityReport:
     """Extremality analysis of a valid POVM: :func:`pair_independence` of its nonzero effects."""
     _, effects, w = _spectrum(p, tol)
-    return pair_independence(effects, w, tol)
+    return pair_independence(effects, *effect_ranks(w, tol), tol)
 
 
 def is_extremal(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -106,29 +106,40 @@ def hermitian_deviation(a: np.ndarray) -> np.ndarray:
     return np.abs(gap).max(axis=(-2, -1))
 
 
-def require_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Return ``m`` (a matrix or a stack of them) as a complex array; raise if not Hermitian."""
+def require_hermitian(
+    m, tol: ToleranceConfig = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``m`` (a matrix or a stack of them) as a complex array, and its conjugate transpose.
+
+    Raises unless every entry is finite and within herm_tol of its conjugate
+    transpose.  The transpose is None where ``m`` is finite and equals it exactly.
+    """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
+    adjoint = np.conjugate(a.swapaxes(-1, -2), order="C")
+    parts = a.reshape(-1).view(np.float64)  # real and imaginary parts: float compares are fast
+    if np.isfinite(parts).all() and np.array_equal(adjoint.reshape(-1).view(np.float64), parts):
+        return a, None
     with np.errstate(invalid="ignore"):  # Inf - Inf: NaN, which fails below
-        deviation = float(hermitian_deviation(a).max())
+        deviation = float(np.abs(adjoint - a).max())
     if not deviation <= tol.herm_tol:
         raise NotHermitianError(
             f"matrix deviates from Hermitian symmetry by {deviation:.3e} "
             f"(herm_tol = {tol.herm_tol:.3e})"
         )
-    return a
+    return a, adjoint
 
 
 def hermitian_part(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """(a + a^H) / 2 of ``m`` (a matrix or a stack) after :func:`require_hermitian`.
 
     Every solver reading one triangle (``eigh``, ``eigvalsh``, :func:`hermitian_coords`)
-    then sees the same matrix.
+    then sees the same matrix.  An exactly Hermitian ``m`` equals that average (up to
+    the sign of a zero entry) and comes back as it is, uncopied.
     """
-    a = require_hermitian(m, tol)
-    return (a + a.conj().swapaxes(-1, -2)) / 2.0
+    a, adjoint = require_hermitian(m, tol)
+    return a if adjoint is None else (a + adjoint) / 2.0
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -200,7 +211,7 @@ def effect_ranks(w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
 
 def rank_of(m, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Eigenvalue count above the cutoff rank_tol * max(1, |lambda|_max): :func:`effect_ranks`."""
-    return int(effect_ranks(np.linalg.eigvalsh(require_hermitian(m, tol)), tol)[0])
+    return int(effect_ranks(np.linalg.eigvalsh(require_hermitian(m, tol)[0]), tol)[0])
 
 
 def inv_sqrt(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

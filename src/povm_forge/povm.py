@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
@@ -184,7 +185,9 @@ class RelabelMap:
         object.__setattr__(self, "targets", arr)
 
     @classmethod
+    @lru_cache(maxsize=64)
     def identity(cls, n: int) -> "RelabelMap":
+        """The map k -> k on n outcomes, built once per n (it is immutable)."""
         return cls(n, n, np.arange(n))
 
     @classmethod
@@ -369,7 +372,7 @@ def spectral_relabel(
     rank-1 POVM has at most N*d outcomes.
     """
     back, effects, w = _spectrum(p, tol)
-    sources, psi = _spectral_terms(effects, w, tol)
+    sources, psi = _spectral_terms(effects, *effect_ranks(w, tol), tol)
     pieces = psi[:, :, None] * psi.conj()[:, None, :]
     return Povm(pieces), RelabelMap(sources.size, back.source_size, sources)
 
@@ -382,27 +385,26 @@ def _spectrum(p: Povm, tol: ToleranceConfig) -> tuple[RelabelMap, np.ndarray, np
 
 
 def _spectral_terms(
-    effects: np.ndarray, w: np.ndarray, tol: ToleranceConfig
+    effects: np.ndarray, ranks: np.ndarray, plain: np.ndarray, tol: ToleranceConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Term vectors psi = sqrt(lambda) v of a Hermitian effect stack, and the effect of each.
 
-    ``w`` holds the stack's ascending ``eigvalsh`` eigenvalues; effect j has
-    one term per entry of ``w[j]`` above the rank cutoff, so that effect j =
-    sum of |psi><psi| over its terms up to the dropped ones.  Terms come in
-    row-major (effect, term) order, each effect's in :func:`eig_herm`'s
-    descending order and phase convention.  A rank-1 effect's one term comes
-    from two power steps on its largest-diagonal column e_k: y = E e_k,
-    z = E y, lambda = y^H z / y^H y and psi = sqrt(lambda) z / |z|.  Only
-    effects of rank >= 2 take eigenvectors from ``eig_herm``, and so does a
-    rank-1 effect that is not plain (:func:`linalg.effect_ranks`).
+    ``ranks`` and ``plain`` are :func:`linalg.effect_ranks` of the stack's
+    ``eigvalsh`` eigenvalues: effect j has one term per eigenvalue above the
+    rank cutoff, so that effect j = sum of |psi><psi| over its terms up to the
+    dropped ones.  Terms come in row-major (effect, term) order, each effect's
+    in :func:`eig_herm`'s descending order and phase convention.  A rank-1
+    effect's one term comes from two power steps on its largest-diagonal column
+    e_k: y = E e_k, z = E y, lambda = y^H z / y^H y and psi = sqrt(lambda) z / |z|.
+    Only effects of rank >= 2 take eigenvectors from ``eig_herm``, and so does a
+    rank-1 effect that is not plain.
     """
-    ranks, power = effect_ranks(w, tol)
     starts = np.cumsum(ranks) - ranks
     psi = np.empty((int(ranks.sum()), effects.shape[-1]), dtype=np.complex128)
-    one = np.flatnonzero(power)
+    one = np.flatnonzero(plain)
     if one.size:
         psi[starts[one]] = _top_terms(effects[one])
-    many = np.flatnonzero(~power & (ranks > 0))
+    many = np.flatnonzero(~plain & (ranks > 0))
     if many.size:
         dec = eig_herm(effects[many], tol)
         rows, k = np.nonzero(np.arange(effects.shape[-1]) < ranks[many, None])
@@ -430,8 +432,9 @@ def _top_terms(effects: np.ndarray) -> np.ndarray:
 def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:
     """Rank-1 and PVM flags plus the extremality type label.
 
-    One ``eigvalsh`` of the nonzero effects gives the flags, the rank
-    profile and the operator count of ``extremality.pair_independence``.
+    One ``eigvalsh`` of the nonzero effects and one count of their ranks
+    (:func:`linalg.effect_ranks`) give the flags, the rank profile and the
+    operators of ``extremality.pair_independence``.
     Only effects with an eigenvalue above the rank cutoff count, in the
     flags and the rank profile.  When multiple type predicates hold the
     most specific label wins (a > b > c > d); a rank-1 basis PVM
@@ -440,8 +443,8 @@ def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:
     from .extremality import pair_independence  # here: extremality builds on this module
 
     _, effects, w = _spectrum(p, tol)
-    report = pair_independence(effects, w, tol)
-    ranks = effect_ranks(w, tol)[0]
+    ranks, plain = effect_ranks(w, tol)
+    report = pair_independence(effects, ranks, plain, tol)
     w, ranks = w[ranks > 0], ranks[ranks > 0]
     projection = np.linalg.norm(w * w - w, axis=1) <= tol.recon_tol  # = |E^2 - E|_F
     rank1 = bool(np.all(ranks == 1))
@@ -457,7 +460,7 @@ def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:
         label = "c"
     else:
         label = "d"
-    return PovmClass(rank1, pvm, label, tuple(int(r) for r in ranks), report)
+    return PovmClass(rank1, pvm, label, tuple(ranks.tolist()), report)
 
 
 def equivalent(

@@ -74,7 +74,7 @@ def test_qubit_extension_reproduces_reference():
     reference = qubit_example()
     extend_extremal(pvm, projection=projection)  # warmup
     elapsed = min(
-        _timed(lambda: extend_extremal(pvm, projection=projection)) for _ in range(5)
+        _timed(lambda: extend_extremal(pvm, projection=projection)) for _ in range(25)
     )
     extended = extend_extremal(pvm, projection=projection)
     gap = float(np.max(np.abs(extended.effects - reference.effects)))

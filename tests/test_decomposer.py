@@ -57,7 +57,7 @@ from povm_forge.errors import (
 from povm_forge import decomposer
 from povm_forge.decomposer import _factor, _normalized_terms, _random_states
 from povm_forge.extremality import rank1_failures
-from povm_forge.linalg import hermitian_coords, independence_cutoff
+from povm_forge.linalg import effect_ranks, hermitian_coords, independence_cutoff
 from povm_forge.povm import _checked, _spectral_terms
 
 
@@ -310,7 +310,8 @@ class TestOneEigenvaluePass:
     @pytest.mark.parametrize("d", range(2, 9))
     def test_rank1_terms_match_eig_herm(self, d):
         p = random_povm(d, d * d, seed=d, rank=1)
-        sources, psi = _spectral_terms(p.effects, np.linalg.eigvalsh(p.effects), DEFAULT_TOL)
+        ranks = effect_ranks(np.linalg.eigvalsh(p.effects), DEFAULT_TOL)
+        sources, psi = _spectral_terms(p.effects, *ranks, DEFAULT_TOL)
         assert np.array_equal(sources, np.arange(d * d))
         dec = eig_herm(p.effects)
         want = dec.eigenvalues[:, 0, None, None] * dec.projection(0)
@@ -326,7 +327,7 @@ class TestOneEigenvaluePass:
         effects[0] += 0.5 * DEFAULT_TOL.rank_tol * np.outer(u, u.conj())
         p = Povm(effects)
         w = np.linalg.eigvalsh(p.effects)
-        sources, psi = _spectral_terms(p.effects, w, DEFAULT_TOL)
+        sources, psi = _spectral_terms(p.effects, *effect_ranks(w, DEFAULT_TOL), DEFAULT_TOL)
         assert np.array_equal(sources, np.arange(10))
         term = np.outer(psi[0], psi[0].conj())
         assert np.linalg.norm(term - p.effects[0]) <= DEFAULT_TOL.recon_tol

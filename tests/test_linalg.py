@@ -15,7 +15,12 @@ from povm_forge import (
     rank_of,
     type_d_example,
 )
-from povm_forge.linalg import hermitian_coords, normalize_sum, unit_hermitian_basis
+from povm_forge.linalg import (
+    hermitian_coords,
+    hermitian_part,
+    normalize_sum,
+    unit_hermitian_basis,
+)
 from povm_forge.errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -195,6 +200,43 @@ class TestNormalizeSum:
     def test_rejects_singular_sum(self):
         with pytest.raises(NotPositiveDefiniteError):
             normalize_sum(np.stack([np.diag([1.0, 0.0])] * 3).astype(complex))
+
+
+class TestHermitianPart:
+    @staticmethod
+    def _input(shape, skew):
+        """A Hermitian matrix or stack, plus ``skew`` herm_tol times a random one of max entry 1."""
+        rng = np.random.default_rng(20)
+        g = rng.standard_normal((*shape, 4, 4)) + 1j * rng.standard_normal((*shape, 4, 4))
+        return (g + g.conj().swapaxes(-1, -2)) / 2 + skew * DEFAULT_TOL.herm_tol * g / abs(g).max()
+
+    @pytest.mark.parametrize("shape", [(), (5,)])
+    @pytest.mark.parametrize("skew", [0.0, 0.2])
+    def test_bit_equal_to_the_average_and_the_input_untouched(self, shape, skew):
+        a = self._input(shape, skew)
+        before = a.copy()
+        out = hermitian_part(a)
+        assert out.tobytes() == ((a + a.conj().swapaxes(-1, -2)) / 2.0).tobytes()
+        assert a.tobytes() == before.tobytes()
+        assert np.array_equal(out, out.conj().swapaxes(-1, -2))
+        assert (out is a) == (skew == 0.0)  # an exactly Hermitian input is not copied
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    @pytest.mark.parametrize(
+        "index, entry, deviation",
+        [((0, 1), np.nan, "nan"), ((0, 0), np.inf, "nan"), ((1, 0), -np.inf, "inf"),
+         ((0, 1), 1e-9, "1.000e-09")],
+    )
+    def test_rejections_keep_their_message(self, shape, index, entry, deviation):
+        a = np.broadcast_to(np.eye(2, dtype=np.complex128), (*shape, 2, 2)).copy()
+        a[(..., *index)] += entry
+        before = a.copy()
+        with pytest.raises(NotHermitianError) as caught:
+            hermitian_part(a)
+        assert str(caught.value) == (
+            f"matrix deviates from Hermitian symmetry by {deviation} (herm_tol = 1.000e-10)"
+        )
+        assert np.array_equal(a, before, equal_nan=True)
 
 
 class TestHermitianCoords:

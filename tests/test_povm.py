@@ -130,6 +130,14 @@ class TestPrune:
         assert np.array_equal(rmap.targets, np.arange(3))
         assert pruned is qubit3  # no copy when nothing is pruned
 
+    def test_identity_map_is_built_once_per_size(self, qubit3):
+        assert prune_zero_effects(qubit3)[1] is RelabelMap.identity(3)
+        identity = RelabelMap.identity(5)
+        assert RelabelMap.identity(5) is identity and RelabelMap.identity(4) is not identity
+        assert (identity.source_size, identity.target_size) == (5, 5)
+        assert np.array_equal(identity.targets, np.arange(5))
+        assert not identity.targets.flags.writeable
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
         "analysis",

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import per_effect
+import povm_forge
 from conftest import EYE2, random_mixed_rank_pvm, record_eigensolvers
 from povm_forge import (
     NOT_EXTREMAL,
@@ -28,6 +29,7 @@ from povm_forge import (
     violations,
 )
 from povm_forge.cli import main
+from povm_forge.decomposer import extremal_to_rank1
 from povm_forge.errors import NotHermitianError, NotNormalizedError, PovmForgeError
 from povm_forge.linalg import _fix_phases
 
@@ -185,6 +187,39 @@ def test_each_analysis_takes_one_eigvalsh_of_the_nonzero_effects(monkeypatch, an
     calls = record_eigensolvers(monkeypatch)
     analysis(p)
     assert [a.shape for name, a in calls if name == "eigvalsh"] == [(4, 4, 4)]
+
+
+def record_rank_counts(monkeypatch):
+    """Wrap ``effect_ranks`` in every module that binds it; each call appends its input's shape."""
+    shapes = []
+    effect_ranks = povm_forge.linalg.effect_ranks
+
+    def recorded(w, *args, **kwargs):
+        shapes.append(w.shape)
+        return effect_ranks(w, *args, **kwargs)
+
+    for module in (povm_forge.linalg, povm_forge.povm, povm_forge.extremality, povm_forge.decomposer):
+        if hasattr(module, "effect_ranks"):
+            monkeypatch.setattr(module, "effect_ranks", recorded)
+    return shapes
+
+
+@pytest.mark.parametrize("kind", ["full", "rank1_square", "block_pvm", "type_d", "hybrid"])
+def test_classify_counts_ranks_once_from_one_eigvalsh(monkeypatch, kind):
+    p = make_povm(kind, 4, 1, 2)
+    nonzero = (p.n_outcomes - 2, p.dim)
+    solved = record_eigensolvers(monkeypatch)
+    counted = record_rank_counts(monkeypatch)
+    classify(p)
+    assert [a.shape[:-1] for name, a in solved if name == "eigvalsh"] == [nonzero]
+    assert counted == [nonzero]
+
+
+def test_extremal_to_rank1_counts_the_input_ranks_once(monkeypatch, type_d):
+    counted = record_rank_counts(monkeypatch)
+    rank1, _ = extremal_to_rank1(type_d)
+    # the input's ranks, then those of the output in its is_extremal_rank1 guard
+    assert counted == [(3, 4), (rank1.n_outcomes, 4)]
 
 
 rank1_cases = st.one_of(
