@@ -30,7 +30,6 @@ from .extremality import is_extremal_rank1, pair_independence, rank1_failures
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
-    effect_ranks,
     hermitian_coords,
     independence_cutoff,
     normalizer,
@@ -40,6 +39,7 @@ from .povm import (
     RelabelMap,
     _checked,
     _json_numbers,
+    _ranks,
     _spectral_terms,
     _spectrum,
     validate,
@@ -253,17 +253,18 @@ def _debris_floor(dim: int, tol: ToleranceConfig) -> float:
 
 
 def _normalized_terms(
-    p: Povm, w: np.ndarray, tol: ToleranceConfig
+    p: Povm, ranks: np.ndarray, plain: np.ndarray, tol: ToleranceConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rank-1 terms |psi><psi| of the nonzero effects, made to sum to I, and their outcomes.
 
     The effects are expanded once into term vectors psi by
-    :func:`_spectral_terms`, from their ascending eigenvalues ``w``.  Those with
+    :func:`_spectral_terms`, from their ``ranks`` and ``plain`` flags
+    (:func:`linalg.effect_ranks`).  Those with
     |psi|^2 at or below :func:`_debris_floor` (every term of a zero effect among
     them) are dropped before S^{-1/2} from :func:`normalizer`, S the sum of the
     retained terms, is applied to each psi.
     """
-    sources, psi = _spectral_terms(p.effects, *effect_ranks(w, tol), tol)
+    sources, psi = _spectral_terms(p.effects, ranks, plain, tol)
     kept = np.einsum("ij,ij->i", psi.conj(), psi).real > _debris_floor(p.dim, tol)
     sources, psi = sources[kept], psi[kept]
     psi = psi @ normalizer(psi.T @ psi.conj(), len(psi), tol).T
@@ -273,8 +274,9 @@ def _normalized_terms(
 def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCertificate:
     """Decompose a valid POVM into relabeled extremal rank-1 components.
 
-    One ``eigvalsh`` pass validates the input (an invalid one raises what
-    :func:`validate` raises) and gives the eigenvalues from which the nonzero
+    One validator pass (``povm._checked``: the rank-1 bound, then ``eigvalsh``
+    of the effects it leaves unsettled) checks the input (an invalid one raises
+    what :func:`validate` raises) and gives the ranks from which the nonzero
     effects are expanded once into rank-1 spectral terms
     (:func:`_spectral_terms`: eigenvectors only for effects of rank >= 2).  The
     terms above the debris floor are made to sum to I by one congruence of their
@@ -292,10 +294,10 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
     or the certificate's reconstruction, built once and read again by
     :func:`verify_certificate`, is off the input by more than recon_tol.
     """
-    (found,), w = _checked(p.effects, (p.n_outcomes,), tol)
+    (found,), w, settled = _checked(p.effects, (p.n_outcomes,), tol)
     if found:
         raise found[0]
-    terms, targets = _normalized_terms(p, w, tol)
+    terms, targets = _normalized_terms(p, *_ranks(w, settled, tol), tol)
     dim = p.dim
     columns = hermitian_coords(terms).T
     norms = np.linalg.norm(columns, axis=0)
@@ -359,8 +361,7 @@ def extremal_to_rank1(
     That expansion of an extremal input is extremal; a failure on the output
     (only through tolerance inconsistency) raises ``InternalContradictionError``.
     """
-    back, effects, w = _spectrum(validate(p, tol), tol)
-    ranks, plain = effect_ranks(w, tol)
+    back, effects, ranks, plain, _ = _spectrum(validate(p, tol), tol)
     if not pair_independence(effects, ranks, plain, tol).extremal:
         raise NotExtremalError("input POVM is not extremal")
     sources, psi = _spectral_terms(effects, ranks, plain, tol)

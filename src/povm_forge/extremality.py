@@ -10,7 +10,9 @@ An effect's pair operators span the operators V X V^H on its range V,
 whose Hermitian members have d^2 real coordinates
 (``linalg.hermitian_coords``), so the test is one real SVD: a rank-1
 effect enters as itself, unit-normalized, and only effects of rank >= 2
-need eigenvectors.  One ``eigvalsh`` of the effects gives every rank.
+need eigenvectors.  One spectral pass gives every rank: a rank-1 bound
+(``linalg.rank1_interval``) settles the effects that are plain rank 1 for
+every eigenvalue vector it allows, and one ``eigvalsh`` takes the rest.
 """
 
 from __future__ import annotations
@@ -33,12 +35,11 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     banded_verdict,
-    effect_ranks,
     hermitian_coords,
     independence_margin,
     unit_hermitian_basis,
 )
-from .povm import Povm, _checked, _spectral_terms, _spectrum
+from .povm import Povm, _checked, _ranks, _spectral_terms, _spectrum
 
 __all__ = [
     "SpectralForm",
@@ -95,8 +96,8 @@ def spectral_form(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralForm:
     A zero effect is represented by an empty vector block; a non-finite or
     all-zero input raises as ``povm._spectrum`` does.
     """
-    back, effects, w = _spectrum(p, tol)
-    j, rows = _spectral_terms(effects, *effect_ranks(w, tol), tol)
+    back, effects, ranks, plain, _ = _spectrum(p, tol)
+    j, rows = _spectral_terms(effects, ranks, plain, tol)
     rows.setflags(write=False)  # the blocks below are views
     blocks = np.split(rows, np.cumsum(np.bincount(back.targets[j], minlength=p.n_outcomes))[:-1])
     return SpectralForm(vectors=tuple(blocks))
@@ -152,8 +153,8 @@ def pair_independence(
 
 def extremality_report(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> ExtremalityReport:
     """Extremality analysis of a valid POVM: :func:`pair_independence` of its nonzero effects."""
-    _, effects, w = _spectrum(p, tol)
-    return pair_independence(effects, *effect_ranks(w, tol), tol)
+    _, effects, ranks, plain, _ = _spectrum(p, tol)
+    return pair_independence(effects, ranks, plain, tol)
 
 
 def is_extremal(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -192,8 +193,9 @@ def rank1_failures(
     Hermitian, [0, I] and sum failures are entries of the POVM's
     ``violations``, worded as ``validate`` words them.
 
-    One validator pass (``povm._checked``: one Hermitian check, one ``eigvalsh``,
-    one ``np.add.reduceat`` sum) covers the stack and gives every POVM's
+    One validator pass (``povm._checked``: one Hermitian check, one rank-1
+    bound, one ``eigvalsh`` of the effects the bound leaves unsettled, one
+    ``np.add.reduceat`` sum) covers the stack and gives every POVM's
     violations and every rank.  Each group of POVMs with equally many nonzero
     effects gets one SVD.
     """
@@ -206,11 +208,11 @@ def rank1_failures(
         )
     d = effects.shape[-1]
     starts = sizes.cumsum() - sizes
-    povm_failures, w = _checked(effects, sizes.tolist(), tol)
+    povm_failures, w, settled = _checked(effects, sizes.tolist(), tol)
     flat = effects.reshape(len(effects), -1).view(np.float64)  # no certificate-sized temporary
     norms = np.sqrt(np.einsum("ki,ki->k", flat, flat))  # Frobenius norms
     nonzero = norms > tol.zero_effect_tol
-    ranks = nonzero * effect_ranks(w, tol)[0]
+    ranks = nonzero * _ranks(w, settled, tol)[0]
     counts = np.add.reduceat(ranks > 0, starts, dtype=np.intp)
     top = np.maximum.reduceat(ranks, starts).tolist()  # 0: no nonzero effect of rank >= 1
 

@@ -209,6 +209,39 @@ def effect_ranks(w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
     return ranks, (ranks == 1) & (w[..., 0] >= -cutoff[..., 0])
 
 
+# LAPACK's Hermitian eigensolvers return the eigenvalues of some E + F with
+# |F|_2 <= p(d) eps |E|_2, p a modest polynomial (LAPACK Users' Guide, sec. 4.7).
+# 2**-42 d = 1024 d eps is far above the few eps d seen in practice; it also
+# covers the rounding of the bound itself and of lam +- rho.
+_EIGVALSH_ROUNDING = 2.0**-42
+
+
+def rank1_interval(effects: np.ndarray, deviation) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, rho) per effect of an (n, d, d) stack: its eigenvalues lie within rho of (0, ..., 0, lam).
+
+    For y the column of E at its largest diagonal entry E_kk > 0, A = y y^H / E_kk
+    is Hermitian of rank 1 with eigenvalue lam = |y|^2 / E_kk.  By Weyl's
+    inequality each eigenvalue of E lies within |E - A|_2 <= |E - A|_F of A's.
+    ``eigvalsh`` reads one triangle of E, which lies within d * ``deviation``
+    (E's :func:`hermitian_deviation`, or 0 for a Hermitian stack) of E in
+    Frobenius norm; a rounding allowance covers its backward error.  A row with
+    E_kk <= 0, a non-finite entry or entries near overflow gets a negative lam or
+    an infinite or NaN lam or rho, which no rank rule reads as rank 1.  No
+    tolerance enters: the caller decides what the interval settles.
+    """
+    n, d = effects.shape[:2]
+    diagonal = np.diagonal(effects, axis1=-2, axis2=-1).real
+    k = diagonal.argmax(axis=-1)
+    rows = np.arange(n)
+    y = effects[rows, :, k]
+    with np.errstate(all="ignore"):  # E_kk = 0 or an overflow: inf or NaN, which settles nothing
+        scaled = y.conj() / diagonal[rows, k, None]
+        gap = (effects - y[:, :, None] * scaled[:, None, :]).reshape(n, -1).view(np.float64)
+        lam = np.einsum("ij,ij->i", scaled, y).real
+        spread = np.sqrt(np.einsum("ki,ki->k", gap, gap)) + d * deviation
+        return lam, spread + _EIGVALSH_ROUNDING * d * (np.abs(lam) + spread)
+
+
 def rank_of(m, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Eigenvalue count above the cutoff rank_tol * max(1, |lambda|_max): :func:`effect_ranks`."""
     return int(effect_ranks(np.linalg.eigvalsh(require_hermitian(m, tol)[0]), tol)[0])
@@ -252,6 +285,14 @@ def independence_cutoff(tol: ToleranceConfig) -> float:
     return tol.indep_tol * _BORDERLINE_FACTOR
 
 
+@cache
+def _upper_entries(d: int) -> np.ndarray:
+    """Flat indices of the strict upper triangle of a d x d matrix, row-major; cached per d."""
+    entries = np.flatnonzero(np.arange(d)[:, None] < np.arange(d))
+    entries.setflags(write=False)
+    return entries
+
+
 def hermitian_coords(a: np.ndarray) -> np.ndarray:
     """Real coordinates (..., d^2) of a Hermitian matrix or a (..., d, d) stack of them.
 
@@ -262,7 +303,7 @@ def hermitian_coords(a: np.ndarray) -> np.ndarray:
     Only the upper triangle is read.
     """
     d = a.shape[-1]
-    upper = math.sqrt(2.0) * a[..., np.arange(d)[:, None] < np.arange(d)]
+    upper = a.reshape(*a.shape[:-2], d * d)[..., _upper_entries(d)] * math.sqrt(2.0)
     diagonal = np.diagonal(a, axis1=-2, axis2=-1).real
     return np.concatenate([diagonal, upper.real, upper.imag], axis=-1)
 

@@ -10,6 +10,7 @@ with at most N*d outcomes.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,6 +39,7 @@ from .linalg import (
     eig_herm,
     hermitian_deviation,
     hermitian_part,
+    rank1_interval,
 )
 
 if TYPE_CHECKING:
@@ -228,12 +230,16 @@ class PovmClass:
 
 def _checked(
     effects: np.ndarray, sizes, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[list[list[PovmForgeError]], np.ndarray]:
-    """:func:`violations` of each POVM of a ragged stack, and the stack's ``eigvalsh`` eigenvalues.
+) -> tuple[list[list[PovmForgeError]], np.ndarray, np.ndarray]:
+    """:func:`violations` of each POVM of a ragged stack, and its eigenvalues ``w`` and ``settled`` rows.
 
     ``effects`` concatenates the POVMs' effect stacks, of the (checked) ``sizes``.
-    One ``isfinite``, Hermitian deviation, ``eigvalsh`` and ``np.add.reduceat``
-    sum cover the stack; errors are built only where a check fails.  The
+    One ``isfinite``, Hermitian deviation, :func:`_rank1_box` bound and
+    ``np.add.reduceat`` sum cover the stack.  An effect the bound finds plain
+    rank 1 and inside [0, I] for every eigenvalue vector within it is
+    ``settled``: ``eigvalsh`` would give it the same verdicts, so its row of
+    ``w`` is left 0 and :func:`_ranks` reads it as plain rank 1.  The others
+    take one ``eigvalsh``.  Errors are built only where a check fails.  The
     deviation, the eigenvalues and the sum read a non-finite effect as zero,
     and its POVM reports its non-finite effects only.
     """
@@ -242,7 +248,16 @@ def _checked(
     finite = np.isfinite(effects).all(axis=(1, 2))
     clean = effects if finite.all() else np.where(finite[:, None, None], effects, 0.0)
     deviation = hermitian_deviation(clean)
-    w = np.linalg.eigvalsh(clean)
+    box = _rank1_box(clean, deviation, tol)
+    if box is None:
+        settled, w = np.zeros(len(clean), dtype=bool), np.linalg.eigvalsh(clean)
+    else:
+        settled, lam, rho = box
+        # the smallest eigenvalue is at least -rho, the largest at most lam + rho
+        settled &= (rho <= tol.psd_tol) & (lam + rho <= 1 + tol.psd_tol)
+        w = np.zeros((len(clean), clean.shape[-1]))  # a settled row passes the [0, I] test as 0
+        if not settled.all():
+            w[~settled] = np.linalg.eigvalsh(clean[~settled])
     sums = np.add.reduceat(clean, starts) - np.eye(effects.shape[-1])
     residuals = np.linalg.norm(sums, axis=(1, 2))
     failing = ~finite | (deviation > tol.herm_tol)
@@ -276,7 +291,49 @@ def _checked(
                 f"effects do not sum to the identity: normalization residual {residual:.3e} "
                 f"(recon_tol = {tol.recon_tol:.3e})", residual=residual
             ))
-    return found, w
+    return found, w, settled
+
+
+# The bound costs about 25 NumPy calls whatever the stack's size (some 60 us on a
+# 2-CPU x86_64 host), eigvalsh about 1 us per 4 x 4 effect and 9 us per 8 x 8 one:
+# below some 400 entries n d^2 eigvalsh is cheaper.  A stack of at most d effects
+# is a basis or holds full-rank effects, which the bound never settles.
+_BOUND_MIN_ENTRIES = 400
+
+
+def _rank1_box(
+    effects: np.ndarray, deviation, tol: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(plain, lam, rho) of :func:`linalg.rank1_interval`, or None for a small stack.
+
+    ``plain`` marks the effects that :func:`linalg.effect_ranks` finds plain rank 1
+    for every eigenvalue vector within rho of (0, ..., 0, lam), the top in
+    lam +- rho and the rest in +-rho.  It is so for all of them when it is so
+    for the one with the top at lam - rho, the smallest at -rho and the rest at
+    +rho: that has the lowest cutoff and the largest rest, and the cutoff only
+    grows with the top (float rounding is monotone, so this holds as computed).
+    """
+    n, d = effects.shape[:2]
+    if n <= d or n * d * d <= _BOUND_MIN_ENTRIES:
+        return None
+    lam, rho = rank1_interval(effects, deviation)
+    corner = np.repeat(rho[:, None], d, axis=1)
+    corner[:, 0] = -rho
+    with np.errstate(invalid="ignore"):  # inf - inf: NaN, which is not rank 1
+        corner[:, -1] = lam - rho
+    return effect_ranks(corner, tol)[1], lam, rho
+
+
+def _ranks(
+    w: np.ndarray, settled: np.ndarray, tol: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks, plain): plain rank 1 where ``settled``, :func:`linalg.effect_ranks` of ``w`` elsewhere."""
+    if not settled.any():
+        return effect_ranks(w, tol)
+    ranks, plain = settled.astype(np.intp), settled.copy()
+    if not settled.all():
+        ranks[~settled], plain[~settled] = effect_ranks(w[~settled], tol)
+    return ranks, plain
 
 
 def violations(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> list[PovmForgeError]:
@@ -371,17 +428,60 @@ def spectral_relabel(
     indexing, so ``relabel(rank1, map)`` reproduces the pruned POVM.  The
     rank-1 POVM has at most N*d outcomes.
     """
-    back, effects, w = _spectrum(p, tol)
-    sources, psi = _spectral_terms(effects, *effect_ranks(w, tol), tol)
+    back, effects, ranks, plain, _ = _spectrum(p, tol)
+    sources, psi = _spectral_terms(effects, ranks, plain, tol)
     pieces = psi[:, :, None] * psi.conj()[:, None, :]
     return Povm(pieces), RelabelMap(sources.size, back.source_size, sources)
 
 
-def _spectrum(p: Povm, tol: ToleranceConfig) -> tuple[RelabelMap, np.ndarray, np.ndarray]:
-    """Every analysis' front end: map back to ``p``, Hermitian nonzero effects, eigvalsh."""
+def _spectrum(
+    p: Povm, tol: ToleranceConfig
+) -> tuple[RelabelMap, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every analysis' front end: map back to ``p``, Hermitian nonzero effects, their verdicts.
+
+    The verdicts are (ranks, plain) of :func:`linalg.effect_ranks` and each
+    effect's projection test |E^2 - E|_F <= recon_tol, all read from the
+    effects' ``eigvalsh`` eigenvalues.  An effect that :func:`_rank1_box` finds
+    plain rank 1 and of one projection verdict for every eigenvalue vector
+    within its bound takes no ``eigvalsh``: it would give the same verdicts.
+    """
     pruned, back = prune_zero_effects(p, tol)
     effects = hermitian_part(pruned.effects, tol)
-    return back, effects, np.linalg.eigvalsh(effects)
+    box = _rank1_box(effects, 0.0, tol)
+    if box is None:
+        w = np.linalg.eigvalsh(effects)
+        return back, effects, *effect_ranks(w, tol), _is_projection(w, tol)
+    settled, lam, rho = box
+    projection, other = _projection_bounds(lam, rho, effects.shape[-1], tol)
+    settled &= projection | other
+    w = np.zeros((len(effects), effects.shape[-1]))
+    if not settled.all():
+        w[~settled] = np.linalg.eigvalsh(effects[~settled])
+        projection[~settled] = _is_projection(w[~settled], tol)
+    return back, effects, *_ranks(w, settled, tol), projection
+
+
+def _is_projection(w: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """|E^2 - E|_F <= recon_tol of each row of eigenvalues ``w``."""
+    return np.linalg.norm(w * w - w, axis=1) <= tol.recon_tol
+
+
+def _projection_bounds(
+    lam: np.ndarray, rho: np.ndarray, d: int, tol: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where :func:`_is_projection` is True, and where False, for every eigenvalue vector in a box.
+
+    The box has the top t in [lam - rho, lam + rho], t > 0, and d - 1 others in
+    [-rho, rho].  Then |t^2 - t| = t |t - 1| lies between low * (distance from 1)
+    and high * (farthest from 1), and each other |x^2 - x| is at most rho (1 + rho).
+    ``slack`` covers the rounding of the test's own norm, a few eps per entry.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: no verdict is settled
+        low, high = lam - rho, lam + rho
+        least = low * np.maximum(np.maximum(low - 1, 1 - high), 0.0)
+        most = np.hypot(high * np.maximum(1 - low, high - 1), math.sqrt(d - 1) * rho * (1 + rho))
+        slack = 2.0**-42 * d * (high * high + tol.recon_tol)
+        return most + slack <= tol.recon_tol, least > tol.recon_tol + slack
 
 
 def _spectral_terms(
@@ -389,10 +489,10 @@ def _spectral_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Term vectors psi = sqrt(lambda) v of a Hermitian effect stack, and the effect of each.
 
-    ``ranks`` and ``plain`` are :func:`linalg.effect_ranks` of the stack's
-    ``eigvalsh`` eigenvalues: effect j has one term per eigenvalue above the
-    rank cutoff, so that effect j = sum of |psi><psi| over its terms up to the
-    dropped ones.  Terms come in row-major (effect, term) order, each effect's
+    ``ranks`` and ``plain`` are the stack's :func:`linalg.effect_ranks` verdicts,
+    as :func:`_spectrum` or :func:`_ranks` give them: effect j has one term per
+    eigenvalue above the rank cutoff, so that effect j = sum of |psi><psi| over
+    its terms up to the dropped ones.  Terms come in row-major (effect, term) order, each effect's
     in :func:`eig_herm`'s descending order and phase convention.  A rank-1
     effect's one term comes from two power steps on its largest-diagonal column
     e_k: y = E e_k, z = E y, lambda = y^H z / y^H y and psi = sqrt(lambda) z / |z|.
@@ -432,9 +532,10 @@ def _top_terms(effects: np.ndarray) -> np.ndarray:
 def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:
     """Rank-1 and PVM flags plus the extremality type label.
 
-    One ``eigvalsh`` of the nonzero effects and one count of their ranks
-    (:func:`linalg.effect_ranks`) give the flags, the rank profile and the
-    operators of ``extremality.pair_independence``.
+    One spectral pass over the nonzero effects (:func:`_spectrum`: the rank-1
+    bound settles what it can, ``eigvalsh`` the rest) gives their ranks
+    (:func:`linalg.effect_ranks`) and projection tests, and so the flags, the
+    rank profile and the operators of ``extremality.pair_independence``.
     Only effects with an eigenvalue above the rank cutoff count, in the
     flags and the rank profile.  When multiple type predicates hold the
     most specific label wins (a > b > c > d); a rank-1 basis PVM
@@ -442,11 +543,9 @@ def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:
     """
     from .extremality import pair_independence  # here: extremality builds on this module
 
-    _, effects, w = _spectrum(p, tol)
-    ranks, plain = effect_ranks(w, tol)
+    _, effects, ranks, plain, projection = _spectrum(p, tol)
     report = pair_independence(effects, ranks, plain, tol)
-    w, ranks = w[ranks > 0], ranks[ranks > 0]
-    projection = np.linalg.norm(w * w - w, axis=1) <= tol.recon_tol  # = |E^2 - E|_F
+    projection, ranks = projection[ranks > 0], ranks[ranks > 0]
     rank1 = bool(np.all(ranks == 1))
     pvm = bool(np.all(projection))
     if not report.extremal:
@@ -469,10 +568,11 @@ def equivalent(
     tol: ToleranceConfig = DEFAULT_TOL,
     up_to_permutation: bool = False,
 ) -> bool:
-    """Equality after pruning zero effects.
+    """Equality after pruning zero effects, each effect within recon_tol in Frobenius norm.
 
-    By default outcome order matters.  With ``up_to_permutation`` the
-    nonzero effects are matched greedily under Frobenius distance.
+    By default outcome order matters.  With ``up_to_permutation`` the nonzero
+    effects must pair off one to one, each pair within recon_tol: a perfect
+    matching of the graph of such pairs, found by augmenting paths.
     """
     if p.dim != q.dim:
         return False
@@ -484,11 +584,43 @@ def equivalent(
         return bool(
             np.all(np.linalg.norm(a.effects - b.effects, axis=(1, 2)) <= tol.recon_tol)
         )
-    unused = list(range(b.n_outcomes))
-    for e in a.effects:
-        dists = [float(np.linalg.norm(e - b.effects[j])) for j in unused]
-        best = int(np.argmin(dists))
-        if dists[best] > tol.recon_tol:
+    close = [
+        np.flatnonzero(np.linalg.norm(b.effects - e, axis=(1, 2)) <= tol.recon_tol).tolist()
+        for e in a.effects
+    ]
+    return _perfect_matching(close)
+
+
+def _perfect_matching(close: list[list[int]]) -> bool:
+    """Whether rows 0..n-1 can each take a distinct column of ``close[row]``, n columns in all.
+
+    Kuhn's method: each row in turn searches breadth first for an alternating
+    path to a free column, then flips the path; a row with none ends the search.
+    """
+    owner = [-1] * len(close)  # the row holding each column
+    taken = [-1] * len(close)  # the column held by each row
+    for root in range(len(close)):
+        reached = {}  # column -> the row it was reached from
+        frontier, free = [root], -1
+        while frontier and free < 0:
+            following = []
+            for i in frontier:
+                for j in close[i]:
+                    if j not in reached:
+                        reached[j] = i
+                        if owner[j] < 0:
+                            free = j
+                            break
+                        following.append(owner[j])
+                if free >= 0:
+                    break
+            frontier = following
+        if free < 0:
             return False
-        unused.pop(best)
+        j = free
+        while j >= 0:  # flip: each row on the path takes the column it reached
+            i = reached[j]
+            previous = taken[i]  # -1 at the root
+            owner[j], taken[i] = i, j
+            j = previous
     return True

@@ -17,7 +17,6 @@ from conftest import (
 )
 from rational_rank import exact_independent
 from split_tree import split_tree
-from test_spectral_pass import make_povm
 from povm_forge import (
     DEFAULT_TOL,
     CertificateComponent,
@@ -112,7 +111,8 @@ class TestDecompose:
     @pytest.mark.parametrize("rank", [None, 1])
     def test_normalized_terms_sum_to_identity(self, d, rank):
         p = random_povm(d, d + 2, seed=d, rank=rank)
-        terms, targets = _normalized_terms(p, np.linalg.eigvalsh(p.effects), DEFAULT_TOL)
+        ranks, plain = effect_ranks(np.linalg.eigvalsh(p.effects), DEFAULT_TOL)
+        terms, targets = _normalized_terms(p, ranks, plain, DEFAULT_TOL)
         np.testing.assert_allclose(terms.sum(axis=0), np.eye(d), rtol=0, atol=1e-12)
         merged = relabel(Povm(terms), RelabelMap(len(terms), p.n_outcomes, targets))
         assert np.abs(merged.effects - p.effects).max() <= DEFAULT_TOL.recon_tol
@@ -281,29 +281,34 @@ class TestWalk:
 
 
 class TestOneEigenvaluePass:
-    def test_rank1_input_takes_one_eigvalsh_and_no_eigh(self, monkeypatch):
-        p = random_povm(4, 18, seed=3, rank=1)
+    def test_rank1_input_takes_no_eigvalsh_and_no_eigh(self, monkeypatch):
+        p = random_povm(5, 26, seed=3, rank=1)
         calls = record_eigensolvers(monkeypatch)
         cert = decompose(p)
-        # the one other call: S^{-1/2} of the 4 x 4 sum of the terms
-        assert [(name, a.shape) for name, a in calls] == [
-            ("eigvalsh", p.effects.shape),
-            ("eigh", (4, 4)),
-        ]
+        # the rank-1 bound settles every effect; the one call: S^{-1/2} of the 5 x 5 sum
+        assert [(name, a.shape) for name, a in calls] == [("eigh", (5, 5))]
         assert verify_certificate(cert).passed
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mixed_rank_input_takes_eigh_only_on_rank_two_and_up(self, monkeypatch, seed):
-        # rotated type c: three rank-1 effects beside a rank-2 projection, two zero effects
-        p = make_povm("hybrid", 4, seed, 2)
-        rank2 = np.flatnonzero(np.linalg.norm(p.effects, axis=(1, 2)) > 1.0)
+        # rotated: 24 rank-1 effects on a qubit block beside a rank-2 projection, two zero
+        # effects; 27 effects of 4 x 4, enough for the rank-1 bound
+        effects = np.zeros((27, 4, 4), dtype=complex)
+        effects[:24, :2, :2] = random_povm(2, 24, seed, rank=1).effects
+        effects[24, 2, 2] = effects[24, 3, 3] = 1.0
+        u = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 8)).view(complex))[0]
+        p = Povm(np.random.default_rng(seed).permutation(u @ effects @ u.conj().T))
+        norms = np.linalg.norm(p.effects, axis=(1, 2))
+        rank2 = np.flatnonzero(norms > 1.0)
         calls = record_eigensolvers(monkeypatch)
         cert = decompose(p)
         stacks = [(name, a) for name, a in calls if a.ndim == 3]
+        # the bound settles the rank-1 effects: eigvalsh takes the rank-2 one and the zeros
         assert [(name, a.shape) for name, a in stacks] == [
-            ("eigvalsh", (6, 4, 4)),
+            ("eigvalsh", (3, 4, 4)),
             ("eigh", (1, 4, 4)),
         ]
+        assert np.array_equal(stacks[0][1], p.effects[(norms == 0) | (norms > 1.0)])
         np.testing.assert_allclose(stacks[1][1][0], p.effects[rank2[0]], rtol=0, atol=1e-15)
         assert verify_certificate(cert).passed
 
@@ -621,7 +626,7 @@ class TestVerifyCertificate:
         comps = decompose(random_povm(d, n, seed=1)).components
         spoiled = _spoiled(comps)
         for povms in ([c.extremal for c in comps], spoiled):
-            found, _ = _checked(
+            found, _, _ = _checked(
                 np.concatenate([p.effects for p in povms]), [p.n_outcomes for p in povms]
             )
             assert len(found) == len(povms)

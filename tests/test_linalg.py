@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from povm_forge import (
     type_d_example,
 )
 from povm_forge.linalg import (
+    _upper_entries,
     hermitian_coords,
     hermitian_part,
     normalize_sum,
@@ -259,6 +262,27 @@ class TestHermitianCoords:
         assert np.array_equal(hermitian_coords(np.eye(3)), [1, 1, 1, 0, 0, 0, 0, 0, 0])
         stack = np.stack([SX, SZ, EYE2]).reshape(3, 1, 2, 2)
         assert np.array_equal(hermitian_coords(stack)[:, 0], hermitian_coords(stack[:, 0]))
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_the_masked_gather_bit_for_bit(self, d):
+        # the upper triangle picked by a boolean mask, as it was before its index was cached
+        rng = np.random.default_rng(d)
+        stack = np.stack([random_hermitian(d, rng) for _ in range(d + 2)])
+        stack[0, 0, -1] = -0.0  # a signed zero keeps its sign
+        upper = math.sqrt(2.0) * stack[..., np.arange(d)[:, None] < np.arange(d)]
+        diagonal = np.diagonal(stack, axis1=-2, axis2=-1).real
+        want = np.concatenate([diagonal, upper.real, upper.imag], axis=-1)
+        got = hermitian_coords(stack)
+        assert got.tobytes() == want.tobytes()
+        assert hermitian_coords(stack[1]).tobytes() == want[1].tobytes()
+        assert hermitian_coords(stack[:, ::-1, ::-1]).tobytes() == hermitian_coords(
+            np.ascontiguousarray(stack[:, ::-1, ::-1])
+        ).tobytes()
+
+    def test_upper_index_is_built_once_per_dimension(self):
+        entries = _upper_entries(5)
+        assert entries is _upper_entries(5) and not entries.flags.writeable
+        assert entries.tolist() == [1, 2, 3, 4, 7, 8, 9, 13, 14, 19]
 
     @pytest.mark.parametrize("r", range(1, 7))
     def test_unit_basis_has_the_unit_vectors_as_coordinates(self, r):

@@ -18,6 +18,8 @@ ROOT = Path(__file__).resolve().parents[1]
         ("reproduce_reference_povms.py", []),
         ("off_identity_sweep.py", ["--cases", "4"]),
         ("off_identity_sweep.py", ["--grid", "--cases", "1"]),
+        ("off_identity_sweep.py", ["--cases", "2", "--tol-scale", "0.1"]),
+        ("off_identity_sweep.py", ["--cases", "2", "--tol-scale", "10"]),
     ],
 )
 def test_script_exits_cleanly(script, args):
