@@ -19,7 +19,15 @@ from collections import Counter
 
 import numpy as np
 
-from povm_forge import classify, extremality_report, is_extremal_rank1, random_povm, relabel, spectral_form
+from povm_forge import (
+    DEFAULT_TOL,
+    classify,
+    eig_herm,
+    extremality_report,
+    is_extremal_rank1,
+    random_povm,
+    relabel,
+)
 from povm_forge.povm import RelabelMap
 
 
@@ -29,10 +37,20 @@ def random_merge_map(rng, n, m):
     return RelabelMap(n, m, targets)
 
 
+def spectral_blocks(povm, tol=DEFAULT_TOL):
+    """Rows sqrt(lambda_k) v_k of each effect above the rank cutoff, one eig_herm per effect."""
+    blocks = []
+    for e in povm.effects:
+        dec = eig_herm(e, tol)
+        kept = dec.eigenvalues > tol.rank_tol * max(1.0, float(np.abs(dec.eigenvalues).max()))
+        blocks.append((np.sqrt(dec.eigenvalues[kept]) * dec.eigenvectors[:, kept]).T)
+    return blocks
+
+
 def perturbation_null_dimension(povm, cutoff=1e-9):
     """Dimension of the admissible-perturbation space; 0 means extremal."""
     columns = []
-    for block in spectral_form(povm).vectors:
+    for block in spectral_blocks(povm):
         nj = block.shape[0]
         for a in range(nj):
             columns.append(np.outer(block[a], block[a].conj()))

@@ -29,11 +29,9 @@ from .decomposer import (
 from .errors import PovmForgeError
 from .extremality import (
     ExtremalityReport,
-    SpectralForm,
     extremality_report,
     is_extremal,
     is_extremal_rank1,
-    spectral_form,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -69,7 +67,6 @@ __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
     "SpectralDecomposition",
-    "SpectralForm",
     "ExtremalityReport",
     "DecompositionCertificate",
     "CertificateComponent",
@@ -89,7 +86,6 @@ __all__ = [
     "spectral_relabel",
     "classify",
     "equivalent",
-    "spectral_form",
     "extremality_report",
     "is_extremal",
     "is_extremal_rank1",

@@ -22,14 +22,11 @@ from .errors import (
     OutOfRangeError,
     SingularSumError,
 )
-from .extremality import is_extremal_rank1
+from .extremality import is_extremal_rank1, pair_independence
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
-    banded_verdict,
     hermitian_basis,
-    hermitian_coords,
-    independence_margin,
     normalize_sum,
     rank_of,
 )
@@ -95,10 +92,11 @@ def extend_extremal(
             f"an extremal rank-1 POVM on dimension {d} has at most {d * d} outcomes"
         )
 
-    def outside_span(candidate: np.ndarray) -> bool:  # unit-normalized, as in is_extremal_rank1
-        rows = hermitian_coords(np.concatenate([effects, candidate[None]]))  # n < d^2 rows
-        margin = independence_margin(rows / np.linalg.norm(rows, axis=1, keepdims=True))
-        return bool(banded_verdict(margin, tol)[0])
+    ones = np.ones(n + 1, dtype=np.intp)  # plain rank 1: unit-normalized, as in is_extremal_rank1
+
+    def outside_span(candidate: np.ndarray) -> bool:
+        stack = np.concatenate([effects, candidate[None]])
+        return bool(pair_independence(stack, ones, ones == 1, tol).extremal)
 
     if projection is not None:
         proj = np.asarray(projection, dtype=np.complex128)

@@ -39,38 +39,16 @@ from .linalg import (
     independence_margin,
     unit_hermitian_basis,
 )
-from .povm import Povm, _checked, _ranks, _spectral_terms, _spectrum
+from .povm import Povm, _checked, _ranks, _spectrum
 
 __all__ = [
-    "SpectralForm",
     "ExtremalityReport",
-    "spectral_form",
     "extremality_report",
     "pair_independence",
     "is_extremal",
     "is_extremal_rank1",
     "rank1_failures",
 ]
-
-
-@dataclass(frozen=True)
-class SpectralForm:
-    """Per-outcome spectral vectors: effect j = sum_k |psi_k(j)><psi_k(j)|.
-
-    ``vectors[j]`` is an (n(j), d) array whose rows are the nonzero,
-    mutually orthogonal vectors of effect j (eigenvalue absorbed:
-    psi_k = sqrt(lambda_k) v_k).  A zero effect yields an empty block.
-    """
-
-    vectors: tuple[np.ndarray, ...]
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        return tuple(block.shape[0] for block in self.vectors)
-
-    def reconstruct(self, j: int) -> np.ndarray:
-        block = self.vectors[j]
-        return block.T @ block.conj()
 
 
 @dataclass(frozen=True)
@@ -88,19 +66,6 @@ class ExtremalityReport:
     borderline: bool
     margin: float
     operator_count: int
-
-
-def spectral_form(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralForm:
-    """Spectral vectors of every effect, eigenvalues above the rank cutoff.
-
-    A zero effect is represented by an empty vector block; a non-finite or
-    all-zero input raises as ``povm._spectrum`` does.
-    """
-    back, effects, ranks, plain, _ = _spectrum(p, tol)
-    j, rows = _spectral_terms(effects, ranks, plain, tol)
-    rows.setflags(write=False)  # the blocks below are views
-    blocks = np.split(rows, np.cumsum(np.bincount(back.targets[j], minlength=p.n_outcomes))[:-1])
-    return SpectralForm(vectors=tuple(blocks))
 
 
 def pair_independence(
@@ -235,14 +200,14 @@ def rank1_failures(
             failures[i] = found[0]  # outside [0, I] effect by effect, then the sum
 
     # independence of the unit-normalized nonzero effects, so that small ones cannot pass for
-    # null directions: one SVD per group of POVMs with m of them (m > d^2: dependent)
+    # null directions: one SVD per group of POVMs with m of them (m > d^2: dependent); only
+    # POVMs that passed, whose effects are all finite, have their coordinates taken
     passed = np.array([failure is None for failure in failures])
-    coords = hermitian_coords(effects)
     for m in np.flatnonzero(np.bincount(counts[passed])).tolist():
         members = passed & (counts == m)
         if m <= d * d:
             picked = (ranks > 0) & np.repeat(members, sizes)
-            rows = coords[picked]
+            rows = hermitian_coords(effects[picked])
             rows /= norms[picked, None]
             independent = banded_verdict(independence_margin(rows.reshape(-1, m, d * d)), tol)[0]
         else:

@@ -165,20 +165,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[-1]
-
-    def projection(self, k: int) -> np.ndarray:
-        """Rank-1 projection onto the k-th eigenvector."""
-        v = self.eigenvectors[..., :, k]
-        return v[..., :, None] * v.conj()[..., None, :]
-
-    def reconstruct(self) -> np.ndarray:
-        """Sum of eigenvalue-weighted eigenprojections."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
 
 def eig_herm(m, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix with deterministic ordering.
@@ -317,23 +303,16 @@ def hermitian_basis(d: int) -> np.ndarray:
     """
     if d < 1:
         raise BadDimensionError(f"dimension must be >= 1, got {d}")
-    ops = []
-    for i in range(d):
-        m = np.zeros((d, d), dtype=np.complex128)
-        m[i, i] = 1.0
-        ops.append(m)
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[i, j] = m[j, i] = 1.0
-            ops.append(m)
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.zeros((d, d), dtype=np.complex128)
-            m[i, j] = -1.0j
-            m[j, i] = 1.0j
-            ops.append(m)
-    return np.stack(ops)
+    k = np.arange(d)
+    i, j = np.triu_indices(d, 1)  # row-major pairs
+    sym = d + np.arange(i.size)
+    anti = sym + i.size
+    ops = np.zeros((d * d, d, d), dtype=np.complex128)
+    ops[k, k, k] = 1.0
+    ops[sym, i, j] = ops[sym, j, i] = 1.0
+    ops[anti, i, j] = -1.0j
+    ops[anti, j, i] = 1.0j
+    return ops
 
 
 @cache

@@ -108,10 +108,6 @@ class Povm:
     def __iter__(self):
         return iter(self.effects)
 
-    def effect_norms(self) -> np.ndarray:
-        """Frobenius norm of each effect."""
-        return np.linalg.norm(self.effects, axis=(1, 2))
-
     def to_jsonable(self) -> dict:
         """POVM document: {"dim": d, "effects": [{"re": [[..]], "im": [[..]]}, ..]}."""
         return {
@@ -191,10 +187,6 @@ class RelabelMap:
     def identity(cls, n: int) -> "RelabelMap":
         """The map k -> k on n outcomes, built once per n (it is immutable)."""
         return cls(n, n, np.arange(n))
-
-    @classmethod
-    def constant(cls, n: int, target: int = 0, target_size: int = 1) -> "RelabelMap":
-        return cls(n, target_size, np.full(n, target))
 
     def then(self, outer: "RelabelMap") -> "RelabelMap":
         """Composition: first apply self, then ``outer`` (outer o self)."""

@@ -3,10 +3,11 @@
 One eigensolve per effect in Python loops, pair operators by
 ``np.outer``, a full-matrix independence test, and the effect-by-effect
 validator: the computations ``classify``, ``extremality_report``,
-``spectral_form``, ``spectral_relabel`` and ``validate`` made before they
-were batched.  ``extremality_report`` here keeps the complex SVD of the
-pair operators v_k v_l^H, which are not Hermitian for k != l; the library
-tests their isometric image in real Hermitian coordinates instead.
+``spectral_relabel`` and ``validate`` made before they were batched, and
+:func:`spectral_blocks` for the term vectors of ``povm._spectral_terms``.
+``extremality_report`` here keeps the complex SVD of the pair operators
+v_k v_l^H, which are not Hermitian for k != l; the library tests their
+isometric image in real Hermitian coordinates instead.
 Likewise one ``relabel`` and one distribution per certificate component:
 what ``reconstruction`` and ``statistics_equivalence`` computed before
 they became one relabeling of the joint POVM.  The batched code is
@@ -27,7 +28,6 @@ from povm_forge import (
     random_density_matrix,
     rank_of,
     relabel,
-    spectral_form,
 )
 from povm_forge.errors import NotHermitianError, NotPSDError
 from povm_forge.linalg import banded_verdict
@@ -72,7 +72,7 @@ def outer_pair_operators(blocks):
 def extremality_report(p, tol=DEFAULT_TOL):
     """Scale-free full-SVD independence test of the public pair operators."""
     pruned, _ = prune_zero_effects(p, tol)
-    ops = outer_pair_operators(spectral_form(pruned, tol).vectors)
+    ops = outer_pair_operators(spectral_blocks(pruned, tol))
     result = linearly_independent([op / np.linalg.norm(op) for op in ops], tol)
     extremal, borderline = banded_verdict(result.margin, tol)
     return ExtremalityReport(extremal, borderline, result.margin, len(ops))
@@ -107,7 +107,7 @@ def spectral_relabel(p, tol=DEFAULT_TOL):
     for j, e in enumerate(pruned.effects):
         dec = eig_herm(e, tol)
         cutoff = tol.rank_tol * max(1.0, float(np.abs(dec.eigenvalues).max()))
-        for k in range(dec.dim):
+        for k in range(dec.eigenvalues.shape[-1]):
             lam = float(dec.eigenvalues[k])
             if lam > cutoff:
                 v = dec.eigenvectors[:, k]

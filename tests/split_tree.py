@@ -132,7 +132,7 @@ def find_effect_dependence(p, tol=DEFAULT_TOL):
     the norms, so the returned vector annihilates the raw effects and is
     suitable for :func:`split_mixture`.
     """
-    norms = p.effect_norms()
+    norms = np.linalg.norm(p.effects, axis=(1, 2))
     result = linearly_independent(list(p.effects / norms[:, None, None]), tol)
     if result.independent:
         return None

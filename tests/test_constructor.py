@@ -55,6 +55,16 @@ class TestHermitianBasis:
         assert np.array_equal(basis[1], np.diag([0.0, 1.0]).astype(complex))
         assert np.array_equal(basis[2], SX)
         assert np.array_equal(basis[3], np.array([[0, -1j], [1j, 0]]))
+        basis = hermitian_basis(3)
+        for i in range(3):
+            assert np.array_equal(basis[i], np.diag(np.eye(3)[i]).astype(complex))
+        for k, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):  # row-major pairs
+            sym = np.zeros((3, 3), dtype=complex)
+            sym[i, j] = sym[j, i] = 1.0
+            anti = np.zeros((3, 3), dtype=complex)
+            anti[i, j], anti[j, i] = -1j, 1j
+            assert np.array_equal(basis[3 + k], sym)
+            assert np.array_equal(basis[6 + k], anti)
 
     def test_bad_dimension(self):
         with pytest.raises(BadDimensionError):
@@ -169,7 +179,7 @@ class TestConstructExtremalRank1:
         import povm_forge.linalg as linalg
 
         calls = {"inv_sqrt": 0, "span": 0}
-        inv_sqrt, span_test = linalg.inv_sqrt, constructor.independence_margin
+        inv_sqrt, span_test = linalg.inv_sqrt, constructor.pair_independence
 
         def counted_inv_sqrt(*args):
             calls["inv_sqrt"] += 1
@@ -180,7 +190,7 @@ class TestConstructExtremalRank1:
             return span_test(*args)
 
         monkeypatch.setattr(linalg, "inv_sqrt", counted_inv_sqrt)
-        monkeypatch.setattr(constructor, "independence_margin", counted_span)
+        monkeypatch.setattr(constructor, "pair_independence", counted_span)
         construct_extremal_rank1(5, 20)
         assert calls == {"inv_sqrt": 1, "span": 0}
 

@@ -319,7 +319,8 @@ class TestOneEigenvaluePass:
         sources, psi = _spectral_terms(p.effects, *ranks, DEFAULT_TOL)
         assert np.array_equal(sources, np.arange(d * d))
         dec = eig_herm(p.effects)
-        want = dec.eigenvalues[:, 0, None, None] * dec.projection(0)
+        v = dec.eigenvectors[:, :, 0]
+        want = dec.eigenvalues[:, 0, None, None] * (v[:, :, None] * v.conj()[:, None, :])
         assert np.abs(psi[:, :, None] * psi.conj()[:, None, :] - want).max() <= 1e-12
 
     def test_rank1_effect_with_a_second_eigenvalue_below_the_cutoff(self):
@@ -677,6 +678,7 @@ class TestVerifyCertificate:
             "zero_component", "tiny_component",
         ],
     )
+    @pytest.mark.filterwarnings("error")  # a NaN gives failure lines, not a warning
     def test_spoiled_certificate_fails_without_raising(self, spoil):
         doc = decompose(random_povm(2, 3, seed=1)).to_jsonable()
         assert len(doc["components"]) > 1

@@ -35,7 +35,8 @@ from povm_forge import (
     onb_pvm,
     prune_zero_effects,
     random_povm,
-    spectral_form,
+    relabel,
+    spectral_relabel,
     type_d_example,
     verify_certificate,
     violations,
@@ -43,6 +44,7 @@ from povm_forge import (
 from povm_forge.errors import (
     AllZeroError,
     DimensionMismatchError,
+    NonFiniteError,
     NotHermitianError,
     NotRank1Error,
 )
@@ -65,40 +67,38 @@ def trine():
 
 
 class TestSpectralForm:
+    """Each effect as a sum of |psi><psi|: the pieces and map of ``spectral_relabel``."""
+
     def test_basis_pvm(self):
-        form = spectral_form(onb_pvm(3))
-        assert form.counts == (1, 1, 1)
-        for j in range(3):
-            expected = np.zeros(3, dtype=complex)
-            expected[j] = 1.0
-            assert np.allclose(form.vectors[j][0], expected)
+        rank1, rmap = spectral_relabel(onb_pvm(3))
+        assert rmap.targets.tolist() == [0, 1, 2]
+        assert np.allclose(rank1.effects, onb_pvm(3).effects)
 
     def test_scaled_rank1_effect(self):
         v = np.array([1.0, 2.0, 2.0], dtype=complex) / 3.0
         p = Povm(np.stack([(2 / 3) * np.outer(v, v.conj()), np.eye(3) - (2 / 3) * np.outer(v, v.conj())]))
-        form = spectral_form(p)
-        assert form.counts[0] == 1
-        psi = form.vectors[0][0]
-        assert np.linalg.norm(psi) ** 2 == pytest.approx(2 / 3, abs=1e-12)
-        assert np.allclose(np.outer(psi, psi.conj()), p.effects[0], atol=1e-12)
+        rank1, rmap = spectral_relabel(p)
+        assert np.count_nonzero(rmap.targets == 0) == 1
+        piece = rank1.effects[0]
+        assert np.trace(piece).real == pytest.approx(2 / 3, abs=1e-12)
+        assert np.allclose(piece, p.effects[0], atol=1e-12)
 
     def test_rank2_reference_vectors(self):
-        form = spectral_form(type_d_example())
-        assert form.counts == (2, 2, 2)
+        rank1, rmap = spectral_relabel(type_d_example())
+        assert rmap.targets.tolist() == [0, 0, 1, 1, 2, 2]
         for j in range(3):
-            block = form.vectors[j]
-            # orthogonal, each norm^2 = 2/3, reconstructing the effect
-            assert abs(np.vdot(block[0], block[1])) <= 1e-12
-            for k in range(2):
-                assert np.linalg.norm(block[k]) ** 2 == pytest.approx(2 / 3, abs=1e-12)
-            assert np.allclose(form.reconstruct(j), type_d_example().effects[j], atol=1e-12)
+            first, second = rank1.effects[2 * j], rank1.effects[2 * j + 1]
+            # orthogonal, each of trace 2/3, reconstructing the effect
+            assert np.linalg.norm(first @ second) <= 1e-12
+            for piece in (first, second):
+                assert np.trace(piece).real == pytest.approx(2 / 3, abs=1e-12)
+        assert np.allclose(relabel(rank1, rmap).effects, type_d_example().effects, atol=1e-12)
 
     def test_reconstruction_random(self):
         for seed in range(10):
             p = random_povm(3, 4, seed)
-            form = spectral_form(p)
-            for j in range(p.n_outcomes):
-                assert np.linalg.norm(form.reconstruct(j) - p.effects[j]) <= DEFAULT_TOL.recon_tol
+            rebuilt = relabel(*spectral_relabel(p)).effects
+            assert np.linalg.norm(rebuilt - p.effects, axis=(1, 2)).max() <= DEFAULT_TOL.recon_tol
 
 
 class TestIsExtremal:
@@ -140,6 +140,13 @@ class TestIsExtremalRank1:
 
     def test_rank0_effect_does_not_count(self):
         assert is_extremal_rank1(qubit3_with_rank0_outcome())
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_entry_raises_without_a_warning(self):
+        effects = np.array(onb_pvm(2).effects)
+        effects[0, 0, 1] = np.inf
+        with pytest.raises(NonFiniteError):
+            is_extremal_rank1(Povm(effects))
 
     def test_all_effects_below_the_rank_cutoff(self):
         psi = np.array([1.0, 1.0j]) / np.sqrt(2.0)

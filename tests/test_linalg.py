@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EYE2, SX, SZ
-from per_effect import outer_pair_operators
+from per_effect import outer_pair_operators, spectral_blocks
 from rational_rank import exact_independent
 from split_tree import linearly_independent
 from povm_forge import (
@@ -36,6 +36,12 @@ from povm_forge.errors import (
 def random_hermitian(d, rng, scale=1.0):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return scale * (g + g.conj().T) / 2
+
+
+def projection(dec, k):
+    """|v_k><v_k| of an eigensystem's k-th eigenvector."""
+    v = dec.eigenvectors[:, k]
+    return np.outer(v, v.conj())
 
 
 @pytest.mark.filterwarnings("error")
@@ -75,16 +81,16 @@ class TestEigHerm:
     def test_identity(self):
         dec = eig_herm(EYE2)
         assert np.allclose(dec.eigenvalues, [1.0, 1.0])
-        assert np.allclose(dec.projection(0), np.diag([1.0, 0.0]))
-        assert np.allclose(dec.projection(1), np.diag([0.0, 1.0]))
+        assert np.allclose(projection(dec, 0), np.diag([1.0, 0.0]))
+        assert np.allclose(projection(dec, 1), np.diag([0.0, 1.0]))
 
     def test_sigma_x(self):
         dec = eig_herm(SX)
         assert np.allclose(dec.eigenvalues, [1.0, -1.0])
         plus = np.full((2, 2), 0.5)
         minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
-        assert np.allclose(dec.projection(0), plus)
-        assert np.allclose(dec.projection(1), minus)
+        assert np.allclose(projection(dec, 0), plus)
+        assert np.allclose(projection(dec, 1), minus)
 
     def test_rank2_reference_effect_spectrum(self):
         effect = type_d_example().effects[0]
@@ -122,11 +128,12 @@ class TestEigHerm:
             m = random_hermitian(d, rng, scale=1.0 + (trial % 7))
             dec = eig_herm(m)
             norm = np.linalg.norm(m)
-            assert np.linalg.norm(dec.reconstruct() - m) <= DEFAULT_TOL.recon_tol * max(norm, 1.0)
+            rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
+            assert np.linalg.norm(rebuilt - m) <= DEFAULT_TOL.recon_tol * max(norm, 1.0)
             # projections pairwise orthogonal
             for a in range(d):
                 for b in range(a + 1, d):
-                    assert np.linalg.norm(dec.projection(a) @ dec.projection(b)) <= DEFAULT_TOL.recon_tol
+                    assert np.linalg.norm(projection(dec, a) @ projection(dec, b)) <= DEFAULT_TOL.recon_tol
 
 
 class TestRankOf:
@@ -306,10 +313,7 @@ class TestLinearlyIndependent:
         assert np.linalg.norm(lam[0] * EYE2 + lam[1] * SX + lam[2] * (EYE2 + SX)) <= 1e-10
 
     def test_reference_pair_operators_independent(self):
-        from povm_forge import spectral_form
-
-        form = spectral_form(type_d_example())
-        ops = outer_pair_operators(form.vectors)
+        ops = outer_pair_operators(spectral_blocks(type_d_example()))
         assert len(ops) == 12
         assert linearly_independent(ops).independent
 

@@ -22,7 +22,6 @@ from povm_forge import (
     prune_zero_effects,
     random_povm,
     relabel,
-    spectral_form,
     spectral_relabel,
     validate,
 )
@@ -149,7 +148,6 @@ class TestPrune:
             is_extremal,
             is_extremal_rank1,
             spectral_relabel,
-            spectral_form,
             extremality_report,
             extremal_to_rank1,
         ],
@@ -161,9 +159,7 @@ class TestPrune:
             analysis(Povm(effects))
         assert info.value.outcome == 0
 
-    @pytest.mark.parametrize(
-        "analysis", [classify, extremality_report, spectral_relabel, spectral_form]
-    )
+    @pytest.mark.parametrize("analysis", [classify, extremality_report, spectral_relabel])
     def test_all_zero_stack_is_rejected(self, analysis):
         with pytest.raises(AllZeroError):
             analysis(Povm(np.zeros((2, 2, 2))))
@@ -175,7 +171,7 @@ class TestRelabel:
         assert np.array_equal(out.effects, qubit3.effects)
 
     def test_constant_map_gives_identity(self, qubit3):
-        out = relabel(qubit3, RelabelMap.constant(3))
+        out = relabel(qubit3, RelabelMap(3, 1, np.zeros(3)))
         assert out.n_outcomes == 1
         assert np.allclose(out.effects[0], EYE2)
 

@@ -13,6 +13,7 @@ import per_effect
 import povm_forge
 from conftest import EYE2, random_mixed_rank_pvm, record_eigensolvers
 from povm_forge import (
+    DEFAULT_TOL,
     NOT_EXTREMAL,
     Povm,
     classify,
@@ -22,7 +23,6 @@ from povm_forge import (
     is_extremal_rank1,
     qubit_example,
     random_povm,
-    spectral_form,
     spectral_relabel,
     type_d_example,
     validate,
@@ -32,6 +32,7 @@ from povm_forge.cli import main
 from povm_forge.decomposer import extremal_to_rank1
 from povm_forge.errors import NotHermitianError, NotNormalizedError, PovmForgeError
 from povm_forge.linalg import _fix_phases
+from povm_forge.povm import _spectral_terms, _spectrum
 
 KINDS = ("full", "rank1_square", "rank1_below", "low_rank", "block_pvm", "type_d", "hybrid")
 
@@ -105,11 +106,13 @@ def test_classify_and_report_match_per_effect_reference(p):
 @given(povm_cases)
 @settings(max_examples=60, deadline=None)
 def test_spectral_form_and_relabel_match_per_effect_reference(p):
-    form = spectral_form(p)
+    # the term vectors psi, whose phase convention decompose's congruence consumes
+    back, effects, ranks, plain, _ = _spectrum(p, DEFAULT_TOL)
+    j, psi = _spectral_terms(effects, ranks, plain, DEFAULT_TOL)
     blocks = per_effect.spectral_blocks(p)
-    assert form.counts == tuple(b.shape[0] for b in blocks)
-    for got, want in zip(form.vectors, blocks):
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    counts = np.bincount(back.targets[j], minlength=p.n_outcomes)
+    assert counts.tolist() == [b.shape[0] for b in blocks]
+    np.testing.assert_allclose(psi, np.concatenate(blocks), rtol=0, atol=1e-12)
     rank1, rmap = spectral_relabel(p)
     pieces, sources = per_effect.spectral_relabel(p)
     assert np.array_equal(rmap.targets, sources)
@@ -179,9 +182,7 @@ def test_eigh_only_for_rank_two_and_up_and_one_real_svd(monkeypatch):
             assert (calls["eigh"], calls["svd"]) == (eigh_calls, svd_dtypes)
 
 
-@pytest.mark.parametrize(
-    "analysis", [classify, extremality_report, spectral_relabel, spectral_form]
-)
+@pytest.mark.parametrize("analysis", [classify, extremality_report, spectral_relabel])
 def test_each_analysis_takes_one_eigvalsh_of_the_nonzero_effects(monkeypatch, analysis):
     p = make_povm("hybrid", 4, 0, 2)  # four nonzero effects, two zero ones
     calls = record_eigensolvers(monkeypatch)
@@ -240,7 +241,7 @@ rank1_cases = st.one_of(
 @settings(max_examples=100, deadline=None)
 def test_type_a_exactly_when_extremal_rank1(p, split):
     if split:  # effect E becomes E/2 twice: a dependent pair
-        j = int(np.argmax(p.effect_norms()))
+        j = int(np.argmax(np.linalg.norm(p.effects, axis=(1, 2))))
         half = p.effects[j] / 2
         p = Povm(np.concatenate([p.effects[:j], [half, half], p.effects[j + 1:]]))
     extremal = is_extremal_rank1(p)
@@ -259,7 +260,9 @@ def test_stacked_eig_herm_matches_one_matrix_at_a_time():
         one = eig_herm(m)
         np.testing.assert_allclose(dec.eigenvalues[j], one.eigenvalues, rtol=0, atol=1e-13)
         np.testing.assert_allclose(dec.eigenvectors[j], one.eigenvectors, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(dec.reconstruct(), stack, rtol=0, atol=1e-12)
+    v = dec.eigenvectors
+    rebuilt = (v * dec.eigenvalues[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    np.testing.assert_allclose(rebuilt, stack, rtol=0, atol=1e-12)
 
 
 def test_fix_phases_matches_column_loop():
