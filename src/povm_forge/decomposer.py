@@ -30,6 +30,7 @@ from .extremality import is_extremal_rank1, pair_independence, rank1_failures
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    effect_ranks,
     hermitian_coords,
     independence_cutoff,
     normalizer,
@@ -39,7 +40,6 @@ from .povm import (
     RelabelMap,
     _checked,
     _json_numbers,
-    _ranks,
     _spectral_terms,
     _spectrum,
     validate,
@@ -274,9 +274,10 @@ def _normalized_terms(
 def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCertificate:
     """Decompose a valid POVM into relabeled extremal rank-1 components.
 
-    One validator pass (``povm._checked``: the rank-1 bound, then ``eigvalsh``
-    of the effects it leaves unsettled) checks the input (an invalid one raises
-    what :func:`validate` raises) and gives the ranks from which the nonzero
+    One validator pass (``povm._checked``) checks the input (an invalid one
+    raises what :func:`validate` raises) and gives its eigenvalues
+    (``povm._eigenvalues``: certified stand-ins for the rank-1 effects the
+    bound settles).  From their :func:`linalg.effect_ranks` the nonzero
     effects are expanded once into rank-1 spectral terms
     (:func:`_spectral_terms`: eigenvectors only for effects of rank >= 2).  The
     terms above the debris floor are made to sum to I by one congruence of their
@@ -294,10 +295,10 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
     or the certificate's reconstruction, built once and read again by
     :func:`verify_certificate`, is off the input by more than recon_tol.
     """
-    (found,), w, settled = _checked(p.effects, (p.n_outcomes,), tol)
+    (found,), w = _checked(p.effects, (p.n_outcomes,), tol)
     if found:
         raise found[0]
-    terms, targets = _normalized_terms(p, *_ranks(w, settled, tol), tol)
+    terms, targets = _normalized_terms(p, *effect_ranks(w, tol), tol)
     dim = p.dim
     columns = hermitian_coords(terms).T
     norms = np.linalg.norm(columns, axis=0)
@@ -423,9 +424,8 @@ def verify_certificate(
         if failure is not None:
             failures.append(f"component {i} is not an extremal rank-1 POVM: {failure}")
 
-    residuals = np.linalg.norm(
-        cert.reconstruction() - cert.target.effects, axis=(1, 2)
-    )
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry: NaN, which fails
+        residuals = np.linalg.norm(cert.reconstruction() - cert.target.effects, axis=(1, 2))
     worst = float(residuals.max())
     if not worst <= tol.recon_tol:
         failures.append(f"reconstruction residual {worst:.3e} exceeds recon_tol")
@@ -494,14 +494,16 @@ def statistics_equivalence(
     with the mixture's: the components' outcome probabilities tr(rho E_i[k])
     times the transposed weighted relabeling matrix M (M[f_i(k), (i, k)] =
     weight_i).  Passes iff the max absolute deviation over all trials is
-    <= recon_tol (vacuously for trials=0).
+    <= recon_tol (vacuously for trials=0); a non-finite entry in the
+    target or a component makes the deviations NaN, which fails.
     """
     if trials < 0:
         raise OutOfRangeError(f"trials must be >= 0, got {trials}")
     rng = np.random.default_rng(seed)
     states = _random_states(trials, cert.target.dim, rng)
-    mixed = _probabilities(cert._component_effects, states) @ cert._relabeling.T
-    deviations = np.abs(outcome_probabilities(cert.target, states) - mixed).max(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry: NaN, which fails
+        mixed = _probabilities(cert._component_effects, states) @ cert._relabeling.T
+        deviations = np.abs(outcome_probabilities(cert.target, states) - mixed).max(axis=1)
     max_dev = float(deviations.max()) if trials else 0.0
     return StatisticsReport(
         trials=trials,

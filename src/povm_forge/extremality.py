@@ -10,9 +10,10 @@ An effect's pair operators span the operators V X V^H on its range V,
 whose Hermitian members have d^2 real coordinates
 (``linalg.hermitian_coords``), so the test is one real SVD: a rank-1
 effect enters as itself, unit-normalized, and only effects of rank >= 2
-need eigenvectors.  One spectral pass gives every rank: a rank-1 bound
-(``linalg.rank1_interval``) settles the effects that are plain rank 1 for
-every eigenvalue vector it allows, and one ``eigvalsh`` takes the rest.
+need eigenvectors.  One spectral pass (``povm._eigenvalues``) gives every
+rank: an effect that a rank-1 bound (``linalg.rank1_interval``) settles gets
+the stand-in eigenvalues (0, ..., 0, lam), which give it the verdicts its
+eigenvalues would, and one ``eigvalsh`` takes the rest.
 """
 
 from __future__ import annotations
@@ -35,11 +36,12 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     banded_verdict,
+    effect_ranks,
     hermitian_coords,
     independence_margin,
     unit_hermitian_basis,
 )
-from .povm import Povm, _checked, _ranks, _spectrum
+from .povm import Povm, _checked, _effect_norms, _spectrum
 
 __all__ = [
     "ExtremalityReport",
@@ -158,11 +160,12 @@ def rank1_failures(
     Hermitian, [0, I] and sum failures are entries of the POVM's
     ``violations``, worded as ``validate`` words them.
 
-    One validator pass (``povm._checked``: one Hermitian check, one rank-1
-    bound, one ``eigvalsh`` of the effects the bound leaves unsettled, one
-    ``np.add.reduceat`` sum) covers the stack and gives every POVM's
-    violations and every rank.  Each group of POVMs with equally many nonzero
-    effects gets one SVD.
+    One validator pass (``povm._checked``: one Hermitian check, one
+    :func:`povm._eigenvalues` pass, one ``np.add.reduceat`` sum) covers the
+    stack and gives every POVM's violations and its eigenvalues, from which
+    :func:`linalg.effect_ranks` counts every rank; ``povm._effect_norms``
+    marks the nonzero effects.  Each group of POVMs with equally many
+    nonzero effects gets one SVD.
     """
     effects = np.asarray(effects, dtype=np.complex128)
     sizes = np.asarray(sizes)
@@ -173,11 +176,9 @@ def rank1_failures(
         )
     d = effects.shape[-1]
     starts = sizes.cumsum() - sizes
-    povm_failures, w, settled = _checked(effects, sizes.tolist(), tol)
-    flat = effects.reshape(len(effects), -1).view(np.float64)  # no certificate-sized temporary
-    norms = np.sqrt(np.einsum("ki,ki->k", flat, flat))  # Frobenius norms
-    nonzero = norms > tol.zero_effect_tol
-    ranks = nonzero * _ranks(w, settled, tol)[0]
+    povm_failures, w = _checked(effects, sizes.tolist(), tol)
+    norms, nonzero = _effect_norms(effects, tol)
+    ranks = nonzero * effect_ranks(w, tol)[0]
     counts = np.add.reduceat(ranks > 0, starts, dtype=np.intp)
     top = np.maximum.reduceat(ranks, starts).tolist()  # 0: no nonzero effect of rank >= 1
 

@@ -222,36 +222,25 @@ class PovmClass:
 
 def _checked(
     effects: np.ndarray, sizes, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[list[list[PovmForgeError]], np.ndarray, np.ndarray]:
-    """:func:`violations` of each POVM of a ragged stack, and its eigenvalues ``w`` and ``settled`` rows.
+) -> tuple[list[list[PovmForgeError]], np.ndarray]:
+    """:func:`violations` of each POVM of a ragged stack, and its :func:`_eigenvalues` ``w``.
 
     ``effects`` concatenates the POVMs' effect stacks, of the (checked) ``sizes``.
-    One ``isfinite``, Hermitian deviation, :func:`_rank1_box` bound and
-    ``np.add.reduceat`` sum cover the stack.  An effect the bound finds plain
-    rank 1 and inside [0, I] for every eigenvalue vector within it is
-    ``settled``: ``eigvalsh`` would give it the same verdicts, so its row of
-    ``w`` is left 0 and :func:`_ranks` reads it as plain rank 1.  The others
-    take one ``eigvalsh``.  Errors are built only where a check fails.  The
-    deviation, the eigenvalues and the sum read a non-finite effect as zero,
-    and its POVM reports its non-finite effects only.
+    One ``isfinite``, Hermitian deviation, :func:`_eigenvalues` pass and
+    ``np.add.reduceat`` sum cover the stack; every verdict read from ``w`` is
+    the one ``eigvalsh`` would give.  Errors are built only where a check
+    fails.  The deviation, the eigenvalues and the sum read a non-finite
+    effect as zero, and its POVM reports its non-finite effects only.
     """
     ends = list(accumulate(sizes))
     starts = [0, *ends[:-1]]
     finite = np.isfinite(effects).all(axis=(1, 2))
     clean = effects if finite.all() else np.where(finite[:, None, None], effects, 0.0)
     deviation = hermitian_deviation(clean)
-    box = _rank1_box(clean, deviation, tol)
-    if box is None:
-        settled, w = np.zeros(len(clean), dtype=bool), np.linalg.eigvalsh(clean)
-    else:
-        settled, lam, rho = box
-        # the smallest eigenvalue is at least -rho, the largest at most lam + rho
-        settled &= (rho <= tol.psd_tol) & (lam + rho <= 1 + tol.psd_tol)
-        w = np.zeros((len(clean), clean.shape[-1]))  # a settled row passes the [0, I] test as 0
-        if not settled.all():
-            w[~settled] = np.linalg.eigvalsh(clean[~settled])
+    w = _eigenvalues(clean, deviation, tol)
     sums = np.add.reduceat(clean, starts) - np.eye(effects.shape[-1])
-    residuals = np.linalg.norm(sums, axis=(1, 2))
+    with np.errstate(over="ignore"):  # entries near 1e300: an infinite residual, which fails
+        residuals = np.linalg.norm(sums, axis=(1, 2))
     failing = ~finite | (deviation > tol.herm_tol)
     failing |= (w[:, 0] < -tol.psd_tol) | (w[:, -1] > 1 + tol.psd_tol)
     owners = {k: bisect_right(ends, k) for k in np.flatnonzero(failing).tolist()}
@@ -283,7 +272,7 @@ def _checked(
                 f"effects do not sum to the identity: normalization residual {residual:.3e} "
                 f"(recon_tol = {tol.recon_tol:.3e})", residual=residual
             ))
-    return found, w, settled
+    return found, w
 
 
 # The bound costs about 25 NumPy calls whatever the stack's size (some 60 us on a
@@ -293,39 +282,38 @@ def _checked(
 _BOUND_MIN_ENTRIES = 400
 
 
-def _rank1_box(
-    effects: np.ndarray, deviation, tol: ToleranceConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(plain, lam, rho) of :func:`linalg.rank1_interval`, or None for a small stack.
+def _eigenvalues(effects: np.ndarray, deviation, tol: ToleranceConfig) -> np.ndarray:
+    """Ascending eigenvalues ``w`` of an (n, d, d) stack, or certified stand-ins for them.
 
-    ``plain`` marks the effects that :func:`linalg.effect_ranks` finds plain rank 1
-    for every eigenvalue vector within rho of (0, ..., 0, lam), the top in
-    lam +- rho and the rest in +-rho.  It is so for all of them when it is so
-    for the one with the top at lam - rho, the smallest at -rho and the rest at
-    +rho: that has the lowest cutoff and the largest rest, and the cutoff only
-    grows with the top (float rounding is monotone, so this holds as computed).
+    ``deviation`` is the stack's Hermitian deviation (0 for a Hermitian one).
+    An effect is settled when the box of :func:`linalg.rank1_interval`, the top
+    eigenvalue in lam +- rho and the rest in +-rho, holds only vectors that
+    :func:`linalg.effect_ranks` finds plain rank 1, that lie inside [0, I]
+    (rho <= psd_tol, lam + rho <= 1 + psd_tol) and that :func:`_projection_bounds`
+    gives one projection verdict.  Its row is the box's centre (0, ..., 0, lam),
+    which gets those verdicts too; the other rows take one ``eigvalsh``.  The
+    rank rule holds for the whole box when it holds for the corner with the top
+    at lam - rho, the smallest at -rho and the rest at +rho: that has the
+    lowest cutoff and the largest rest, and the cutoff only grows with the top
+    (float rounding is monotone, so this holds as computed).  A small stack
+    takes one ``eigvalsh`` whole.
     """
     n, d = effects.shape[:2]
     if n <= d or n * d * d <= _BOUND_MIN_ENTRIES:
-        return None
+        return np.linalg.eigvalsh(effects)
     lam, rho = rank1_interval(effects, deviation)
     corner = np.repeat(rho[:, None], d, axis=1)
     corner[:, 0] = -rho
-    with np.errstate(invalid="ignore"):  # inf - inf: NaN, which is not rank 1
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: nothing is settled
         corner[:, -1] = lam - rho
-    return effect_ranks(corner, tol)[1], lam, rho
-
-
-def _ranks(
-    w: np.ndarray, settled: np.ndarray, tol: ToleranceConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """(ranks, plain): plain rank 1 where ``settled``, :func:`linalg.effect_ranks` of ``w`` elsewhere."""
-    if not settled.any():
-        return effect_ranks(w, tol)
-    ranks, plain = settled.astype(np.intp), settled.copy()
+        inside = (rho <= tol.psd_tol) & (lam + rho <= 1 + tol.psd_tol)
+    projection, other = _projection_bounds(lam, rho, d, tol)
+    settled = effect_ranks(corner, tol)[1] & inside & (projection | other)
+    w = np.zeros((n, d))
+    w[:, -1] = lam  # the stand-ins; eigvalsh overwrites the other rows whole
     if not settled.all():
-        ranks[~settled], plain[~settled] = effect_ranks(w[~settled], tol)
-    return ranks, plain
+        w[~settled] = np.linalg.eigvalsh(effects[~settled])
+    return w
 
 
 def violations(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> list[PovmForgeError]:
@@ -335,9 +323,10 @@ def violations(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> list[PovmForgeErr
     are reported.  Then, effect by effect: Hermitian (herm_tol; a
     non-Hermitian effect is not judged further), PSD (psd_tol), and
     bounded by the identity (psd_tol slack).  Last, the effects must sum
-    to the identity within recon_tol in Frobenius norm.  This is the one
-    validator pass (``_checked``) that ``extremality.rank1_failures`` runs
-    over a certificate's stack of components.
+    to the identity within recon_tol in Frobenius norm (an entry near
+    overflow gives an infinite residual).  This is the one validator pass
+    (``_checked``, its eigenvalues from :func:`_eigenvalues`) that
+    ``extremality.rank1_failures`` runs over a certificate's stack of components.
     """
     return _checked(p.effects, (p.n_outcomes,), tol)[0][0]
 
@@ -362,16 +351,22 @@ def prune_zero_effects(
     positions, so ``relabel(pruned, map)`` restores ``p`` (zeros placed
     at outcomes with empty preimage).
     """
-    flat = p.effects.reshape(p.n_outcomes, -1).view(np.float64)
-    norms = np.sqrt(np.einsum("ki,ki->k", flat, flat))  # Frobenius norms, no complex temporary
+    norms, nonzero = _effect_norms(p.effects, tol)
     if not np.isfinite(norms).all():  # NaN or Inf shows in its norm
         raise violations(p, tol)[0]
-    keep = np.flatnonzero(norms > tol.zero_effect_tol)
+    keep = np.flatnonzero(nonzero)
     if keep.size == p.n_outcomes:
         return p, RelabelMap.identity(p.n_outcomes)  # nothing to drop: no copy
     if keep.size == 0:
         raise AllZeroError("every effect is numerically zero")
     return Povm(p.effects[keep]), RelabelMap(keep.size, p.n_outcomes, keep)
+
+
+def _effect_norms(effects: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(Frobenius norms, nonzero) of an effect stack: an effect is nonzero above zero_effect_tol."""
+    flat = effects.reshape(len(effects), -1).view(np.float64)  # no complex temporary
+    norms = np.sqrt(np.einsum("ki,ki->k", flat, flat))
+    return norms, norms > tol.zero_effect_tol
 
 
 def relabel(p: Povm, f: RelabelMap) -> Povm:
@@ -433,24 +428,12 @@ def _spectrum(
 
     The verdicts are (ranks, plain) of :func:`linalg.effect_ranks` and each
     effect's projection test |E^2 - E|_F <= recon_tol, all read from the
-    effects' ``eigvalsh`` eigenvalues.  An effect that :func:`_rank1_box` finds
-    plain rank 1 and of one projection verdict for every eigenvalue vector
-    within its bound takes no ``eigvalsh``: it would give the same verdicts.
+    effects' :func:`_eigenvalues`.
     """
     pruned, back = prune_zero_effects(p, tol)
     effects = hermitian_part(pruned.effects, tol)
-    box = _rank1_box(effects, 0.0, tol)
-    if box is None:
-        w = np.linalg.eigvalsh(effects)
-        return back, effects, *effect_ranks(w, tol), _is_projection(w, tol)
-    settled, lam, rho = box
-    projection, other = _projection_bounds(lam, rho, effects.shape[-1], tol)
-    settled &= projection | other
-    w = np.zeros((len(effects), effects.shape[-1]))
-    if not settled.all():
-        w[~settled] = np.linalg.eigvalsh(effects[~settled])
-        projection[~settled] = _is_projection(w[~settled], tol)
-    return back, effects, *_ranks(w, settled, tol), projection
+    w = _eigenvalues(effects, 0.0, tol)
+    return back, effects, *effect_ranks(w, tol), _is_projection(w, tol)
 
 
 def _is_projection(w: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -481,15 +464,15 @@ def _spectral_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Term vectors psi = sqrt(lambda) v of a Hermitian effect stack, and the effect of each.
 
-    ``ranks`` and ``plain`` are the stack's :func:`linalg.effect_ranks` verdicts,
-    as :func:`_spectrum` or :func:`_ranks` give them: effect j has one term per
-    eigenvalue above the rank cutoff, so that effect j = sum of |psi><psi| over
-    its terms up to the dropped ones.  Terms come in row-major (effect, term) order, each effect's
-    in :func:`eig_herm`'s descending order and phase convention.  A rank-1
-    effect's one term comes from two power steps on its largest-diagonal column
-    e_k: y = E e_k, z = E y, lambda = y^H z / y^H y and psi = sqrt(lambda) z / |z|.
-    Only effects of rank >= 2 take eigenvectors from ``eig_herm``, and so does a
-    rank-1 effect that is not plain.
+    ``ranks`` and ``plain`` are the stack's :func:`linalg.effect_ranks` verdicts:
+    effect j has one term per eigenvalue above the rank cutoff, so that effect
+    j = sum of |psi><psi| over its terms up to the dropped ones.  Terms come in
+    row-major (effect, term) order, each effect's in :func:`eig_herm`'s
+    descending order and phase convention.  A rank-1 effect's one term comes
+    from two power steps on its largest-diagonal column e_k: y = E e_k, z = E y,
+    lambda = y^H z / y^H y and psi = sqrt(lambda) z / |z|.  Only effects of
+    rank >= 2 take eigenvectors from ``eig_herm``, and so does a rank-1 effect
+    that is not plain.
     """
     starts = np.cumsum(ranks) - ranks
     psi = np.empty((int(ranks.sum()), effects.shape[-1]), dtype=np.complex128)

@@ -111,13 +111,14 @@ def test_only_linalg_calls_inv_sqrt():
 
 
 def test_one_spectral_pass():
-    """``eigvalsh`` runs in the validator, in ``povm._spectrum`` and in ``rank_of`` only.
+    """``eigvalsh`` runs in ``povm._eigenvalues`` and in ``rank_of`` only.
 
-    Every analysis takes its eigenvalues from ``_spectrum`` (prune, ``hermitian_part``,
-    ``eigvalsh``), which is also the one caller of ``hermitian_part`` outside ``linalg``.
+    The validator and every analysis take their eigenvalues from ``_eigenvalues``;
+    the analyses through ``_spectrum`` (prune, ``hermitian_part``, ``_eigenvalues``),
+    which is also the one caller of ``hermitian_part`` outside ``linalg``.
     """
     allowed = {
-        "eigvalsh": {"povm.py:_checked", "povm.py:_spectrum", "linalg.py:rank_of"},
+        "eigvalsh": {"povm.py:_eigenvalues", "linalg.py:rank_of"},
         "hermitian_part": {"linalg.py", "povm.py:_spectrum"},
     }
     stray = [
@@ -129,9 +130,10 @@ def test_one_spectral_pass():
 
 
 def test_only_the_validator_holds_the_hermitian_and_psd_thresholds():
-    """``hermitian_deviation`` is called, and ``psd_tol`` read, in ``linalg`` and ``_checked`` only.
+    """``hermitian_deviation`` is called in ``linalg`` and ``_checked`` only; ``psd_tol`` is read there too.
 
-    Every other module takes its POVM verdicts from ``_checked``, so no second
+    ``psd_tol`` is also read in ``_eigenvalues``, whose rank-1 bound settles only
+    effects inside [0, I].  Every other module takes its POVM verdicts from ``_checked``, so no second
     copy of its numbers can round to the other side of a tolerance.
     """
     allowed = {"linalg.py", "povm.py:_checked"}
@@ -143,7 +145,9 @@ def test_only_the_validator_holds_the_hermitian_and_psd_thresholds():
     stray += [
         f"{where}: psd_tol"
         for places, node, where in _placed_nodes()
-        if isinstance(node, ast.Attribute) and node.attr == "psd_tol" and not places & allowed
+        if isinstance(node, ast.Attribute)
+        and node.attr == "psd_tol"
+        and not places & (allowed | {"povm.py:_eigenvalues"})
     ]
     assert not stray, stray
 
@@ -159,5 +163,22 @@ def test_one_rank_rule():
         f"{where}: rank_tol"
         for places, node, where in _placed_nodes()
         if isinstance(node, ast.Attribute) and node.attr == "rank_tol" and not places & allowed
+    ]
+    assert not stray, stray
+
+
+def test_one_zero_effect_rule():
+    """``zero_effect_tol`` is read in ``povm._effect_norms`` and ``decomposer._debris_floor`` only.
+
+    Pruning and ``rank1_failures`` both take their nonzero effects from
+    ``_effect_norms``, so no two analyses can drop an effect by different rules.
+    """
+    allowed = {"povm.py:_effect_norms", "decomposer.py:_debris_floor"}
+    stray = [
+        f"{where}: zero_effect_tol"
+        for places, node, where in _placed_nodes()
+        if isinstance(node, ast.Attribute)
+        and node.attr == "zero_effect_tol"
+        and not places & allowed
     ]
     assert not stray, stray

@@ -627,7 +627,7 @@ class TestVerifyCertificate:
         comps = decompose(random_povm(d, n, seed=1)).components
         spoiled = _spoiled(comps)
         for povms in ([c.extremal for c in comps], spoiled):
-            found, _, _ = _checked(
+            found, _ = _checked(
                 np.concatenate([p.effects for p in povms]), [p.n_outcomes for p in povms]
             )
             assert len(found) == len(povms)
@@ -672,10 +672,12 @@ class TestVerifyCertificate:
                 effect.update(re=[[2.5e-10, 0], [0, 2.5e-10]], im=[[0, 2.5e-10], [-2.5e-10, 0]])
                 for effect in doc["components"][0]["extremal"]["effects"]
             ],
+            lambda doc: _set_off_diagonal(doc["components"][0]["extremal"], np.inf),
+            lambda doc: _set_off_diagonal(doc["target"], np.inf),
         ],
         ids=[
             "nan_weight", "nan_weights", "nan_target", "nan_component", "skew_component",
-            "zero_component", "tiny_component",
+            "zero_component", "tiny_component", "inf_component", "inf_target",
         ],
     )
     @pytest.mark.filterwarnings("error")  # a NaN gives failure lines, not a warning
@@ -686,6 +688,12 @@ class TestVerifyCertificate:
         report = verify_certificate(DecompositionCertificate.from_jsonable(doc))
         assert not report.passed
         assert report.failures
+
+
+def _set_off_diagonal(povm_doc, value):
+    """Set the (0, 1) and (1, 0) entries of a POVM document's first effect to ``value``."""
+    re = povm_doc["effects"][0]["re"]
+    re[0][1] = re[1][0] = value
 
 
 class TestOutcomeProbabilities:
@@ -776,6 +784,16 @@ class TestStatisticsEquivalence:
             seed=3,
         )
         assert not report.passed
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("part", ["component", "target"])
+    @pytest.mark.filterwarnings("error")  # a non-finite entry fails the report, with no warning
+    def test_non_finite_certificate_fails(self, value, part):
+        doc = decompose(random_povm(2, 3, seed=1)).to_jsonable()
+        _set_off_diagonal(doc["components"][0]["extremal"] if part == "component" else doc["target"], value)
+        report = statistics_equivalence(DecompositionCertificate.from_jsonable(doc), trials=5, seed=0)
+        assert not report.passed
+        assert np.isnan(report.max_deviation)
 
     def test_negative_trials_rejected(self, qubit3):
         with pytest.raises(OutOfRangeError):

@@ -24,6 +24,7 @@ from povm_forge import (
     relabel,
     spectral_relabel,
     validate,
+    violations,
 )
 from povm_forge.errors import (
     AllZeroError,
@@ -92,6 +93,18 @@ class TestValidate:
         with pytest.raises(NonFiniteError) as info:
             validate(Povm(effects))
         assert info.value.outcome == 1
+
+    @pytest.mark.parametrize("d, n", [(2, 3), (4, 30)])  # one eigvalsh; the rank-1 bound first
+    @pytest.mark.filterwarnings("error")  # an entry near overflow gives errors, not a warning
+    def test_entry_near_overflow_is_reported(self, d, n):
+        effects = np.array(random_povm(d, n, seed=1).effects)
+        effects[0, 0, 0] = 1e300
+        found = violations(Povm(effects))
+        assert [type(e) for e in found] == [NotPSDError, NotNormalizedError]
+        assert found[0].outcome == 0 and found[1].residual == np.inf
+        for analysis in (validate, classify):
+            with pytest.raises(NotPSDError):
+                analysis(Povm(effects))
 
     def test_not_psd_reports_outcome(self):
         effects = np.stack([EYE2 / 2, -EYE2 / 2])

@@ -1,10 +1,12 @@
 """The rank-1 bound against an ``eigvalsh``-only reference.
 
-``linalg.rank1_interval`` lets ``povm._checked`` and ``povm._spectrum`` skip
-``eigvalsh`` on effects whose verdicts are the same for every eigenvalue vector
-within the bound.  The reference is the same code with the bound returning NaN,
-which settles nothing, so every effect takes ``eigvalsh`` as it did before the
-bound; plain ``eigvalsh`` and ``effect_ranks`` of each stack are checked too.
+``linalg.rank1_interval`` lets ``povm._eigenvalues``, behind ``povm._checked``
+and ``povm._spectrum``, skip ``eigvalsh`` on effects whose verdicts are the same
+for every eigenvalue vector within the bound; such an effect's row is the
+stand-in (0, ..., 0, lam).  The reference is the same code with the bound
+returning NaN, which settles nothing, so every effect takes ``eigvalsh`` as it
+did before the bound; plain ``eigvalsh`` and ``effect_ranks`` of each stack
+are checked too.
 Inputs sit on every edge a settled verdict could cross: a second eigenvalue at
 k * rank_tol, the smallest at -k * psd_tol, the top at 1 + k * psd_tol or
 1 - k * recon_tol, or a triangle k * herm_tol off Hermitian, for k in
@@ -25,7 +27,7 @@ from povm_forge import DEFAULT_TOL, NOT_EXTREMAL, Povm, ToleranceConfig, classif
 from povm_forge.errors import PovmForgeError
 from povm_forge.extremality import rank1_failures
 from povm_forge.linalg import effect_ranks, hermitian_deviation, rank1_interval
-from povm_forge.povm import _checked, _ranks, _spectrum
+from povm_forge.povm import _checked, _spectrum
 
 EDGES = ("second", "smallest", "top", "projection", "zero", "non_finite", "skew")
 ZERO_TOL = ToleranceConfig(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -87,6 +89,18 @@ def unbounded(f, *args):
         return f(*args)
 
 
+def eigvalsh_shapes(f, *args):
+    """(f(*args), the shape of each stack it passed to ``eigvalsh``)."""
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def recorded(a, *rest, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *rest, **kwargs)
+
+    with mock.patch.object(np.linalg, "eigvalsh", recorded):
+        return f(*args), shapes
+
+
 def _nothing_settled(effects, deviation):
     return np.full(len(effects), np.nan), np.full(len(effects), np.nan)
 
@@ -125,16 +139,19 @@ def _classified(p, tol):
 def test_validator_verdicts_match_eigvalsh_only(case):
     effects, tol = case
     sizes = [len(effects)]
-    found, w, settled = _checked(effects, sizes, tol)
-    want_found, want_w, want_settled = unbounded(_checked, effects, sizes, tol)
-    assert not want_settled.any()
+    found, w = _checked(effects, sizes, tol)
+    (want_found, want_w), shapes = eigvalsh_shapes(unbounded, _checked, effects, sizes, tol)
+    assert shapes == [effects.shape]  # the reference settles nothing
     assert _described(found) == _described(want_found)
-    ranks, plain = _ranks(w, settled, tol)
-    want = _ranks(want_w, want_settled, tol)
+    ranks, plain = effect_ranks(w, tol)
+    want = effect_ranks(want_w, tol)
     assert np.array_equal(ranks, want[0]) and np.array_equal(plain, want[1])
-    assert np.array_equal(w[~settled], want_w[~settled])  # the unsettled rows' eigenvalues
     finite = np.isfinite(effects).all(axis=(1, 2))
     clean = np.where(finite[:, None, None], effects, 0.0)
+    # each row is eigvalsh's, or the stand-in (0, ..., 0, lam) of a settled effect
+    stand_in = np.zeros_like(w)
+    stand_in[:, -1] = rank1_interval(clean, hermitian_deviation(clean))[0]
+    assert np.all((w == want_w).all(axis=1) | (w == stand_in).all(axis=1))
     direct = effect_ranks(np.linalg.eigvalsh(clean), tol)
     assert np.array_equal(ranks, direct[0]) and np.array_equal(plain, direct[1])
     failures = rank1_failures(effects, sizes, tol)
@@ -170,8 +187,7 @@ def test_analyses_refuse_what_they_refused(case):
 def test_nothing_is_settled_with_every_tolerance_zero(monkeypatch, d, n):
     p = random_povm(d, n, seed=d, rank=1)
     calls = record_eigensolvers(monkeypatch)
-    found, _, settled = _checked(p.effects, [n], ZERO_TOL)
-    assert not settled.any()
+    _checked(p.effects, [n], ZERO_TOL)
     classify(p, ZERO_TOL)
     assert [(name, a.shape) for name, a in calls if a.ndim == 3][:2] == [
         ("eigvalsh", (n, d, d)),
@@ -183,8 +199,10 @@ def test_nothing_is_settled_with_every_tolerance_zero(monkeypatch, d, n):
 def test_settled_rank1_povm_takes_no_eigvalsh(monkeypatch, d, n):
     p = random_povm(d, n, seed=d, rank=1)
     calls = record_eigensolvers(monkeypatch)
-    found, w, settled = _checked(p.effects, [n], DEFAULT_TOL)
-    assert found == [[]] and settled.all() and not w.any()
+    found, w = _checked(p.effects, [n], DEFAULT_TOL)
+    assert found == [[]] and calls == []
+    lam = rank1_interval(p.effects, hermitian_deviation(p.effects))[0]
+    assert not w[:, :-1].any() and np.array_equal(w[:, -1], lam)  # every row a stand-in
     result = classify(p)
     assert (result.extremal_type, result.rank_profile) == (NOT_EXTREMAL, (1,) * n)
     assert calls == []
@@ -195,9 +213,8 @@ def test_small_stack_takes_one_eigvalsh(monkeypatch, d, n):
     # at most 400 entries n d^2, or at most d effects: eigvalsh costs less than the bound
     p = random_povm(d, n, seed=d, rank=1 if n > d else None)
     calls = record_eigensolvers(monkeypatch)
-    _, _, settled = _checked(p.effects, [n], DEFAULT_TOL)
+    _checked(p.effects, [n], DEFAULT_TOL)
     classify(p)
-    assert not settled.any()
     assert [a.shape for name, a in calls if name == "eigvalsh"] == [(n, d, d)] * 2
 
 
