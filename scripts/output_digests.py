@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""Print one SHA-256 digest per output record of the benchmark corpora.
+
+The ``classify_wide`` and ``decompose_deep`` corpora of
+``perfbench/workloads.py`` are built at ``--seed`` (default 1104).  For
+every input POVM the records are its ``classify`` fields (margin bytes
+included), its ``spectral_relabel`` effects and map, and the
+``violations`` of two spoiled copies: effect 0 scaled by 1.5, and the last
+effect's top-right entry moved by 1e-6 off Hermitian.  For every
+``decompose_deep`` input they are also its ``decompose`` weights, effects
+and maps, the ``verify_certificate`` report of that certificate and of a
+copy with component 0 scaled by 1.5, and the ``statistics_equivalence``
+deviations over 20 states.  A domain error is recorded by its type and
+message.  Each line reads ``<sha256>  <corpus>/<label>: <record>``.
+
+Two source trees give equal outputs iff ``diff`` finds nothing between two
+runs, one per tree:
+
+    PYTHONPATH=src python3 scripts/output_digests.py --seed 7 > new.txt
+    PYTHONPATH=../old/src python3 scripts/output_digests.py --seed 7 > old.txt
+    diff old.txt new.txt
+
+BLAS runs on one thread, as in the benchmark, so that sums are taken in
+one order.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import workloads  # noqa: E402  (perfbench/, on the path above)
+from povm_forge import (  # noqa: E402
+    CertificateComponent,
+    DecompositionCertificate,
+    Povm,
+    classify,
+    decompose,
+    spectral_relabel,
+    statistics_equivalence,
+    verify_certificate,
+    violations,
+)
+from povm_forge.errors import PovmForgeError  # noqa: E402
+
+CORPORA = ("classify_wide", "decompose_deep")
+STATS_STATES = 20
+
+
+def digest(*parts) -> str:
+    """SHA-256 of the parts in order: arrays by their bytes, anything else by its repr."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            data = np.ascontiguousarray(part).tobytes()
+        else:
+            data = repr(part).encode()
+        h.update(len(data).to_bytes(8, "little") + data)
+    return h.hexdigest()
+
+
+def outcome(f, *args):
+    """f(*args), or the type name and message of the domain error it raises."""
+    try:
+        return f(*args)
+    except PovmForgeError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def spoiled(p: Povm) -> tuple[Povm, Povm]:
+    """(effect 0 scaled by 1.5, the last effect's entry (0, d-1) moved by 1e-6)."""
+    scaled, skewed = np.array(p.effects), np.array(p.effects)
+    scaled[0] *= 1.5
+    skewed[-1, 0, -1] += 1e-6
+    return Povm(scaled), Povm(skewed)
+
+
+def classified(p: Povm):
+    result = outcome(classify, p)
+    if isinstance(result, tuple):
+        return result
+    report = result.extremality
+    return (result.is_rank1, result.is_pvm, result.extremal_type, result.rank_profile,
+            report.extremal, report.borderline, report.margin, report.operator_count)
+
+
+def relabeled(p: Povm):
+    result = outcome(spectral_relabel, p)
+    if isinstance(result, tuple):
+        return result
+    rank1, f = result
+    return rank1.effects, f.targets, f.target_size
+
+
+def worded(p: Povm):
+    return [(type(e).__name__, str(e), getattr(e, "outcome", None)) for e in violations(p)]
+
+
+def reported(cert: DecompositionCertificate):
+    report = verify_certificate(cert)
+    return (report.weight_sum_residual, report.effect_residuals, report.component_extremal,
+            report.passed, report.failures)
+
+
+def certificate_records(p: Povm):
+    """(record, parts) of ``decompose`` and what reads its certificate."""
+    cert = outcome(decompose, p)
+    if isinstance(cert, tuple):
+        yield "decompose", cert
+        return
+    parts = []
+    for comp in cert.components:
+        parts += [comp.weight, comp.extremal.effects, comp.relabel.targets]
+    yield "decompose", parts
+    yield "verify_certificate", reported(cert)
+    first = cert.components[0]
+    comps = (CertificateComponent(first.weight, Povm(1.5 * first.extremal.effects), first.relabel),
+             *cert.components[1:])
+    yield "verify_certificate spoiled", reported(DecompositionCertificate(cert.target, comps))
+    yield "statistics_equivalence", (statistics_equivalence(cert, STATS_STATES, 0).deviations,)
+
+
+def records(corpus: str, p: Povm):
+    """(record, parts) of every output record of one input; parts is a tuple or a list."""
+    yield "classify", classified(p)
+    yield "spectral_relabel", relabeled(p)
+    for name, copy in zip(("scaled", "skewed"), spoiled(p)):
+        yield f"violations {name}", worded(copy)
+    if corpus == "decompose_deep":
+        yield from certificate_records(p)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--seed", type=int, default=1104, help="corpus seed (default 1104)")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as workdir:
+        for corpus in CORPORA:
+            for op in workloads.WORKLOADS[corpus](args.seed, workdir):
+                for record, parts in records(corpus, op.input):
+                    print(f"{digest(*parts)}  {corpus}/{op.label}: {record}")
+
+
+if __name__ == "__main__":
+    main()

@@ -39,13 +39,9 @@ from .povm import NOT_EXTREMAL, Povm, classify, validate, violations
 
 __all__ = ["main"]
 
+# argparse dest -> ToleranceConfig field: x_tol is set by --tol-x, so no field lacks its flag
 _TOL_FLAGS = {
-    "tol_herm": "herm_tol",
-    "tol_psd": "psd_tol",
-    "tol_rank": "rank_tol",
-    "tol_indep": "indep_tol",
-    "tol_recon": "recon_tol",
-    "tol_zero_effect": "zero_effect_tol",
+    f"tol_{f.name.removesuffix('_tol')}": f.name for f in dataclasses.fields(ToleranceConfig)
 }
 
 

@@ -253,7 +253,7 @@ def _debris_floor(dim: int, tol: ToleranceConfig) -> float:
 
 
 def _normalized_terms(
-    p: Povm, ranks: np.ndarray, plain: np.ndarray, tol: ToleranceConfig
+    effects: np.ndarray, ranks: np.ndarray, plain: np.ndarray, tol: ToleranceConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rank-1 terms |psi><psi| of the nonzero effects, made to sum to I, and their outcomes.
 
@@ -264,8 +264,8 @@ def _normalized_terms(
     them) are dropped before S^{-1/2} from :func:`normalizer`, S the sum of the
     retained terms, is applied to each psi.
     """
-    sources, psi = _spectral_terms(p.effects, ranks, plain, tol)
-    kept = np.einsum("ij,ij->i", psi.conj(), psi).real > _debris_floor(p.dim, tol)
+    sources, psi = _spectral_terms(effects, ranks, plain, tol)
+    kept = np.einsum("ij,ij->i", psi.conj(), psi).real > _debris_floor(effects.shape[-1], tol)
     sources, psi = sources[kept], psi[kept]
     psi = psi @ normalizer(psi.T @ psi.conj(), len(psi), tol).T
     return psi[:, :, None] * psi.conj()[:, None, :], sources
@@ -275,10 +275,10 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
     """Decompose a valid POVM into relabeled extremal rank-1 components.
 
     One validator pass (``povm._checked``) checks the input (an invalid one
-    raises what :func:`validate` raises) and gives its eigenvalues
-    (``povm._eigenvalues``: certified stand-ins for the rank-1 effects the
-    bound settles).  From their :func:`linalg.effect_ranks` the nonzero
-    effects are expanded once into rank-1 spectral terms
+    raises what :func:`validate` raises) and gives its Hermitian part and the
+    eigenvalues of that (``povm._eigenvalues``: certified stand-ins for the
+    rank-1 effects the bound settles).  From their :func:`linalg.effect_ranks`
+    the nonzero effects are expanded once into rank-1 spectral terms
     (:func:`_spectral_terms`: eigenvectors only for effects of rank >= 2).  The
     terms above the debris floor are made to sum to I by one congruence of their
     vectors (:func:`_normalized_terms`), so the peel starts on I.  In the
@@ -295,10 +295,10 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
     or the certificate's reconstruction, built once and read again by
     :func:`verify_certificate`, is off the input by more than recon_tol.
     """
-    (found,), w = _checked(p.effects, (p.n_outcomes,), tol)
+    (found,), hermitian, w = _checked(p.effects, (p.n_outcomes,), tol)
     if found:
         raise found[0]
-    terms, targets = _normalized_terms(p, *effect_ranks(w, tol), tol)
+    terms, targets = _normalized_terms(hermitian, *effect_ranks(w, tol), tol)
     dim = p.dim
     columns = hermitian_coords(terms).T
     norms = np.linalg.norm(columns, axis=0)

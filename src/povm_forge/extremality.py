@@ -10,10 +10,11 @@ An effect's pair operators span the operators V X V^H on its range V,
 whose Hermitian members have d^2 real coordinates
 (``linalg.hermitian_coords``), so the test is one real SVD: a rank-1
 effect enters as itself, unit-normalized, and only effects of rank >= 2
-need eigenvectors.  One spectral pass (``povm._eigenvalues``) gives every
-rank: an effect that a rank-1 bound (``linalg.rank1_interval``) settles gets
-the stand-in eigenvalues (0, ..., 0, lam), which give it the verdicts its
-eigenvalues would, and one ``eigvalsh`` takes the rest.
+need eigenvectors.  One spectral pass of the Hermitian parts
+(``povm._eigenvalues``) gives every rank: an effect that a rank-1 bound
+(``linalg.rank1_interval``) settles gets the stand-in eigenvalues
+(0, ..., 0, lam), which give it the verdicts its eigenvalues would, and
+one ``eigvalsh`` takes the rest.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def pair_independence(
     ``unit_hermitian_basis(r)``, an isometric image of its pair operators.  One
     batched ``eigh`` over those other effects and one real SVD of at most
     d^2 x d^2, singular values only, give the margin.  ``effects`` must be
-    symmetrized (``hermitian_part``): the solvers read one triangle each.
+    Hermitian (``require_hermitian``): the solvers read one triangle each.
     """
     d = effects.shape[-1]
     count = int(ranks @ ranks)
@@ -160,12 +161,12 @@ def rank1_failures(
     Hermitian, [0, I] and sum failures are entries of the POVM's
     ``violations``, worded as ``validate`` words them.
 
-    One validator pass (``povm._checked``: one Hermitian check, one
+    One validator pass (``povm._checked``: one Hermitian split, one
     :func:`povm._eigenvalues` pass, one ``np.add.reduceat`` sum) covers the
-    stack and gives every POVM's violations and its eigenvalues, from which
-    :func:`linalg.effect_ranks` counts every rank; ``povm._effect_norms``
-    marks the nonzero effects.  Each group of POVMs with equally many
-    nonzero effects gets one SVD.
+    stack and gives every POVM's violations, the Hermitian part and its
+    eigenvalues, from which :func:`linalg.effect_ranks` counts every rank;
+    ``povm._effect_norms`` marks the nonzero effects.  Each group of POVMs
+    with equally many nonzero effects gets one SVD of its Hermitian parts.
     """
     effects = np.asarray(effects, dtype=np.complex128)
     sizes = np.asarray(sizes)
@@ -176,7 +177,7 @@ def rank1_failures(
         )
     d = effects.shape[-1]
     starts = sizes.cumsum() - sizes
-    povm_failures, w = _checked(effects, sizes.tolist(), tol)
+    povm_failures, hermitian, w = _checked(effects, sizes.tolist(), tol)
     norms, nonzero = _effect_norms(effects, tol)
     ranks = nonzero * effect_ranks(w, tol)[0]
     counts = np.add.reduceat(ranks > 0, starts, dtype=np.intp)
@@ -208,7 +209,7 @@ def rank1_failures(
         members = passed & (counts == m)
         if m <= d * d:
             picked = (ranks > 0) & np.repeat(members, sizes)
-            rows = hermitian_coords(effects[picked])
+            rows = hermitian_coords(hermitian[picked])
             rows /= norms[picked, None]
             independent = banded_verdict(independence_margin(rows.reshape(-1, m, d * d)), tol)[0]
         else:

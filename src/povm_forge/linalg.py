@@ -2,11 +2,12 @@
 
 Everything downstream (POVM validation, extremality tests, the
 decomposition engine) reduces to a handful of primitives implemented
-here: eigendecomposition with a deterministic ordering and phase
-convention, one rank rule (:func:`effect_ranks`), inverse square
-roots and the one congruence that makes operators sum to I, real
-coordinates of Hermitian matrices and their canonical basis, and
-independence tests by a singular-value margin with one banded cutoff.
+here: one Hermitian rule (:func:`hermitian_split`), eigendecomposition
+with a deterministic ordering and phase convention, one rank rule
+(:func:`effect_ranks`), inverse square roots and the one congruence
+that makes operators sum to I, real coordinates of Hermitian matrices
+and their canonical basis, and independence tests by a singular-value
+margin with one banded cutoff.
 
 All functions are pure; numerical decisions are governed by a
 :class:`ToleranceConfig` passed explicitly (defaulting to
@@ -96,50 +97,45 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-def hermitian_deviation(a: np.ndarray) -> np.ndarray:
-    """Max entrywise |a - a^H| of a matrix, or of each matrix in a (..., d, d) stack.
+def hermitian_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Hermitian part (a + a^H) / 2, deviation max |a - a^H|) of a complex matrix or stack of them.
 
-    A NaN or Inf entry gives NaN or Inf, which no tolerance passes (Inf - Inf warns).
+    The one Hermitian kernel: every solver reading one triangle reads the part,
+    every herm_tol test the deviation (one per matrix).  A finite ``a`` equal to
+    a^H comes back uncopied, deviation 0; else the part is built in a^H's buffer.
+    A NaN or Inf entry gives a NaN or Inf deviation, which no tolerance passes.
     """
-    gap = np.conjugate(a.swapaxes(-1, -2), order="C")  # a^H, laid out as a: no temporary below
-    gap -= a
-    return np.abs(gap).max(axis=(-2, -1))
+    adjoint = np.conjugate(a.swapaxes(-1, -2), order="C")  # a^H, laid out as a
+    parts = a.reshape(-1).view(np.float64)  # real and imaginary parts: float compares are fast
+    if np.isfinite(parts).all() and np.array_equal(adjoint.reshape(-1).view(np.float64), parts):
+        return a, np.zeros(a.shape[:-2])
+    with np.errstate(invalid="ignore", over="ignore"):  # Inf - Inf or overflow: NaN or Inf
+        adjoint -= a
+        deviation = np.abs(adjoint).max(axis=(-2, -1))
+        np.conjugate(a.swapaxes(-1, -2), out=adjoint)  # a^H again: no second stack-sized buffer
+        adjoint += a
+    halves = adjoint.view(np.float64)  # halving the real and imaginary parts is exact and
+    halves *= 0.5  # several times cheaper than a complex division by 2
+    return adjoint, deviation
 
 
-def require_hermitian(
-    m, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """``m`` (a matrix or a stack of them) as a complex array, and its conjugate transpose.
+def require_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """The Hermitian part of ``m`` (a matrix or a stack of them), from :func:`hermitian_split`.
 
     Raises unless every entry is finite and within herm_tol of its conjugate
-    transpose.  The transpose is None where ``m`` is finite and equals it exactly.
+    transpose.  An exactly Hermitian ``m`` comes back uncopied.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    adjoint = np.conjugate(a.swapaxes(-1, -2), order="C")
-    parts = a.reshape(-1).view(np.float64)  # real and imaginary parts: float compares are fast
-    if np.isfinite(parts).all() and np.array_equal(adjoint.reshape(-1).view(np.float64), parts):
-        return a, None
-    with np.errstate(invalid="ignore"):  # Inf - Inf: NaN, which fails below
-        deviation = float(np.abs(adjoint - a).max())
-    if not deviation <= tol.herm_tol:
+    hermitian, deviation = hermitian_split(a)
+    worst = float(deviation.max(initial=0.0))
+    if not worst <= tol.herm_tol:
         raise NotHermitianError(
-            f"matrix deviates from Hermitian symmetry by {deviation:.3e} "
+            f"matrix deviates from Hermitian symmetry by {worst:.3e} "
             f"(herm_tol = {tol.herm_tol:.3e})"
         )
-    return a, adjoint
-
-
-def hermitian_part(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """(a + a^H) / 2 of ``m`` (a matrix or a stack) after :func:`require_hermitian`.
-
-    Every solver reading one triangle (``eigh``, ``eigvalsh``, :func:`hermitian_coords`)
-    then sees the same matrix.  An exactly Hermitian ``m`` equals that average (up to
-    the sign of a zero entry) and comes back as it is, uncopied.
-    """
-    a, adjoint = require_hermitian(m, tol)
-    return a if adjoint is None else (a + adjoint) / 2.0
+    return hermitian
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -173,7 +169,7 @@ def eig_herm(m, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
     ``eigh``.  Eigenvalues are returned in descending order; each
     eigenvector's first nonzero component is made real positive.
     """
-    w, v = np.linalg.eigh(hermitian_part(m, tol))
+    w, v = np.linalg.eigh(require_hermitian(m, tol))
     order = np.argsort(-w, axis=-1, kind="stable")  # eigh is ascending; keep tie order
     w = np.take_along_axis(w, order, axis=-1)
     v = _fix_phases(np.take_along_axis(v, order[..., None, :], axis=-1))
@@ -189,8 +185,12 @@ def effect_ranks(w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
     a negative one never counts.  A plain row has rank 1 and none below -cutoff,
     so E / |E|_F is its effect's one unit pair operator and power steps on E find
     its eigenvector without an ``eigh`` (past a large negative one they would not).
+    |lambda|_max is read from the row's ends, exact for an ascending row.  The one
+    other row passed here, the settle corner (-rho, rho, ..., rho, lam - rho) of
+    ``povm._eigenvalues``, is plain under either reading only when ascending:
+    plain needs rho <= cutoff, so the one entry above it is lam - rho > cutoff >= rho.
     """
-    cutoff = tol.rank_tol * np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
+    cutoff = tol.rank_tol * np.maximum(1.0, np.maximum(-w[..., :1], w[..., -1:]))
     ranks = np.count_nonzero(w > cutoff, axis=-1)
     return ranks, (ranks == 1) & (w[..., 0] >= -cutoff[..., 0])
 
@@ -202,15 +202,13 @@ def effect_ranks(w: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
 _EIGVALSH_ROUNDING = 2.0**-42
 
 
-def rank1_interval(effects: np.ndarray, deviation) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, rho) per effect of an (n, d, d) stack: its eigenvalues lie within rho of (0, ..., 0, lam).
+def rank1_interval(effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, rho) per effect of a Hermitian (n, d, d) stack: eigenvalues within rho of (0, ..., 0, lam).
 
     For y the column of E at its largest diagonal entry E_kk > 0, A = y y^H / E_kk
     is Hermitian of rank 1 with eigenvalue lam = |y|^2 / E_kk.  By Weyl's
-    inequality each eigenvalue of E lies within |E - A|_2 <= |E - A|_F of A's.
-    ``eigvalsh`` reads one triangle of E, which lies within d * ``deviation``
-    (E's :func:`hermitian_deviation`, or 0 for a Hermitian stack) of E in
-    Frobenius norm; a rounding allowance covers its backward error.  A row with
+    inequality each eigenvalue of E lies within |E - A|_2 <= |E - A|_F of A's;
+    a rounding allowance covers ``eigvalsh``'s backward error.  A row with
     E_kk <= 0, a non-finite entry or entries near overflow gets a negative lam or
     an infinite or NaN lam or rho, which no rank rule reads as rank 1.  No
     tolerance enters: the caller decides what the interval settles.
@@ -224,13 +222,13 @@ def rank1_interval(effects: np.ndarray, deviation) -> tuple[np.ndarray, np.ndarr
         scaled = y.conj() / diagonal[rows, k, None]
         gap = (effects - y[:, :, None] * scaled[:, None, :]).reshape(n, -1).view(np.float64)
         lam = np.einsum("ij,ij->i", scaled, y).real
-        spread = np.sqrt(np.einsum("ki,ki->k", gap, gap)) + d * deviation
+        spread = np.sqrt(np.einsum("ki,ki->k", gap, gap))
         return lam, spread + _EIGVALSH_ROUNDING * d * (np.abs(lam) + spread)
 
 
 def rank_of(m, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Eigenvalue count above the cutoff rank_tol * max(1, |lambda|_max): :func:`effect_ranks`."""
-    return int(effect_ranks(np.linalg.eigvalsh(require_hermitian(m, tol)[0]), tol)[0])
+    return int(effect_ranks(np.linalg.eigvalsh(require_hermitian(m, tol)), tol)[0])
 
 
 def inv_sqrt(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -239,7 +237,7 @@ def inv_sqrt(m, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     The result R is Hermitian positive definite and satisfies
     ``R @ m @ R ~ identity`` within recon_tol.
     """
-    w, v = np.linalg.eigh(hermitian_part(m, tol))  # ascending; no order or phase rule needed
+    w, v = np.linalg.eigh(require_hermitian(m, tol))  # ascending; no order or phase rule needed
     if not w[0] > tol.psd_tol:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite: smallest eigenvalue {w[0]:.3e} "

@@ -37,9 +37,9 @@ from .linalg import (
     _fix_phases,
     effect_ranks,
     eig_herm,
-    hermitian_deviation,
-    hermitian_part,
+    hermitian_split,
     rank1_interval,
+    require_hermitian,
 )
 
 if TYPE_CHECKING:
@@ -222,22 +222,23 @@ class PovmClass:
 
 def _checked(
     effects: np.ndarray, sizes, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[list[list[PovmForgeError]], np.ndarray]:
-    """:func:`violations` of each POVM of a ragged stack, and its :func:`_eigenvalues` ``w``.
+) -> tuple[list[list[PovmForgeError]], np.ndarray, np.ndarray]:
+    """:func:`violations` of each POVM of a ragged stack, its Hermitian part and eigenvalues ``w``.
 
     ``effects`` concatenates the POVMs' effect stacks, of the (checked) ``sizes``.
-    One ``isfinite``, Hermitian deviation, :func:`_eigenvalues` pass and
-    ``np.add.reduceat`` sum cover the stack; every verdict read from ``w`` is
-    the one ``eigvalsh`` would give.  Errors are built only where a check
-    fails.  The deviation, the eigenvalues and the sum read a non-finite
-    effect as zero, and its POVM reports its non-finite effects only.
+    One ``isfinite``, :func:`linalg.hermitian_split`, :func:`_eigenvalues` pass
+    of the Hermitian part and ``np.add.reduceat`` sum cover the stack; every
+    verdict read from ``w`` is the one ``eigvalsh`` of that part would give, the
+    same for E and E^H.  Errors are built only where a check fails.  The split,
+    the eigenvalues and the sum read a non-finite effect as zero, and its POVM
+    reports its non-finite effects only.
     """
     ends = list(accumulate(sizes))
     starts = [0, *ends[:-1]]
     finite = np.isfinite(effects).all(axis=(1, 2))
     clean = effects if finite.all() else np.where(finite[:, None, None], effects, 0.0)
-    deviation = hermitian_deviation(clean)
-    w = _eigenvalues(clean, deviation, tol)
+    hermitian, deviation = hermitian_split(clean)
+    w = _eigenvalues(hermitian, tol)
     sums = np.add.reduceat(clean, starts) - np.eye(effects.shape[-1])
     with np.errstate(over="ignore"):  # entries near 1e300: an infinite residual, which fails
         residuals = np.linalg.norm(sums, axis=(1, 2))
@@ -272,7 +273,7 @@ def _checked(
                 f"effects do not sum to the identity: normalization residual {residual:.3e} "
                 f"(recon_tol = {tol.recon_tol:.3e})", residual=residual
             ))
-    return found, w
+    return found, hermitian, w
 
 
 # The bound costs about 25 NumPy calls whatever the stack's size (some 60 us on a
@@ -282,10 +283,9 @@ def _checked(
 _BOUND_MIN_ENTRIES = 400
 
 
-def _eigenvalues(effects: np.ndarray, deviation, tol: ToleranceConfig) -> np.ndarray:
-    """Ascending eigenvalues ``w`` of an (n, d, d) stack, or certified stand-ins for them.
+def _eigenvalues(effects: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Ascending eigenvalues ``w`` of a Hermitian (n, d, d) stack, or certified stand-ins for them.
 
-    ``deviation`` is the stack's Hermitian deviation (0 for a Hermitian one).
     An effect is settled when the box of :func:`linalg.rank1_interval`, the top
     eigenvalue in lam +- rho and the rest in +-rho, holds only vectors that
     :func:`linalg.effect_ranks` finds plain rank 1, that lie inside [0, I]
@@ -301,7 +301,7 @@ def _eigenvalues(effects: np.ndarray, deviation, tol: ToleranceConfig) -> np.nda
     n, d = effects.shape[:2]
     if n <= d or n * d * d <= _BOUND_MIN_ENTRIES:
         return np.linalg.eigvalsh(effects)
-    lam, rho = rank1_interval(effects, deviation)
+    lam, rho = rank1_interval(effects)
     corner = np.repeat(rho[:, None], d, axis=1)
     corner[:, 0] = -rho
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: nothing is settled
@@ -321,11 +321,11 @@ def violations(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> list[PovmForgeErr
 
     Every entry must be finite; if one is not, only the non-finite effects
     are reported.  Then, effect by effect: Hermitian (herm_tol; a
-    non-Hermitian effect is not judged further), PSD (psd_tol), and
-    bounded by the identity (psd_tol slack).  Last, the effects must sum
-    to the identity within recon_tol in Frobenius norm (an entry near
-    overflow gives an infinite residual).  This is the one validator pass
-    (``_checked``, its eigenvalues from :func:`_eigenvalues`) that
+    non-Hermitian effect is not judged further), then PSD (psd_tol) and
+    bounded by the identity (psd_tol slack), both of (E + E^H)/2, as for E^H.
+    Last, the effects must sum to the identity within recon_tol in Frobenius
+    norm (an entry near overflow gives an infinite residual).  This is the one
+    validator pass (``_checked``, its eigenvalues from :func:`_eigenvalues`) that
     ``extremality.rank1_failures`` runs over a certificate's stack of components.
     """
     return _checked(p.effects, (p.n_outcomes,), tol)[0][0]
@@ -431,8 +431,8 @@ def _spectrum(
     effects' :func:`_eigenvalues`.
     """
     pruned, back = prune_zero_effects(p, tol)
-    effects = hermitian_part(pruned.effects, tol)
-    w = _eigenvalues(effects, 0.0, tol)
+    effects = require_hermitian(pruned.effects, tol)
+    w = _eigenvalues(effects, tol)
     return back, effects, *effect_ranks(w, tol), _is_projection(w, tol)
 
 

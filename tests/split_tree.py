@@ -28,7 +28,7 @@ from povm_forge import (
     validate,
 )
 from povm_forge.errors import DimensionMismatchError, EmptyInputError, PovmForgeError
-from povm_forge.linalg import banded_verdict, hermitian_deviation
+from povm_forge.linalg import banded_verdict, hermitian_split
 
 
 class NotADependenceError(PovmForgeError):
@@ -115,7 +115,7 @@ def linearly_independent(ops, tol=DEFAULT_TOL) -> IndependenceResult:
         return IndependenceResult(independent=True, null_vector=None, margin=margin)
 
     null = vh[-1, :].conj()
-    if np.all(hermitian_deviation(stack) <= tol.herm_tol):
+    if np.all(hermitian_split(stack)[1] <= tol.herm_tol):
         real_part, imag_part = null.real, null.imag
         null = real_part if np.linalg.norm(real_part) >= np.linalg.norm(imag_part) else imag_part
         null = null / np.linalg.norm(null)

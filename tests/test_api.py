@@ -114,12 +114,12 @@ def test_one_spectral_pass():
     """``eigvalsh`` runs in ``povm._eigenvalues`` and in ``rank_of`` only.
 
     The validator and every analysis take their eigenvalues from ``_eigenvalues``;
-    the analyses through ``_spectrum`` (prune, ``hermitian_part``, ``_eigenvalues``),
-    which is also the one caller of ``hermitian_part`` outside ``linalg``.
+    the analyses through ``_spectrum`` (prune, ``require_hermitian``, ``_eigenvalues``),
+    which is also the one caller of ``require_hermitian`` outside ``linalg``.
     """
     allowed = {
         "eigvalsh": {"povm.py:_eigenvalues", "linalg.py:rank_of"},
-        "hermitian_part": {"linalg.py", "povm.py:_spectrum"},
+        "require_hermitian": {"linalg.py", "povm.py:_spectrum"},
     }
     stray = [
         f"{where}: {name}"
@@ -130,24 +130,40 @@ def test_one_spectral_pass():
 
 
 def test_only_the_validator_holds_the_hermitian_and_psd_thresholds():
-    """``hermitian_deviation`` is called in ``linalg`` and ``_checked`` only; ``psd_tol`` is read there too.
+    """``psd_tol`` is read in ``linalg``, ``_checked`` and ``_eigenvalues`` only.
 
-    ``psd_tol`` is also read in ``_eigenvalues``, whose rank-1 bound settles only
-    effects inside [0, I].  Every other module takes its POVM verdicts from ``_checked``, so no second
-    copy of its numbers can round to the other side of a tolerance.
+    ``_eigenvalues``' rank-1 bound settles only effects inside [0, I].  Every other
+    module takes its POVM verdicts from ``_checked``, so no second copy of its
+    numbers can round to the other side of a tolerance.  ``herm_tol`` is pinned
+    by :func:`test_one_hermitian_rule`.
     """
-    allowed = {"linalg.py", "povm.py:_checked"}
+    allowed = {"linalg.py", "povm.py:_checked", "povm.py:_eigenvalues"}
     stray = [
-        f"{where}: hermitian_deviation"
-        for places, name, where in _calls()
-        if name == "hermitian_deviation" and not places & allowed
-    ]
-    stray += [
         f"{where}: psd_tol"
         for places, node, where in _placed_nodes()
-        if isinstance(node, ast.Attribute)
-        and node.attr == "psd_tol"
-        and not places & (allowed | {"povm.py:_eigenvalues"})
+        if isinstance(node, ast.Attribute) and node.attr == "psd_tol" and not places & allowed
+    ]
+    assert not stray, stray
+
+
+def test_one_hermitian_rule():
+    """``hermitian_split`` is called in ``linalg`` and ``_checked`` only; ``herm_tol`` is read beside it.
+
+    ``herm_tol`` is read in ``_checked``, ``require_hermitian`` (the one check that
+    raises) and ``normalizer`` (which widens it for a sum).  So every Hermitian
+    deviation is measured, and every near-Hermitian effect averaged, by one kernel.
+    """
+    split = {"linalg.py", "povm.py:_checked"}
+    threshold = {"povm.py:_checked", "linalg.py:require_hermitian", "linalg.py:normalizer"}
+    stray = [
+        f"{where}: hermitian_split"
+        for places, name, where in _calls()
+        if name == "hermitian_split" and not places & split
+    ]
+    stray += [
+        f"{where}: herm_tol"
+        for places, node, where in _placed_nodes()
+        if isinstance(node, ast.Attribute) and node.attr == "herm_tol" and not places & threshold
     ]
     assert not stray, stray
 

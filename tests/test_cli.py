@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -95,6 +96,19 @@ class TestValidateCommand:
         assert main(["validate", skewed_file]) == 0
         monkeypatch.delenv("POVM_FORGE_TOL_SCALE")
         assert main(["validate", skewed_file]) == 1
+
+    @pytest.mark.parametrize("flag, field_name", [
+        ("--tol-herm", "herm_tol"),
+        ("--tol-psd", "psd_tol"),
+        ("--tol-rank", "rank_tol"),
+        ("--tol-indep", "indep_tol"),
+        ("--tol-recon", "recon_tol"),
+        ("--tol-zero-effect", "zero_effect_tol"),
+    ])
+    def test_each_tolerance_flag_sets_its_field_alone(self, monkeypatch, flag, field_name):
+        monkeypatch.delenv("POVM_FORGE_TOL_SCALE", raising=False)
+        args = cli.build_parser().parse_args(["validate", "povm.json", flag, "0.125"])
+        assert cli._tolerances(args) == dataclasses.replace(DEFAULT_TOL, **{field_name: 0.125})
 
 
 class TestClassifyCommand:

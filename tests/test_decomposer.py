@@ -112,7 +112,7 @@ class TestDecompose:
     def test_normalized_terms_sum_to_identity(self, d, rank):
         p = random_povm(d, d + 2, seed=d, rank=rank)
         ranks, plain = effect_ranks(np.linalg.eigvalsh(p.effects), DEFAULT_TOL)
-        terms, targets = _normalized_terms(p, ranks, plain, DEFAULT_TOL)
+        terms, targets = _normalized_terms(p.effects, ranks, plain, DEFAULT_TOL)
         np.testing.assert_allclose(terms.sum(axis=0), np.eye(d), rtol=0, atol=1e-12)
         merged = relabel(Povm(terms), RelabelMap(len(terms), p.n_outcomes, targets))
         assert np.abs(merged.effects - p.effects).max() <= DEFAULT_TOL.recon_tol
@@ -627,7 +627,7 @@ class TestVerifyCertificate:
         comps = decompose(random_povm(d, n, seed=1)).components
         spoiled = _spoiled(comps)
         for povms in ([c.extremal for c in comps], spoiled):
-            found, _ = _checked(
+            found, _, _ = _checked(
                 np.concatenate([p.effects for p in povms]), [p.n_outcomes for p in povms]
             )
             assert len(found) == len(povms)

@@ -20,8 +20,9 @@ from povm_forge import (
 from povm_forge.linalg import (
     _upper_entries,
     hermitian_coords,
-    hermitian_part,
+    hermitian_split,
     normalize_sum,
+    require_hermitian,
     unit_hermitian_basis,
 )
 from povm_forge.errors import (
@@ -225,11 +226,21 @@ class TestHermitianPart:
     def test_bit_equal_to_the_average_and_the_input_untouched(self, shape, skew):
         a = self._input(shape, skew)
         before = a.copy()
-        out = hermitian_part(a)
+        out = require_hermitian(a)
         assert out.tobytes() == ((a + a.conj().swapaxes(-1, -2)) / 2.0).tobytes()
         assert a.tobytes() == before.tobytes()
         assert np.array_equal(out, out.conj().swapaxes(-1, -2))
         assert (out is a) == (skew == 0.0)  # an exactly Hermitian input is not copied
+
+    def test_split_gives_each_matrix_its_deviation(self):
+        a = self._input((3,), 0.0)
+        a[1, 0, 1] += 3e-11
+        hermitian, deviation = hermitian_split(a)
+        adjoint = a.conj().swapaxes(-1, -2)
+        assert deviation.tobytes() == np.abs(adjoint - a).max(axis=(1, 2)).tobytes()
+        assert deviation[0] == deviation[2] == 0.0 < deviation[1]
+        assert hermitian.tobytes() == ((a + adjoint) / 2.0).tobytes()
+        assert require_hermitian(a).tobytes() == hermitian.tobytes()
 
     @pytest.mark.parametrize("shape", [(), (3,)])
     @pytest.mark.parametrize(
@@ -242,7 +253,7 @@ class TestHermitianPart:
         a[(..., *index)] += entry
         before = a.copy()
         with pytest.raises(NotHermitianError) as caught:
-            hermitian_part(a)
+            require_hermitian(a)
         assert str(caught.value) == (
             f"matrix deviates from Hermitian symmetry by {deviation} (herm_tol = 1.000e-10)"
         )

@@ -12,6 +12,7 @@ from povm_forge import (
     Povm,
     RelabelMap,
     classify,
+    decompose,
     equivalent,
     extremal_to_rank1,
     extremality_report,
@@ -24,6 +25,7 @@ from povm_forge import (
     relabel,
     spectral_relabel,
     validate,
+    verify_certificate,
     violations,
 )
 from povm_forge.errors import (
@@ -85,6 +87,16 @@ class TestValidate:
         bad[1] = EYE2
         with pytest.raises(NotHermitianError):
             validate(Povm(bad))
+
+    def test_near_hermitian_effects_are_judged_by_their_hermitian_part(self):
+        # each effect 9e-11 off Hermitian, inside herm_tol; its lower triangle alone has the
+        # eigenvalue -1.4e-10 < -psd_tol, its Hermitian part -9.5e-11
+        e0 = np.array([[0.25, 0.25 + 5e-11], [0.25 + 1.4e-10, 0.25]], dtype=complex)
+        p = Povm(np.stack([e0, EYE2 - e0]))
+        adjoint = Povm(p.effects.conj().swapaxes(1, 2))
+        assert violations(p) == violations(adjoint) == []
+        report = verify_certificate(decompose(p))
+        assert report.passed, report.failures
 
     @pytest.mark.parametrize("entry", [1j * np.nan, np.inf, -np.inf, np.nan])
     def test_non_finite_entry_rejected(self, entry):

@@ -26,7 +26,7 @@ from conftest import record_eigensolvers
 from povm_forge import DEFAULT_TOL, NOT_EXTREMAL, Povm, ToleranceConfig, classify, random_povm
 from povm_forge.errors import PovmForgeError
 from povm_forge.extremality import rank1_failures
-from povm_forge.linalg import effect_ranks, hermitian_deviation, rank1_interval
+from povm_forge.linalg import effect_ranks, hermitian_split, rank1_interval
 from povm_forge.povm import _checked, _spectrum
 
 EDGES = ("second", "smallest", "top", "projection", "zero", "non_finite", "skew")
@@ -46,7 +46,7 @@ def edge_effect(d, edge, k, tol, rng):
         values[-2] = k * tol.rank_tol
     elif edge == "smallest":
         values[0] = -k * tol.psd_tol
-    elif edge == "skew":  # beside a lower triangle off by k * herm_tol, which eigvalsh reads
+    elif edge == "skew":  # beside a lower triangle off by k * herm_tol: the herm_tol edge
         values[0] = -0.5 * tol.psd_tol
     elif edge == "top":
         values[-1] = 1 + k * tol.psd_tol
@@ -59,7 +59,7 @@ def edge_effect(d, edge, k, tol, rng):
         e[:] = 0.0
     elif edge == "non_finite":
         e[rng.integers(d), rng.integers(d)] = rng.choice([np.nan, np.inf, 1j * np.nan])
-    elif edge == "skew":  # lowers the smallest eigenvalue of the triangle eigvalsh reads
+    elif edge == "skew":  # lowers the smallest eigenvalue of the lower triangle
         off = np.tril(np.outer(u[:, 0], u[:, 0].conj()), -1)
         e -= k * tol.herm_tol * off / np.abs(off).max()
     return e
@@ -101,7 +101,7 @@ def eigvalsh_shapes(f, *args):
         return f(*args), shapes
 
 
-def _nothing_settled(effects, deviation):
+def _nothing_settled(effects):
     return np.full(len(effects), np.nan), np.full(len(effects), np.nan)
 
 
@@ -139,8 +139,8 @@ def _classified(p, tol):
 def test_validator_verdicts_match_eigvalsh_only(case):
     effects, tol = case
     sizes = [len(effects)]
-    found, w = _checked(effects, sizes, tol)
-    (want_found, want_w), shapes = eigvalsh_shapes(unbounded, _checked, effects, sizes, tol)
+    found, hermitian, w = _checked(effects, sizes, tol)
+    (want_found, _, want_w), shapes = eigvalsh_shapes(unbounded, _checked, effects, sizes, tol)
     assert shapes == [effects.shape]  # the reference settles nothing
     assert _described(found) == _described(want_found)
     ranks, plain = effect_ranks(w, tol)
@@ -148,11 +148,12 @@ def test_validator_verdicts_match_eigvalsh_only(case):
     assert np.array_equal(ranks, want[0]) and np.array_equal(plain, want[1])
     finite = np.isfinite(effects).all(axis=(1, 2))
     clean = np.where(finite[:, None, None], effects, 0.0)
+    assert np.array_equal(hermitian, hermitian_split(clean)[0])
     # each row is eigvalsh's, or the stand-in (0, ..., 0, lam) of a settled effect
     stand_in = np.zeros_like(w)
-    stand_in[:, -1] = rank1_interval(clean, hermitian_deviation(clean))[0]
+    stand_in[:, -1] = rank1_interval(hermitian)[0]
     assert np.all((w == want_w).all(axis=1) | (w == stand_in).all(axis=1))
-    direct = effect_ranks(np.linalg.eigvalsh(clean), tol)
+    direct = effect_ranks(np.linalg.eigvalsh(hermitian), tol)
     assert np.array_equal(ranks, direct[0]) and np.array_equal(plain, direct[1])
     failures = rank1_failures(effects, sizes, tol)
     want_failures = unbounded(rank1_failures, effects, sizes, tol)
@@ -199,9 +200,9 @@ def test_nothing_is_settled_with_every_tolerance_zero(monkeypatch, d, n):
 def test_settled_rank1_povm_takes_no_eigvalsh(monkeypatch, d, n):
     p = random_povm(d, n, seed=d, rank=1)
     calls = record_eigensolvers(monkeypatch)
-    found, w = _checked(p.effects, [n], DEFAULT_TOL)
+    found, _, w = _checked(p.effects, [n], DEFAULT_TOL)
     assert found == [[]] and calls == []
-    lam = rank1_interval(p.effects, hermitian_deviation(p.effects))[0]
+    lam = rank1_interval(p.effects)[0]
     assert not w[:, :-1].any() and np.array_equal(w[:, -1], lam)  # every row a stand-in
     result = classify(p)
     assert (result.extremal_type, result.rank_profile) == (NOT_EXTREMAL, (1,) * n)
@@ -230,8 +231,8 @@ def test_eigvalsh_lies_within_the_interval(d, seed, spread):
     e = (e + e.conj().T) / 2
     e[np.triu_indices(d)] += spread * (rng.standard_normal(d * (d + 1) // 2) * 1j)
     effects = np.stack([e, 3 * e, e / 7])
-    deviation = hermitian_deviation(effects)
-    lam, rho = rank1_interval(effects, deviation)
+    effects = hermitian_split(effects)[0]
+    lam, rho = rank1_interval(effects)
     w = np.linalg.eigvalsh(effects)
     assert np.all(np.abs(w[:, :-1]) <= rho[:, None])
     assert np.all(np.abs(w[:, -1] - lam) <= rho)
@@ -241,5 +242,5 @@ def test_zero_and_non_finite_effects_get_no_interval():
     effects = np.zeros((3, 2, 2), dtype=complex)
     effects[1, 0, 1] = np.nan
     effects[2] = -np.eye(2)
-    lam, rho = rank1_interval(effects, 0.0)
+    lam, rho = rank1_interval(effects)
     assert np.isnan(lam[:2]).all() and lam[2] < 0
