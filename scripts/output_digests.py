@@ -12,6 +12,8 @@ and maps, the ``verify_certificate`` report of that certificate and of a
 copy with component 0 scaled by 1.5, and the ``statistics_equivalence``
 deviations over 20 states.  A domain error is recorded by its type and
 message.  Each line reads ``<sha256>  <corpus>/<label>: <record>``.
+``--tol-scale X`` runs every call under ``DEFAULT_TOL.scaled(X)``; the inputs
+do not change.
 
 Two source trees give equal outputs iff ``diff`` finds nothing between two
 runs, one per tree:
@@ -41,6 +43,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402  (perfbench/, on the path above)
 from povm_forge import (  # noqa: E402
+    DEFAULT_TOL,
     CertificateComponent,
     DecompositionCertificate,
     Povm,
@@ -85,8 +88,8 @@ def spoiled(p: Povm) -> tuple[Povm, Povm]:
     return Povm(scaled), Povm(skewed)
 
 
-def classified(p: Povm):
-    result = outcome(classify, p)
+def classified(p: Povm, tol):
+    result = outcome(classify, p, tol)
     if isinstance(result, tuple):
         return result
     report = result.extremality
@@ -94,27 +97,27 @@ def classified(p: Povm):
             report.extremal, report.borderline, report.margin, report.operator_count)
 
 
-def relabeled(p: Povm):
-    result = outcome(spectral_relabel, p)
+def relabeled(p: Povm, tol):
+    result = outcome(spectral_relabel, p, tol)
     if isinstance(result, tuple):
         return result
     rank1, f = result
     return rank1.effects, f.targets, f.target_size
 
 
-def worded(p: Povm):
-    return [(type(e).__name__, str(e), getattr(e, "outcome", None)) for e in violations(p)]
+def worded(p: Povm, tol):
+    return [(type(e).__name__, str(e), getattr(e, "outcome", None)) for e in violations(p, tol)]
 
 
-def reported(cert: DecompositionCertificate):
-    report = verify_certificate(cert)
+def reported(cert: DecompositionCertificate, tol):
+    report = verify_certificate(cert, tol)
     return (report.weight_sum_residual, report.effect_residuals, report.component_extremal,
             report.passed, report.failures)
 
 
-def certificate_records(p: Povm):
+def certificate_records(p: Povm, tol):
     """(record, parts) of ``decompose`` and what reads its certificate."""
-    cert = outcome(decompose, p)
+    cert = outcome(decompose, p, tol)
     if isinstance(cert, tuple):
         yield "decompose", cert
         return
@@ -122,33 +125,44 @@ def certificate_records(p: Povm):
     for comp in cert.components:
         parts += [comp.weight, comp.extremal.effects, comp.relabel.targets]
     yield "decompose", parts
-    yield "verify_certificate", reported(cert)
+    yield "verify_certificate", reported(cert, tol)
     first = cert.components[0]
     comps = (CertificateComponent(first.weight, Povm(1.5 * first.extremal.effects), first.relabel),
              *cert.components[1:])
-    yield "verify_certificate spoiled", reported(DecompositionCertificate(cert.target, comps))
-    yield "statistics_equivalence", (statistics_equivalence(cert, STATS_STATES, 0).deviations,)
+    yield "verify_certificate spoiled", reported(DecompositionCertificate(cert.target, comps), tol)
+    yield "statistics_equivalence", (statistics_equivalence(cert, STATS_STATES, 0, tol).deviations,)
 
 
-def records(corpus: str, p: Povm):
+def records(corpus: str, p: Povm, tol):
     """(record, parts) of every output record of one input; parts is a tuple or a list."""
-    yield "classify", classified(p)
-    yield "spectral_relabel", relabeled(p)
+    yield "classify", classified(p, tol)
+    yield "spectral_relabel", relabeled(p, tol)
     for name, copy in zip(("scaled", "skewed"), spoiled(p)):
-        yield f"violations {name}", worded(copy)
+        yield f"violations {name}", worded(copy, tol)
     if corpus == "decompose_deep":
-        yield from certificate_records(p)
+        yield from certificate_records(p, tol)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seed", type=int, default=1104, help="corpus seed (default 1104)")
+    parser.add_argument(
+        "--tol-scale",
+        type=float,
+        default=1.0,
+        metavar="X",
+        help="run every call under DEFAULT_TOL.scaled(X) (default 1)",
+    )
     args = parser.parse_args()
+    try:
+        tol = DEFAULT_TOL.scaled(args.tol_scale)
+    except ValueError as exc:
+        parser.error(str(exc))
     with tempfile.TemporaryDirectory() as workdir:
         for corpus in CORPORA:
             for op in workloads.WORKLOADS[corpus](args.seed, workdir):
-                for record, parts in records(corpus, op.input):
+                for record, parts in records(corpus, op.input, tol):
                     print(f"{digest(*parts)}  {corpus}/{op.label}: {record}")
 
 

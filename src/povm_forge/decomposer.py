@@ -12,6 +12,7 @@ verification and measurement-statistics checks live here too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -34,6 +35,7 @@ from .linalg import (
     hermitian_coords,
     independence_cutoff,
     normalizer,
+    settled_independent,
 )
 from .povm import (
     Povm,
@@ -181,70 +183,70 @@ def _factor(columns: np.ndarray, tol: ToleranceConfig):
 
     The solver maps a right-hand side to its least-squares coefficients in the
     columns, null directions left out.  A square set that passes the rule has
-    no null basis and is its own solver (``np.linalg.solve``): it takes only
-    its singular values.  Any other set takes a full SVD, whose right singular
-    vectors past the rank are the null basis.
+    no null basis and is its own solver (``np.linalg.solve``).  Most such sets
+    are settled by :func:`linalg.settled_independent` (one Cholesky factorization)
+    without an SVD.  Any other set takes one full SVD, whose right singular
+    vectors past the rank are the null basis; a square set it finds of full rank
+    is solved by ``np.linalg.solve`` too.
     """
     rows, size = columns.shape
-    cutoff = independence_cutoff(tol)
-    if size == rows:
-        s = np.linalg.svd(columns, compute_uv=False)
-        if s[-1] > cutoff * s[0]:
-            return np.empty((size, 0)), partial(np.linalg.solve, columns)
-    u, s, vh = np.linalg.svd(columns, full_matrices=size > rows)
-    rank = int(np.count_nonzero(s > cutoff * s[0]))
-    u, s, vh, null = u[:, :rank], s[:rank], vh[:rank], vh[rank:].T
-    return null, lambda rhs: vh.T @ ((u.T @ rhs) / s)
+    square = size == rows
+    if not (square and settled_independent(columns.T, tol)):
+        u, s, vh = np.linalg.svd(columns, full_matrices=size > rows)
+        rank = int(np.count_nonzero(s > independence_cutoff(tol) * s[0]))
+        if not (square and rank == size):
+            u, s, vh, null = u[:, :rank], s[:rank], vh[:rank], vh[rank:].T
+            return null, lambda rhs: vh.T @ ((u.T @ rhs) / s)
+    return np.empty((size, 0)), partial(np.linalg.solve, columns)
 
 
 def _shrink(x: np.ndarray, support: np.ndarray, null: np.ndarray, floor: float):
-    """Drop the coordinates at or below ``floor`` from the support and null basis.
+    """Drop the coordinates at or below ``floor`` from x, the support and the null basis.
 
-    A Householder reflection moves each dropped row into the first column,
-    which goes too; the other columns stay orthonormal.  A row already at
-    rounding level moves along no null direction and is dropped alone.
+    ``x`` holds the support's coordinates.  A Householder reflection moves each
+    dropped row into the first column, which goes too; the other columns stay
+    orthonormal.  A row already at rounding level moves along no null direction
+    and is dropped alone.
     """
-    gone = x[support] <= floor
+    gone = x <= floor
     if not gone.any():
-        return support, null
-    x[support[gone]] = 0.0
+        return x, support, null
     for r in np.flatnonzero(gone).tolist():
         h = null[r].copy()
-        norm = float(np.linalg.norm(h))
+        norm = math.sqrt(h @ h)
         # Rows of an orthonormal basis have norms up to 1.  An earlier
         # reflection in this call leaves a row that depended on its row at
         # about 1e-16; reflecting on that would remove a valid null direction.
         if norm > 1e-12:
-            h[0] += np.copysign(norm, h[0])
-            null = (null - np.outer(null @ h, h * (2.0 / (h @ h))))[:, 1:]
+            h[0] += math.copysign(norm, h[0])
+            null = (null - (null @ h)[:, None] * (h * (2.0 / (h @ h))))[:, 1:]
     kept = ~gone
-    return support[kept], null[kept]
+    return x[kept], support[kept], null[kept]
 
 
 def _walk_to_vertex(columns, identity, x, support, null, floor, tol):
-    """Vertex reached from ``x`` along null directions.
+    """Vertex reached from ``x``, the coordinates on ``support``, along null directions.
 
-    Returns its support, its coefficients refit by least squares to sum
-    to I exactly (debris dropped), and the solver of its columns.
+    ``x`` is the walk's own copy.  Returns the vertex support, its coefficients
+    refit by least squares to sum to I exactly (debris dropped), and the solver
+    of its columns.
     """
-    x = x.copy()
     with np.errstate(divide="ignore"):  # x / 0 at a zero entry of z, where np.where puts inf
         while True:
             while null.shape[1]:
                 z = null[:, 0]
-                ratios = np.where(z != 0.0, x[support] / np.abs(z), np.inf)
+                ratios = np.where(z != 0.0, x / np.abs(z), np.inf)
                 j = int(np.argmin(ratios))
                 # to the nearer facet along +z or -z
-                x[support] += (ratios[j] if z[j] < 0.0 else -ratios[j]) * z
-                x[support[j]] = 0.0
-                support, null = _shrink(x, support, null, floor)
+                x += (ratios[j] if z[j] < 0.0 else -ratios[j]) * z
+                x[j] = 0.0
+                x, support, null = _shrink(x, support, null, floor)
             null, solve = _factor(columns[:, support], tol)
             if not null.shape[1]:
-                x[support] = solve(identity)
                 size = support.size
-                support, null = _shrink(x, support, null, floor)
+                x, support, null = _shrink(solve(identity), support, null, floor)
                 if support.size == size:
-                    return support, x[support], solve
+                    return support, x, solve
 
 
 def _debris_floor(dim: int, tol: ToleranceConfig) -> float:
@@ -313,7 +315,7 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
     remaining = 1.0
     for steps_left in range(null.shape[1], -1, -1):  # the last step takes its vertex whole
         vertex_support, vertex, solve = _walk_to_vertex(
-            columns, identity, x, support, null, floor, tol
+            columns, identity, x[support], support, null, floor, tol
         )
         miss = float(np.linalg.norm(columns[:, vertex_support] @ vertex - identity))
         if not miss <= tol.recon_tol:  # the remainder had left its constraint
@@ -343,7 +345,8 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
         x[vertex_support] = solve(identity - columns @ x)
         x[vertex_support[j]] = 0.0
         remaining *= 1.0 - t
-        support, null = _shrink(x, support, null, floor)
+        x[support[x[support] <= floor]] = 0.0  # what _shrink drops leaves the sum
+        _, support, null = _shrink(x[support], support, null, floor)
     cert = DecompositionCertificate(target=p, components=tuple(components))
     # judges what the congruence, the floor, the rank cutoff and the last step left out
     residual = float(np.linalg.norm(cert.reconstruction() - p.effects, axis=(1, 2)).max())
@@ -402,7 +405,8 @@ def verify_certificate(
     """Check a certificate standalone: weights, components, reconstruction.
 
     Every component must be an extremal rank-1 POVM, judged for all of
-    them in one batched :func:`rank1_failures` call.  A malformed
+    them in one batched :func:`rank1_failures` call; components whose
+    independence a Cholesky bound settles take no SVD.  A malformed
     certificate (non-finite weights, target or components, or a component
     that is not a POVM or not rank-1) gives failure lines, not an
     exception; every comparison is written so that NaN fails it.

@@ -14,7 +14,10 @@ need eigenvectors.  One spectral pass of the Hermitian parts
 (``povm._eigenvalues``) gives every rank: an effect that a rank-1 bound
 (``linalg.rank1_interval``) settles gets the stand-in eigenvalues
 (0, ..., 0, lam), which give it the verdicts its eigenvalues would, and
-one ``eigvalsh`` takes the rest.
+one ``eigvalsh`` takes the rest.  The verifier's independence test
+(:func:`rank1_failures`) likewise settles most sets with a Cholesky bound
+(``linalg.settled_independent``) and takes the SVD only for the rest;
+``pair_independence`` always takes it, because it reports the margin.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .linalg import (
     effect_ranks,
     hermitian_coords,
     independence_margin,
+    settled_independent,
     unit_hermitian_basis,
 )
 from .povm import Povm, _checked, _effect_norms, _spectrum
@@ -166,7 +170,10 @@ def rank1_failures(
     stack and gives every POVM's violations, the Hermitian part and its
     eigenvalues, from which :func:`linalg.effect_ranks` counts every rank;
     ``povm._effect_norms`` marks the nonzero effects.  Each group of POVMs
-    with equally many nonzero effects gets one SVD of its Hermitian parts.
+    with equally many nonzero effects gets one batched Cholesky bound
+    (:func:`linalg.settled_independent`) on the coordinates of its Hermitian
+    parts; the POVMs it does not settle take one SVD, whose margin the banded
+    rule judges.  Both give the same verdicts.
     """
     effects = np.asarray(effects, dtype=np.complex128)
     sizes = np.asarray(sizes)
@@ -202,16 +209,20 @@ def rank1_failures(
             failures[i] = found[0]  # outside [0, I] effect by effect, then the sum
 
     # independence of the unit-normalized nonzero effects, so that small ones cannot pass for
-    # null directions: one SVD per group of POVMs with m of them (m > d^2: dependent); only
-    # POVMs that passed, whose effects are all finite, have their coordinates taken
+    # null directions: per group of POVMs with m of them (m > d^2: dependent), one Cholesky
+    # bound, then one SVD of what it leaves open; only POVMs that passed, whose effects are all
+    # finite, have their coordinates taken
     passed = np.array([failure is None for failure in failures])
     for m in np.flatnonzero(np.bincount(counts[passed])).tolist():
         members = passed & (counts == m)
         if m <= d * d:
             picked = (ranks > 0) & np.repeat(members, sizes)
-            rows = hermitian_coords(hermitian[picked])
-            rows /= norms[picked, None]
-            independent = banded_verdict(independence_margin(rows.reshape(-1, m, d * d)), tol)[0]
+            rows = hermitian_coords(hermitian[picked]).reshape(-1, m, d * d)
+            rows /= norms[picked].reshape(-1, m, 1)
+            independent = settled_independent(rows, tol)
+            unsettled = ~independent
+            if unsettled.any():
+                independent[unsettled] = banded_verdict(independence_margin(rows[unsettled]), tol)[0]
         else:
             independent = np.zeros(np.count_nonzero(members), dtype=bool)
         for i in np.flatnonzero(members)[~independent].tolist():

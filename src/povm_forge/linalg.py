@@ -7,7 +7,8 @@ with a deterministic ordering and phase convention, one rank rule
 (:func:`effect_ranks`), inverse square roots and the one congruence
 that makes operators sum to I, real coordinates of Hermitian matrices
 and their canonical basis, and independence tests by a singular-value
-margin with one banded cutoff.
+margin with one banded cutoff, which a Cholesky bound settles without
+an SVD for sets clear of it.
 
 All functions are pure; numerical decisions are governed by a
 :class:`ToleranceConfig` passed explicitly (defaulting to
@@ -41,6 +42,7 @@ __all__ = [
     "independence_cutoff",
     "banded_verdict",
     "independence_margin",
+    "settled_independent",
 ]
 
 # Verdicts require a margin clear of the independence cutoff by this
@@ -339,3 +341,42 @@ def independence_margin(rows: np.ndarray) -> np.ndarray:
     """Smallest-to-largest singular-value ratio of K <= n rows, per (..., K, n) stack; one SVD."""
     s = np.linalg.svd(rows, compute_uv=False)
     return s[..., -1] / s[..., 0]
+
+
+_UNIT_ROUNDOFF = 2.0**-53  # of float64
+_SMALLEST_NORMAL = 2.0**-1022  # above the absolute error of any product that underflows
+
+
+def settled_independent(rows: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Where K <= n rows, per (..., K, n) stack, are proved independent under :func:`banded_verdict`.
+
+    One Gram matmul G = R R^T and one batched Cholesky factorization of G - tau I,
+    tau = (rho^2 + 2 (n + K + 2) u) tr G plus an absolute term for products that
+    underflow, u the unit roundoff.  The computed G is within gamma_n tr G of the
+    exact one in the 2-norm, and a factorization that succeeds is exact for a
+    matrix within gamma_(K+1) tr G of the one factored (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 10).  So success proves
+    sigma_min^2 = lambda_min(G) >= rho^2 tr G >= rho^2 sigma_max^2, up to a
+    relative gamma_n.  The SVD behind :func:`independence_margin` is backward
+    stable: its singular values are within a modest multiple of n u sigma_max of
+    the true ones, far below 2**-40 n sigma_max.  With rho = 2 *
+    independence_cutoff(tol) + 2**-40 n its margin is then above the cutoff (the
+    factor 2 covers the relative errors), and :func:`banded_verdict` says
+    "independent", under every tolerance.  False means "not proved", and the SVD
+    decides.  A failed factorization fails the whole batch (numpy raises for it).
+    A NaN or Inf row fails it too, or gives a NaN factor, whose last pivot every
+    NaN entry reaches: it settles nothing.
+    """
+    k, n = rows.shape[-2:]
+    rho = 2.0 * independence_cutoff(tol) + 2.0**-40 * n
+    slack = 2.0 * (n + k + 2)
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN, Inf or overflow: a NaN factor
+        gram = rows @ rows.swapaxes(-1, -2)
+        diagonal = gram.reshape(*gram.shape[:-2], k * k)[..., :: k + 1]  # a view into gram
+        trace = diagonal.sum(axis=-1, keepdims=True)
+        diagonal -= (rho * rho + slack * _UNIT_ROUNDOFF) * trace + slack * k * _SMALLEST_NORMAL
+    try:
+        factor = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return np.zeros(gram.shape[:-2], dtype=bool)
+    return np.isfinite(factor[..., -1, -1])

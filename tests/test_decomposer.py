@@ -162,6 +162,60 @@ class TestFactor:
         assert np.linalg.norm(columns @ (solve(rhs) - want)) <= 1e-12 * np.linalg.norm(rhs)
 
 
+def _split_effect(cert: DecompositionCertificate) -> DecompositionCertificate:
+    """``cert`` with component 0's first effect split into two equal halves on its outcome.
+
+    The component stays a rank-1 POVM and the reconstruction is unchanged, but
+    its effects are now linearly dependent.
+    """
+    first, rest = cert.components[0], cert.components[1:]
+    effects, targets = first.extremal.effects, first.relabel.targets
+    halves = np.concatenate([effects[:1] / 2, effects[:1] / 2, effects[1:]])
+    relabel = RelabelMap(len(halves), cert.target.n_outcomes, np.insert(targets, 0, targets[0]))
+    return DecompositionCertificate(
+        cert.target, (CertificateComponent(first.weight, Povm(halves), relabel), *rest)
+    )
+
+
+class TestSvdCalls:
+    """Vertices and certificate groups the Cholesky bound settles take no SVD."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls, svd = [], np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wide_rank1_input_takes_only_the_null_basis_svd(self, svd_calls, seed):
+        cert = decompose(random_povm(8, 67, seed, rank=1))
+        assert svd_calls == [(64, 67)]  # the initial null basis: every vertex of 64 is settled
+        svd_calls.clear()
+        assert verify_certificate(cert).passed
+        assert svd_calls == []
+        # 65 > d^2 effects are dependent without an SVD
+        report = verify_certificate(_split_effect(cert))
+        assert report.component_extremal == (False,) + (True,) * (len(cert.components) - 1)
+        assert "65 nonzero effects are linearly dependent" in report.failures[0]
+        assert svd_calls == []
+
+    def test_dependent_component_takes_the_svd(self, svd_calls):
+        cert = decompose(random_povm(8, 9, 1, rank=1))
+        assert [c.extremal.n_outcomes for c in cert.components] == [9]
+        svd_calls.clear()
+        assert verify_certificate(cert).passed
+        assert svd_calls == []
+        report = verify_certificate(_split_effect(cert))
+        assert report.component_extremal == (False,)
+        assert "10 nonzero effects are linearly dependent" in report.failures[0]
+        assert svd_calls == [(1, 10, 64)]
+
+
 def _peel_bound(p: Povm) -> int:
     """N - rank + 1, with rank the real rank of the N rank-1 spectral terms.
 

@@ -19,10 +19,14 @@ from povm_forge import (
 )
 from povm_forge.linalg import (
     _upper_entries,
+    banded_verdict,
     hermitian_coords,
     hermitian_split,
+    independence_cutoff,
+    independence_margin,
     normalize_sum,
     require_hermitian,
+    settled_independent,
     unit_hermitian_basis,
 )
 from povm_forge.errors import (
@@ -383,3 +387,58 @@ class TestLinearlyIndependent:
             claimed = linearly_independent(ops).independent
             agreements += claimed == exact_independent(ops)
         assert agreements == 100
+
+
+def _rows_with_margin(shape, ratio, spread, rng):
+    """A (K, n) row block with singular values from 1 down to ``ratio``: geometric or random."""
+    k, n = shape
+    u = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    if spread == "geometric":
+        s = np.geomspace(1.0, ratio, k)
+    else:
+        s = np.sort(np.concatenate([[1.0, ratio], rng.uniform(ratio, 1.0, k - 2)]))[::-1]
+    return (u * s) @ v.T
+
+
+class TestSettledIndependent:
+    """The Cholesky bound settles only sets the SVD calls independent."""
+
+    @pytest.mark.parametrize("scale", [1e-2, 1.0, 1e2, 1e6, 1e8])
+    @pytest.mark.parametrize("shape", [(4, 4), (9, 9), (16, 16), (64, 64), (3, 16), (10, 64)])
+    def test_a_settle_never_contradicts_the_svd(self, shape, scale):
+        tol = DEFAULT_TOL.scaled(scale)
+        cutoff = independence_cutoff(tol)
+        rng = np.random.default_rng(shape[0] * shape[1])
+        for k in [0.25, 0.5, 1.0, 2.0, 4.0, 1e2, 1e4, 1e6]:
+            if not k * cutoff < 1.0:  # no ratio of singular values reaches 1
+                continue
+            for spread in ("geometric", "random"):
+                rows = _rows_with_margin(shape, k * cutoff, spread, rng)
+                settled = settled_independent(rows, tol)
+                assert settled.shape == ()
+                if settled:
+                    assert banded_verdict(independence_margin(rows), tol)[0]
+                # clear of the cutoff and of the rounding terms (about (n + K) u tr G,
+                # against sigma_min^2), the bound settles
+                if k >= 1e2 and k * cutoff >= 1e-5:
+                    assert settled
+
+    def test_one_dependent_member_unsettles_the_batch(self):
+        rng = np.random.default_rng(5)
+        batch = np.stack([_rows_with_margin((9, 9), 0.1, "random", rng) for _ in range(4)])
+        assert settled_independent(batch, DEFAULT_TOL).all()
+        batch[2, 5] = batch[2, 4]  # numpy's batched Cholesky raises for the whole batch
+        settled = settled_independent(batch, DEFAULT_TOL)
+        assert settled.shape == (4,) and not settled.any()
+        assert not banded_verdict(independence_margin(batch[2]), DEFAULT_TOL)[0]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_never_settle(self, value):
+        rng = np.random.default_rng(6)
+        batch = np.stack([_rows_with_margin((9, 16), 0.1, "random", rng) for _ in range(3)])
+        batch[1, 3, 7] = value
+        settled = settled_independent(batch, DEFAULT_TOL)
+        assert not settled[1]
+        assert not settled_independent(batch[1], DEFAULT_TOL)
+        assert settled_independent(batch[[0, 2]], DEFAULT_TOL).all()
