@@ -175,13 +175,7 @@ def type_d_example() -> Povm:
     return Povm(np.stack(effects))
 
 
-def random_povm(
-    d: int,
-    n: int,
-    seed: int,
-    rank: int | None = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> Povm:
+def random_povm(d: int, n: int, seed: int, rank: int | None = None) -> Povm:
     """Seeded random n-outcome POVM on dimension d.
 
     Draws Wishart factors W_j = G_j G_j* with complex standard normal
@@ -200,7 +194,7 @@ def random_povm(
     for _ in range(8):
         factors = rng.standard_normal((n, d, r)) + 1j * rng.standard_normal((n, d, r))
         try:
-            return Povm(normalize_sum(np.einsum("jab,jcb->jac", factors, factors.conj()), tol))
+            return Povm(normalize_sum(np.einsum("jab,jcb->jac", factors, factors.conj())))
         except NotPositiveDefiniteError:
             continue
     raise SingularSumError(

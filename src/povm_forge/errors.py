@@ -21,13 +21,9 @@ class NotPositiveDefiniteError(PovmForgeError):
 
 
 class NotPSDError(PovmForgeError):
-    """An effect violates its eigenvalue bounds.
+    """An effect violates its eigenvalue bounds; ``outcome`` is its 0-based index."""
 
-    ``outcome`` is the 0-based index of the offending effect, or None when
-    the matrix was checked outside a POVM context.
-    """
-
-    def __init__(self, message: str, outcome: int | None = None):
+    def __init__(self, message: str, outcome: int):
         super().__init__(message)
         self.outcome = outcome
 

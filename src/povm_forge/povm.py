@@ -216,8 +216,8 @@ class PovmClass:
     is_rank1: bool
     is_pvm: bool
     extremal_type: str
-    rank_profile: tuple[int, ...] = ()
-    extremality: ExtremalityReport | None = None
+    rank_profile: tuple[int, ...]
+    extremality: ExtremalityReport
 
 
 def _checked(
@@ -426,12 +426,15 @@ def _spectrum(
 ) -> tuple[RelabelMap, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every analysis' front end: map back to ``p``, Hermitian nonzero effects, their verdicts.
 
-    The verdicts are (ranks, plain) of :func:`linalg.effect_ranks` and each
-    effect's projection test |E^2 - E|_F <= recon_tol, all read from the
-    effects' :func:`_eigenvalues`.
+    Every effect, zero ones too, must pass :func:`linalg.require_hermitian`, as
+    in :func:`validate`.  The verdicts are (ranks, plain) of
+    :func:`linalg.effect_ranks` and each effect's projection test
+    |E^2 - E|_F <= recon_tol, all read from the effects' :func:`_eigenvalues`.
     """
-    pruned, back = prune_zero_effects(p, tol)
-    effects = require_hermitian(pruned.effects, tol)
+    _, back = prune_zero_effects(p, tol)
+    effects = require_hermitian(p.effects, tol)
+    if back.source_size < p.n_outcomes:
+        effects = effects[back.targets]
     w = _eigenvalues(effects, tol)
     return back, effects, *effect_ranks(w, tol), _is_projection(w, tol)
 
@@ -537,17 +540,10 @@ def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:
     return PovmClass(rank1, pvm, label, tuple(ranks.tolist()), report)
 
 
-def equivalent(
-    p: Povm,
-    q: Povm,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    up_to_permutation: bool = False,
-) -> bool:
+def equivalent(p: Povm, q: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Equality after pruning zero effects, each effect within recon_tol in Frobenius norm.
 
-    By default outcome order matters.  With ``up_to_permutation`` the nonzero
-    effects must pair off one to one, each pair within recon_tol: a perfect
-    matching of the graph of such pairs, found by augmenting paths.
+    Outcome order matters: to compare up to a permutation, :func:`relabel` one side first.
     """
     if p.dim != q.dim:
         return False
@@ -555,47 +551,4 @@ def equivalent(
     b, _ = prune_zero_effects(q, tol)
     if a.n_outcomes != b.n_outcomes:
         return False
-    if not up_to_permutation:
-        return bool(
-            np.all(np.linalg.norm(a.effects - b.effects, axis=(1, 2)) <= tol.recon_tol)
-        )
-    close = [
-        np.flatnonzero(np.linalg.norm(b.effects - e, axis=(1, 2)) <= tol.recon_tol).tolist()
-        for e in a.effects
-    ]
-    return _perfect_matching(close)
-
-
-def _perfect_matching(close: list[list[int]]) -> bool:
-    """Whether rows 0..n-1 can each take a distinct column of ``close[row]``, n columns in all.
-
-    Kuhn's method: each row in turn searches breadth first for an alternating
-    path to a free column, then flips the path; a row with none ends the search.
-    """
-    owner = [-1] * len(close)  # the row holding each column
-    taken = [-1] * len(close)  # the column held by each row
-    for root in range(len(close)):
-        reached = {}  # column -> the row it was reached from
-        frontier, free = [root], -1
-        while frontier and free < 0:
-            following = []
-            for i in frontier:
-                for j in close[i]:
-                    if j not in reached:
-                        reached[j] = i
-                        if owner[j] < 0:
-                            free = j
-                            break
-                        following.append(owner[j])
-                if free >= 0:
-                    break
-            frontier = following
-        if free < 0:
-            return False
-        j = free
-        while j >= 0:  # flip: each row on the path takes the column it reached
-            i = reached[j]
-            previous = taken[i]  # -1 at the root
-            owner[j], taken[i] = i, j
-            j = previous
-    return True
+    return bool(np.all(np.linalg.norm(a.effects - b.effects, axis=(1, 2)) <= tol.recon_tol))

@@ -198,3 +198,39 @@ def test_one_zero_effect_rule():
         and not places & allowed
     ]
     assert not stray, stray
+
+
+def _defined_names(top):
+    """Names a module-level statement binds: a def's or class's name, or an assignment's targets."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return [top.name]
+    targets = top.targets if isinstance(top, ast.Assign) else [getattr(top, "target", None)]
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def test_every_private_name_has_a_caller():
+    """Every module-level private def, class or constant in ``src`` is read outside its own definition.
+
+    A helper whose last caller is removed stays behind unseen by the public
+    surface's tests; this finds it.  A read is a loaded name, an attribute or
+    an imported name anywhere in ``src``, save inside the def or class itself.
+    """
+    private = [
+        (name, f"{path.name}:{name}", f"{path.name}:{top.lineno}")
+        for path in sorted(Path(povm_forge.__file__).parent.glob("*.py"))
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        for name in _defined_names(top)
+        if name.startswith("_") and not name.startswith("__")
+    ]
+    reads: dict[str, list[set[str]]] = {}
+    for places, node, _ in _placed_nodes():
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.setdefault(node.id, []).append(places)
+        elif isinstance(node, (ast.Attribute, ast.alias)):
+            reads.setdefault(getattr(node, "attr", getattr(node, "name", None)), []).append(places)
+    orphans = [
+        f"{where}: {name}"
+        for name, own, where in private
+        if not any(own not in places for places in reads.get(name, ()))
+    ]
+    assert not orphans, orphans

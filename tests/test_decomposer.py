@@ -82,8 +82,9 @@ class TestDecompose:
         weights = sorted(c.weight for c in cert.components)
         assert weights == pytest.approx([0.5, 0.5], abs=1e-12)
         leaves = [comp.extremal for comp in cert.components]
-        assert any(equivalent(leaf, sigma_z_pvm(), up_to_permutation=True) for leaf in leaves)
-        assert any(equivalent(leaf, sigma_x_pvm(), up_to_permutation=True) for leaf in leaves)
+        for q in (sigma_z_pvm(), sigma_x_pvm()):
+            orders = (q, Povm(q.effects[::-1]))
+            assert any(equivalent(leaf, r) for leaf in leaves for r in orders)
         assert verify_certificate(cert).passed
 
     def test_zero_effects_in_target_are_reconstructed(self):

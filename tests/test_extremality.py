@@ -28,6 +28,7 @@ from povm_forge import (
     RelabelMap,
     classify,
     decompose,
+    extremal_to_rank1,
     extremality_report,
     is_extremal,
     is_extremal_rank1,
@@ -38,6 +39,7 @@ from povm_forge import (
     relabel,
     spectral_relabel,
     type_d_example,
+    validate,
     verify_certificate,
     violations,
 )
@@ -170,12 +172,18 @@ class TestIsExtremalRank1:
         assert verdict.extremal_type == NOT_EXTREMAL and verdict.extremality.borderline
 
     def test_skew_effect_below_the_zero_tolerance_is_not_hermitian(self):
-        # norm 9.9e-11 <= zero_effect_tol, but skew by 1.4e-10 > herm_tol: validate rejects it
+        # norm 9.9e-11 <= zero_effect_tol, but skew by 1.4e-10 > herm_tol: validate rejects it,
+        # and so does every entry point, the analyses that prune zero effects included
         skew = np.array([[0.0, 7e-11], [-7e-11, 0.0]])
         p = Povm(np.concatenate([onb_pvm(2).effects, skew[None]]))
         assert isinstance(violations(p)[0], NotHermitianError)
-        with pytest.raises(NotHermitianError):
-            is_extremal_rank1(p)
+        entry_points = (
+            validate, is_extremal_rank1, decompose, extremal_to_rank1,
+            classify, extremality_report, spectral_relabel,
+        )
+        for entry_point in entry_points:
+            with pytest.raises(NotHermitianError):
+                entry_point(p)
         target = Povm(np.concatenate([onb_pvm(2).effects, np.zeros((1, 2, 2))]))
         component = CertificateComponent(1.0, p, RelabelMap.identity(3))
         cert = DecompositionCertificate(target, (component,))
