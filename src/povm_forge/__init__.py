@@ -20,7 +20,6 @@ from .decomposer import (
     StatisticsReport,
     VerificationReport,
     decompose,
-    extremal_to_rank1,
     outcome_probabilities,
     random_density_matrix,
     statistics_equivalence,
@@ -28,7 +27,11 @@ from .decomposer import (
 )
 from .errors import PovmForgeError
 from .extremality import (
+    NOT_EXTREMAL,
     ExtremalityReport,
+    PovmClass,
+    classify,
+    extremal_to_rank1,
     extremality_report,
     is_extremal,
     is_extremal_rank1,
@@ -43,12 +46,8 @@ from .linalg import (
     rank_of,
 )
 from .povm import (
-    EXTREMAL_TYPES,
-    NOT_EXTREMAL,
     Povm,
-    PovmClass,
     RelabelMap,
-    classify,
     equivalent,
     mix,
     prune_zero_effects,
@@ -73,7 +72,6 @@ __all__ = [
     "VerificationReport",
     "StatisticsReport",
     "PovmForgeError",
-    "EXTREMAL_TYPES",
     "NOT_EXTREMAL",
     "eig_herm",
     "rank_of",

@@ -34,8 +34,9 @@ from .errors import (
     TargetMismatchError,
     UnknownExampleError,
 )
+from .extremality import NOT_EXTREMAL, classify
 from .linalg import DEFAULT_TOL, ToleranceConfig
-from .povm import NOT_EXTREMAL, Povm, classify, validate, violations
+from .povm import Povm, validate, violations
 
 __all__ = ["main"]
 

@@ -7,13 +7,14 @@ rank-1 POVM E_1..E_N.  The POVMs {y_j E_j} (y >= 0, sum_j y_j E_j = I)
 form a polytope whose vertices are the extremal rank-1 POVMs (independent
 supports); a Caratheodory peel writes y = 1 as a mixture of at most
 N - rank + 1 of them.  The result is a verifiable certificate;
-verification and measurement-statistics checks live here too.
+verification and measurement-statistics checks live here too.  An
+extremal input needs no mixture: ``extremality.extremal_to_rank1``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -21,13 +22,11 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
-    InternalContradictionError,
     MapSizeMismatchError,
     NonConvergenceError,
-    NotExtremalError,
     OutOfRangeError,
 )
-from .extremality import is_extremal_rank1, pair_independence, rank1_failures
+from .extremality import rank1_failures
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -43,8 +42,6 @@ from .povm import (
     _checked,
     _json_numbers,
     _spectral_terms,
-    _spectrum,
-    validate,
 )
 
 __all__ = [
@@ -53,7 +50,6 @@ __all__ = [
     "VerificationReport",
     "StatisticsReport",
     "decompose",
-    "extremal_to_rank1",
     "verify_certificate",
     "outcome_probabilities",
     "statistics_equivalence",
@@ -355,29 +351,6 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
     return cert
 
 
-def extremal_to_rank1(
-    p: Povm, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[Povm, RelabelMap]:
-    """Write an extremal POVM as a relabeling of an extremal rank-1 POVM.
-
-    The input must be a valid POVM (else its first :func:`violations` is
-    raised); one ``povm._spectrum`` pass gives the verdict and the expansion.
-    That expansion of an extremal input is extremal; a failure on the output
-    (only through tolerance inconsistency) raises ``InternalContradictionError``.
-    """
-    back, effects, ranks, plain, _ = _spectrum(validate(p, tol), tol)
-    if not pair_independence(effects, ranks, plain, tol).extremal:
-        raise NotExtremalError("input POVM is not extremal")
-    sources, psi = _spectral_terms(effects, ranks, plain, tol)
-    rank1 = Povm(psi[:, :, None] * psi.conj()[:, None, :])
-    if not is_extremal_rank1(rank1, tol):
-        raise InternalContradictionError(
-            "spectral expansion of an extremal POVM failed the rank-1 "
-            "extremality test (tolerance inconsistency)"
-        )
-    return rank1, RelabelMap(sources.size, back.source_size, sources)
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Certificate check results; ``passed`` aggregates all lines.
@@ -396,7 +369,7 @@ class VerificationReport:
     effect_residuals: np.ndarray
     component_extremal: tuple[bool, ...]
     passed: bool
-    failures: tuple[str, ...] = field(default=())
+    failures: tuple[str, ...]
 
 
 def verify_certificate(

@@ -1,4 +1,4 @@
-"""Extremality tests.
+"""Extremality: the verdicts, the taxonomy and the rank-1 form of an extremal POVM.
 
 A POVM is extremal in the convex set of POVMs iff, writing each nonzero
 effect as a sum of outer products of nonzero mutually orthogonal vectors
@@ -17,7 +17,8 @@ need eigenvectors.  One spectral pass of the Hermitian parts
 one ``eigvalsh`` takes the rest.  The verifier's independence test
 (:func:`rank1_failures`) likewise settles most sets with a Cholesky bound
 (``linalg.settled_independent``) and takes the SVD only for the rest;
-``pair_independence`` always takes it, because it reports the margin.
+``pair_independence`` always takes it, because it reports the margin;
+``classify`` reads the taxonomy off it, and ``extremal_to_rank1`` the rank-1 form.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from .errors import (
     AllZeroError,
     DimensionMismatchError,
     EmptyInputError,
+    InternalContradictionError,
     NonFiniteError,
+    NotExtremalError,
     NotExtremalRank1Error,
     NotHermitianError,
     NotRank1Error,
@@ -46,16 +49,22 @@ from .linalg import (
     settled_independent,
     unit_hermitian_basis,
 )
-from .povm import Povm, _checked, _effect_norms, _spectrum
+from .povm import Povm, RelabelMap, _checked, _effect_norms, _spectral_terms, _spectrum, validate
 
 __all__ = [
     "ExtremalityReport",
+    "PovmClass",
+    "NOT_EXTREMAL",
     "extremality_report",
     "pair_independence",
+    "classify",
     "is_extremal",
+    "extremal_to_rank1",
     "is_extremal_rank1",
     "rank1_failures",
 ]
+
+NOT_EXTREMAL = "not_extremal_or_unknown"
 
 
 @dataclass(frozen=True)
@@ -73,6 +82,17 @@ class ExtremalityReport:
     borderline: bool
     margin: float
     operator_count: int
+
+
+@dataclass(frozen=True)
+class PovmClass:
+    """Classification record: rank-1 and PVM flags, type label, ranks, extremality report."""
+
+    is_rank1: bool
+    is_pvm: bool
+    extremal_type: str
+    rank_profile: tuple[int, ...]
+    extremality: ExtremalityReport
 
 
 def pair_independence(
@@ -123,15 +143,66 @@ def pair_independence(
     return ExtremalityReport(*banded_verdict(margin, tol), margin, count)
 
 
+def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:
+    """Rank-1 and PVM flags plus the extremality type label.
+
+    One spectral pass over the nonzero effects (``povm._spectrum``: the rank-1
+    bound settles what it can, ``eigvalsh`` the rest) gives their ranks
+    (:func:`linalg.effect_ranks`) and projection tests, and so the flags, the
+    rank profile and the operators of :func:`pair_independence`.  Only effects
+    with an eigenvalue above the rank cutoff count, in the flags and the rank
+    profile.  The most specific label that holds wins: "a" rank-1, "b" projection
+    valued, "c" every effect projection or rank-1, "d" extremal but none of these,
+    else ``NOT_EXTREMAL``; a rank-1 basis PVM reports "a" with ``is_pvm`` still set.
+    """
+    _, effects, ranks, plain, projection = _spectrum(p, tol)
+    report = pair_independence(effects, ranks, plain, tol)
+    projection, ranks = projection[ranks > 0], ranks[ranks > 0]
+    rank1 = bool(np.all(ranks == 1))
+    pvm = bool(np.all(projection))
+    if not report.extremal:
+        label = NOT_EXTREMAL
+    elif rank1:
+        label = "a"
+    elif pvm:
+        label = "b"
+    elif np.all((ranks == 1) | projection):
+        # independent effects follow: unit effects are an isometric image of unit pair operators
+        label = "c"
+    else:
+        label = "d"
+    return PovmClass(rank1, pvm, label, tuple(ranks.tolist()), report)
+
+
 def extremality_report(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> ExtremalityReport:
-    """Extremality analysis of a valid POVM: :func:`pair_independence` of its nonzero effects."""
-    _, effects, ranks, plain, _ = _spectrum(p, tol)
-    return pair_independence(effects, ranks, plain, tol)
+    """The report of :func:`classify`: :func:`pair_independence` of the nonzero effects."""
+    return classify(p, tol).extremality
 
 
 def is_extremal(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff the POVM is an extreme point of the convex set of POVMs."""
     return extremality_report(p, tol).extremal
+
+
+def extremal_to_rank1(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Povm, RelabelMap]:
+    """Write an extremal POVM as a relabeling of an extremal rank-1 POVM.
+
+    The input must be a valid POVM (else its first :func:`violations` is
+    raised); one ``povm._spectrum`` pass gives the verdict and the expansion.
+    That expansion of an extremal input is extremal; a failure on the output
+    (only through tolerance inconsistency) raises ``InternalContradictionError``.
+    """
+    back, effects, ranks, plain, _ = _spectrum(validate(p, tol), tol)
+    if not pair_independence(effects, ranks, plain, tol).extremal:
+        raise NotExtremalError("input POVM is not extremal")
+    sources, psi = _spectral_terms(effects, ranks, plain, tol)
+    rank1 = Povm(psi[:, :, None] * psi.conj()[:, None, :])
+    if not is_extremal_rank1(rank1, tol):
+        raise InternalContradictionError(
+            "spectral expansion of an extremal POVM failed the rank-1 "
+            "extremality test (tolerance inconsistency)"
+        )
+    return rank1, RelabelMap(sources.size, back.source_size, sources)
 
 
 def is_extremal_rank1(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -1,11 +1,12 @@
-"""POVM domain model: validation, pruning, relabeling, mixing, classification.
+"""POVM domain model: validation, pruning, relabeling, mixing, the spectral pass.
 
 A POVM is an ordered list of d x d Hermitian PSD effects summing to the
 identity.  Zero effects are permitted (an outcome that never fires); two
 POVMs differing only in zero effects are equivalent.  Relabeling merges
 outcomes through a total map f, mixing forms convex combinations, and
 ``spectral_relabel`` rewrites any POVM as a relabeling of a rank-1 POVM
-with at most N*d outcomes.
+with at most N*d outcomes, from the one pass (``_spectrum``) that every
+analysis in ``extremality`` starts from.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,31 +42,17 @@ from .linalg import (
     require_hermitian,
 )
 
-if TYPE_CHECKING:
-    from .extremality import ExtremalityReport
-
 __all__ = [
     "Povm",
     "RelabelMap",
-    "PovmClass",
-    "EXTREMAL_TYPES",
-    "NOT_EXTREMAL",
     "violations",
     "validate",
     "prune_zero_effects",
     "relabel",
     "mix",
     "spectral_relabel",
-    "classify",
     "equivalent",
 ]
-
-#: Extremality taxonomy labels reported by :func:`classify`, most specific first:
-#: "a" rank-1 with independent effects, "b" projection valued, "c" every nonzero
-#: effect projection-or-rank-1 with independent effects, "d" extremal but none of
-#: the former.
-EXTREMAL_TYPES = ("a", "b", "c", "d")
-NOT_EXTREMAL = "not_extremal_or_unknown"
 
 
 @dataclass(frozen=True)
@@ -209,17 +195,6 @@ class RelabelMap:
         return cls(arr.shape[0], target_size, arr - 1)
 
 
-@dataclass(frozen=True)
-class PovmClass:
-    """Classification record: rank-1 and PVM flags, type label, ranks, extremality report."""
-
-    is_rank1: bool
-    is_pvm: bool
-    extremal_type: str
-    rank_profile: tuple[int, ...]
-    extremality: ExtremalityReport
-
-
 def _checked(
     effects: np.ndarray, sizes, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[list[list[PovmForgeError]], np.ndarray, np.ndarray]:
@@ -278,8 +253,8 @@ def _checked(
 
 # The bound costs about 25 NumPy calls whatever the stack's size (some 60 us on a
 # 2-CPU x86_64 host), eigvalsh about 1 us per 4 x 4 effect and 9 us per 8 x 8 one:
-# below some 400 entries n d^2 eigvalsh is cheaper.  A stack of at most d effects
-# is a basis or holds full-rank effects, which the bound never settles.
+# below some 400 entries n d^2 eigvalsh is cheaper.  n <= d keeps the bound off POVMs of
+# a few full-rank effects, which it never settles; it skips a rank-1 basis too, which it would.
 _BOUND_MIN_ENTRIES = 400
 
 
@@ -505,39 +480,6 @@ def _top_terms(effects: np.ndarray) -> np.ndarray:
     lam = np.einsum("ij,ij->i", y.conj(), z).real / np.einsum("ij,ij->i", y.conj(), y).real
     v = _fix_phases((z / np.linalg.norm(z, axis=1, keepdims=True))[:, :, None])[:, :, 0]
     return np.sqrt(lam)[:, None] * v
-
-
-def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:
-    """Rank-1 and PVM flags plus the extremality type label.
-
-    One spectral pass over the nonzero effects (:func:`_spectrum`: the rank-1
-    bound settles what it can, ``eigvalsh`` the rest) gives their ranks
-    (:func:`linalg.effect_ranks`) and projection tests, and so the flags, the
-    rank profile and the operators of ``extremality.pair_independence``.
-    Only effects with an eigenvalue above the rank cutoff count, in the
-    flags and the rank profile.  When multiple type predicates hold the
-    most specific label wins (a > b > c > d); a rank-1 basis PVM
-    therefore reports "a" with ``is_pvm`` still set.
-    """
-    from .extremality import pair_independence  # here: extremality builds on this module
-
-    _, effects, ranks, plain, projection = _spectrum(p, tol)
-    report = pair_independence(effects, ranks, plain, tol)
-    projection, ranks = projection[ranks > 0], ranks[ranks > 0]
-    rank1 = bool(np.all(ranks == 1))
-    pvm = bool(np.all(projection))
-    if not report.extremal:
-        label = NOT_EXTREMAL
-    elif rank1:
-        label = "a"
-    elif pvm:
-        label = "b"
-    elif np.all((ranks == 1) | projection):
-        # independent effects follow: unit effects are an isometric image of unit pair operators
-        label = "c"
-    else:
-        label = "d"
-    return PovmClass(rank1, pvm, label, tuple(ranks.tolist()), report)
 
 
 def equivalent(p: Povm, q: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -234,3 +234,39 @@ def test_every_private_name_has_a_caller():
         if not any(own not in places for places in reads.get(name, ()))
     ]
     assert not orphans, orphans
+
+
+# The package's layers, lowest first: a module imports only from layers below its own.
+_LAYERS = (
+    {"errors"},
+    {"linalg"},
+    {"povm"},
+    {"extremality"},
+    {"constructor", "decomposer"},
+    {"cli"},
+    {"__init__", "__main__"},
+)
+
+
+def test_modules_import_in_one_direction():
+    """Every import is a module-level statement and reads only from a lower layer.
+
+    So no module imports another inside a function, a class or an ``if`` (such as
+    ``if TYPE_CHECKING:``) to get round a cycle: the modules import in the order
+    errors <- linalg <- povm <- extremality <- {constructor, decomposer} <- cli.
+    """
+    layer = {name: i for i, names in enumerate(_LAYERS) for name in names}
+    paths = sorted(Path(povm_forge.__file__).parent.glob("*.py"))
+    assert {path.stem for path in paths} == set(layer), "place every module in _LAYERS"
+    stray = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            where = f"{path.name}:{node.lineno}"
+            if node not in tree.body:
+                stray.append(f"{where}: import below module level")
+            if getattr(node, "level", 0) and not layer[node.module] < layer[path.stem]:
+                stray.append(f"{where}: {path.stem} imports {node.module}")
+    assert not stray, stray

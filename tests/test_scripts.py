@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("off_identity_sweep.py", ["--cases", "2", "--tol-scale", "0.1"]),
         ("off_identity_sweep.py", ["--cases", "2", "--tol-scale", "10"]),
         ("output_digests.py", ["--seed", "7"]),
+        ("output_digests.py", ["--seed", "7", "--tol-scale", "0.1"]),
         ("output_digests.py", ["--seed", "7", "--tol-scale", "10"]),
     ],
 )

@@ -29,8 +29,8 @@ from povm_forge import (
     violations,
 )
 from povm_forge.cli import main
-from povm_forge.decomposer import extremal_to_rank1
 from povm_forge.errors import NotHermitianError, NotNormalizedError, PovmForgeError
+from povm_forge.extremality import extremal_to_rank1
 from povm_forge.linalg import _fix_phases
 from povm_forge.povm import _spectral_terms, _spectrum
 
