@@ -10,8 +10,10 @@ effect's top-right entry moved by 1e-6 off Hermitian.  For every
 ``decompose_deep`` input they are also its ``decompose`` weights, effects
 and maps, the ``verify_certificate`` report of that certificate and of a
 copy with component 0 scaled by 1.5, and the ``statistics_equivalence``
-deviations over 20 states.  A domain error is recorded by its type and
-message.  Each line reads ``<sha256>  <corpus>/<label>: <record>``.
+deviations over 20 states.  Last come the ``classify``, ``spectral_relabel``
+and ``decompose`` records of a copy with zero effects inserted before the
+first, the middle and past the last effect.  A domain error is recorded by
+its type and message.  Each line reads ``<sha256>  <corpus>/<label>: <record>``.
 ``--tol-scale X`` runs every call under ``DEFAULT_TOL.scaled(X)``; the inputs
 do not change.
 
@@ -88,6 +90,12 @@ def spoiled(p: Povm) -> tuple[Povm, Povm]:
     return Povm(scaled), Povm(skewed)
 
 
+def padded(p: Povm) -> Povm:
+    """``p`` with a zero effect inserted before effect 0, before effect n // 2 and after the last."""
+    n = p.n_outcomes
+    return Povm(np.insert(p.effects, [0, n // 2, n], 0.0, axis=0))
+
+
 def classified(p: Povm, tol):
     result = outcome(classify, p, tol)
     if isinstance(result, tuple):
@@ -115,16 +123,23 @@ def reported(cert: DecompositionCertificate, tol):
             report.passed, report.failures)
 
 
-def certificate_records(p: Povm, tol):
-    """(record, parts) of ``decompose`` and what reads its certificate."""
+def decomposed(p: Povm, tol):
+    """``decompose``'s certificate and its parts: weights, effects and maps; or its domain error."""
     cert = outcome(decompose, p, tol)
     if isinstance(cert, tuple):
-        yield "decompose", cert
-        return
+        return None, cert
     parts = []
     for comp in cert.components:
         parts += [comp.weight, comp.extremal.effects, comp.relabel.targets]
+    return cert, parts
+
+
+def certificate_records(p: Povm, tol):
+    """(record, parts) of ``decompose`` and what reads its certificate."""
+    cert, parts = decomposed(p, tol)
     yield "decompose", parts
+    if cert is None:
+        return
     yield "verify_certificate", reported(cert, tol)
     first = cert.components[0]
     comps = (CertificateComponent(first.weight, Povm(1.5 * first.extremal.effects), first.relabel),
@@ -141,6 +156,10 @@ def records(corpus: str, p: Povm, tol):
         yield f"violations {name}", worded(copy, tol)
     if corpus == "decompose_deep":
         yield from certificate_records(p, tol)
+    zeros = padded(p)
+    yield "classify padded", classified(zeros, tol)
+    yield "spectral_relabel padded", relabeled(zeros, tol)
+    yield "decompose padded", decomposed(zeros, tol)[1]
 
 
 def main():

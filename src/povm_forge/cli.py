@@ -36,7 +36,7 @@ from .errors import (
 )
 from .extremality import NOT_EXTREMAL, classify
 from .linalg import DEFAULT_TOL, ToleranceConfig
-from .povm import Povm, validate, violations
+from .povm import Povm, violations
 
 __all__ = ["main"]
 
@@ -178,7 +178,7 @@ def _cmd_validate(args: argparse.Namespace, tol: ToleranceConfig) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace, tol: ToleranceConfig) -> int:
-    povm = validate(_load_povm(args.path), tol)
+    povm = _load_povm(args.path)
     result = classify(povm, tol)
     n = len(result.rank_profile)
     d = povm.dim

@@ -30,7 +30,6 @@ from .extremality import rank1_failures
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
-    effect_ranks,
     hermitian_coords,
     independence_cutoff,
     normalizer,
@@ -39,9 +38,9 @@ from .linalg import (
 from .povm import (
     Povm,
     RelabelMap,
-    _checked,
     _json_numbers,
     _spectral_terms,
+    _spectrum,
 )
 
 __all__ = [
@@ -253,14 +252,13 @@ def _debris_floor(dim: int, tol: ToleranceConfig) -> float:
 def _normalized_terms(
     effects: np.ndarray, ranks: np.ndarray, plain: np.ndarray, tol: ToleranceConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rank-1 terms |psi><psi| of the nonzero effects, made to sum to I, and their outcomes.
+    """Rank-1 terms |psi><psi| of the nonzero effects, made to sum to I, and their effects.
 
     The effects are expanded once into term vectors psi by
     :func:`_spectral_terms`, from their ``ranks`` and ``plain`` flags
-    (:func:`linalg.effect_ranks`).  Those with
-    |psi|^2 at or below :func:`_debris_floor` (every term of a zero effect among
-    them) are dropped before S^{-1/2} from :func:`normalizer`, S the sum of the
-    retained terms, is applied to each psi.
+    (:func:`linalg.effect_ranks`).  Those with |psi|^2 at or below
+    :func:`_debris_floor` are dropped before S^{-1/2} from :func:`normalizer`,
+    S the sum of the retained terms, is applied to each psi.
     """
     sources, psi = _spectral_terms(effects, ranks, plain, tol)
     kept = np.einsum("ij,ij->i", psi.conj(), psi).real > _debris_floor(effects.shape[-1], tol)
@@ -272,11 +270,11 @@ def _normalized_terms(
 def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCertificate:
     """Decompose a valid POVM into relabeled extremal rank-1 components.
 
-    One validator pass (``povm._checked``) checks the input (an invalid one
-    raises what :func:`validate` raises) and gives its Hermitian part and the
-    eigenvalues of that (``povm._eigenvalues``: certified stand-ins for the
-    rank-1 effects the bound settles).  From their :func:`linalg.effect_ranks`
-    the nonzero effects are expanded once into rank-1 spectral terms
+    One validator pass (``povm._spectrum``) checks the input (an invalid one
+    raises what :func:`validate` raises) and gives the Hermitian parts of its
+    nonzero effects and their :func:`linalg.effect_ranks`, read from
+    ``povm._eigenvalues`` (certified stand-ins for the rank-1 effects the bound
+    settles).  The nonzero effects are expanded once into rank-1 spectral terms
     (:func:`_spectral_terms`: eigenvectors only for effects of rank >= 2).  The
     terms above the debris floor are made to sum to I by one congruence of their
     vectors (:func:`_normalized_terms`), so the peel starts on I.  In the
@@ -293,10 +291,9 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
     or the certificate's reconstruction, built once and read again by
     :func:`verify_certificate`, is off the input by more than recon_tol.
     """
-    (found,), hermitian, w = _checked(p.effects, (p.n_outcomes,), tol)
-    if found:
-        raise found[0]
-    terms, targets = _normalized_terms(hermitian, *effect_ranks(w, tol), tol)
+    keep, hermitian, ranks, plain, _ = _spectrum(p, tol)
+    terms, sources = _normalized_terms(hermitian, ranks, plain, tol)
+    targets = keep[sources]
     dim = p.dim
     columns = hermitian_coords(terms).T
     norms = np.linalg.norm(columns, axis=0)

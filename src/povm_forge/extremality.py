@@ -49,7 +49,7 @@ from .linalg import (
     settled_independent,
     unit_hermitian_basis,
 )
-from .povm import Povm, RelabelMap, _checked, _effect_norms, _spectral_terms, _spectrum, validate
+from .povm import Povm, RelabelMap, _checked, _effect_norms, _spectral_terms, _spectrum
 
 __all__ = [
     "ExtremalityReport",
@@ -144,10 +144,11 @@ def pair_independence(
 
 
 def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:
-    """Rank-1 and PVM flags plus the extremality type label.
+    """Rank-1 and PVM flags plus the extremality type label of a valid POVM.
 
-    One spectral pass over the nonzero effects (``povm._spectrum``: the rank-1
-    bound settles what it can, ``eigvalsh`` the rest) gives their ranks
+    An invalid ``p`` raises what :func:`povm.validate` raises.  The validator's
+    one spectral pass (``povm._spectrum``: the rank-1 bound settles what it can,
+    ``eigvalsh`` the rest) gives the nonzero effects' ranks
     (:func:`linalg.effect_ranks`) and projection tests, and so the flags, the
     rank profile and the operators of :func:`pair_independence`.  Only effects
     with an eigenvalue above the rank cutoff count, in the flags and the rank
@@ -188,11 +189,11 @@ def extremal_to_rank1(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Povm
     """Write an extremal POVM as a relabeling of an extremal rank-1 POVM.
 
     The input must be a valid POVM (else its first :func:`violations` is
-    raised); one ``povm._spectrum`` pass gives the verdict and the expansion.
-    That expansion of an extremal input is extremal; a failure on the output
-    (only through tolerance inconsistency) raises ``InternalContradictionError``.
+    raised); one ``povm._spectrum`` pass checks it and gives the verdict and the
+    expansion.  That expansion of an extremal input is extremal; a failure on the
+    output (only through tolerance inconsistency) raises ``InternalContradictionError``.
     """
-    back, effects, ranks, plain, _ = _spectrum(validate(p, tol), tol)
+    keep, effects, ranks, plain, _ = _spectrum(p, tol)
     if not pair_independence(effects, ranks, plain, tol).extremal:
         raise NotExtremalError("input POVM is not extremal")
     sources, psi = _spectral_terms(effects, ranks, plain, tol)
@@ -202,7 +203,7 @@ def extremal_to_rank1(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Povm
             "spectral expansion of an extremal POVM failed the rank-1 "
             "extremality test (tolerance inconsistency)"
         )
-    return rank1, RelabelMap(sources.size, back.source_size, sources)
+    return rank1, RelabelMap(sources.size, keep.size, sources)
 
 
 def is_extremal_rank1(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

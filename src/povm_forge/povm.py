@@ -5,8 +5,8 @@ identity.  Zero effects are permitted (an outcome that never fires); two
 POVMs differing only in zero effects are equivalent.  Relabeling merges
 outcomes through a total map f, mixing forms convex combinations, and
 ``spectral_relabel`` rewrites any POVM as a relabeling of a rank-1 POVM
-with at most N*d outcomes, from the one pass (``_spectrum``) that every
-analysis in ``extremality`` starts from.
+with at most N*d outcomes, from the validator's pass (``_spectrum``) that
+every analysis starts from.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .linalg import (
     eig_herm,
     hermitian_split,
     rank1_interval,
-    require_hermitian,
 )
 
 __all__ = [
@@ -210,7 +209,7 @@ def _checked(
     """
     ends = list(accumulate(sizes))
     starts = [0, *ends[:-1]]
-    finite = np.isfinite(effects).all(axis=(1, 2))
+    finite = np.isfinite(effects.reshape(len(effects), -1).view(np.float64)).all(axis=1)
     clean = effects if finite.all() else np.where(finite[:, None, None], effects, 0.0)
     hermitian, deviation = hermitian_split(clean)
     w = _eigenvalues(hermitian, tol)
@@ -301,7 +300,8 @@ def violations(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> list[PovmForgeErr
     Last, the effects must sum to the identity within recon_tol in Frobenius
     norm (an entry near overflow gives an infinite residual).  This is the one
     validator pass (``_checked``, its eigenvalues from :func:`_eigenvalues`) that
-    ``extremality.rank1_failures`` runs over a certificate's stack of components.
+    every analysis starts from (``_spectrum``) and ``extremality.rank1_failures``
+    runs over a certificate's stack of components.
     """
     return _checked(p.effects, (p.n_outcomes,), tol)[0][0]
 
@@ -320,7 +320,7 @@ def prune_zero_effects(
     """Drop effects with Frobenius norm <= zero_effect_tol.
 
     Raises ``NonFiniteError`` on an effect with a NaN or infinite entry,
-    which no norm test may silently drop; every analysis prunes first.
+    which no norm test may silently drop.
 
     The returned map sends surviving outcomes back to their original
     positions, so ``relabel(pruned, map)`` restores ``p`` (zeros placed
@@ -381,37 +381,39 @@ def mix(b: Povm, c: Povm, t: float) -> Povm:
 def spectral_relabel(
     p: Povm, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[Povm, RelabelMap]:
-    """Rewrite a POVM as a relabeling of a rank-1 POVM.
+    """Rewrite a valid POVM as a relabeling of a rank-1 POVM.
 
-    Each nonzero effect is expanded into its spectral terms
-    ``lambda_k |v_k><v_k|`` (eigenvalues above the rank cutoff), emitted
-    in row-major (outcome, term) order.  The returned map sends each
-    spectral term to the outcome it came from, in the zero-pruned
-    indexing, so ``relabel(rank1, map)`` reproduces the pruned POVM.  The
-    rank-1 POVM has at most N*d outcomes.
+    An invalid ``p`` raises what :func:`validate` raises.  Each nonzero effect
+    is expanded into its spectral terms ``lambda_k |v_k><v_k|`` (eigenvalues
+    above the rank cutoff), emitted in row-major (outcome, term) order.  The
+    returned map sends each spectral term to the outcome it came from, in the
+    zero-pruned indexing, so ``relabel(rank1, map)`` reproduces the pruned
+    POVM.  The rank-1 POVM has at most N*d outcomes.
     """
-    back, effects, ranks, plain, _ = _spectrum(p, tol)
+    keep, effects, ranks, plain, _ = _spectrum(p, tol)
     sources, psi = _spectral_terms(effects, ranks, plain, tol)
     pieces = psi[:, :, None] * psi.conj()[:, None, :]
-    return Povm(pieces), RelabelMap(sources.size, back.source_size, sources)
+    return Povm(pieces), RelabelMap(sources.size, keep.size, sources)
 
 
 def _spectrum(
     p: Povm, tol: ToleranceConfig
-) -> tuple[RelabelMap, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every analysis' front end: map back to ``p``, Hermitian nonzero effects, their verdicts.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every analysis' front end: the validator's pass of ``p``, read at its nonzero effects.
 
-    Every effect, zero ones too, must pass :func:`linalg.require_hermitian`, as
-    in :func:`validate`.  The verdicts are (ranks, plain) of
-    :func:`linalg.effect_ranks` and each effect's projection test
-    |E^2 - E|_F <= recon_tol, all read from the effects' :func:`_eigenvalues`.
+    One :func:`_checked` pass raises the first :func:`violations` entry of an
+    invalid ``p``, so an all-zero stack raises ``NotNormalizedError``.  Returns
+    the indices of the nonzero effects (:func:`_effect_norms`), their Hermitian
+    parts and their verdicts: (ranks, plain) of :func:`linalg.effect_ranks` and
+    the projection test |E^2 - E|_F <= recon_tol, read from that pass's eigenvalues.
     """
-    _, back = prune_zero_effects(p, tol)
-    effects = require_hermitian(p.effects, tol)
-    if back.source_size < p.n_outcomes:
-        effects = effects[back.targets]
-    w = _eigenvalues(effects, tol)
-    return back, effects, *effect_ranks(w, tol), _is_projection(w, tol)
+    (found,), hermitian, w = _checked(p.effects, (p.n_outcomes,), tol)
+    if found:
+        raise found[0]
+    keep = np.flatnonzero(_effect_norms(p.effects, tol)[1])
+    if keep.size < p.n_outcomes:
+        hermitian, w = hermitian[keep], w[keep]
+    return keep, hermitian, *effect_ranks(w, tol), _is_projection(w, tol)
 
 
 def _is_projection(w: np.ndarray, tol: ToleranceConfig) -> np.ndarray:

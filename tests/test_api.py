@@ -113,13 +113,16 @@ def test_only_linalg_calls_inv_sqrt():
 def test_one_spectral_pass():
     """``eigvalsh`` runs in ``povm._eigenvalues`` and in ``rank_of`` only.
 
-    The validator and every analysis take their eigenvalues from ``_eigenvalues``;
-    the analyses through ``_spectrum`` (prune, ``require_hermitian``, ``_eigenvalues``),
-    which is also the one caller of ``require_hermitian`` outside ``linalg``.
+    ``_eigenvalues`` is called by the validator's pass ``_checked`` alone, which is
+    entered from ``violations``, from ``rank1_failures`` and, for every analysis,
+    from ``_spectrum``.  So no analysis checks a POVM, or takes its eigenvalues, a
+    second way; ``require_hermitian`` checks bare matrices in ``linalg`` only.
     """
     allowed = {
         "eigvalsh": {"povm.py:_eigenvalues", "linalg.py:rank_of"},
-        "require_hermitian": {"linalg.py", "povm.py:_spectrum"},
+        "_eigenvalues": {"povm.py:_checked"},
+        "_checked": {"povm.py:violations", "povm.py:_spectrum", "extremality.py:rank1_failures"},
+        "require_hermitian": {"linalg.py"},
     }
     stray = [
         f"{where}: {name}"

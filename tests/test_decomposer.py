@@ -566,10 +566,9 @@ class TestExtremalToRank1:
     def test_one_spectral_pass_feeds_verdict_and_expansion(self, monkeypatch, type_d):
         calls = record_eigensolvers(monkeypatch)
         extremal_to_rank1(type_d)
-        # validate, the spectral pass, pair_independence's and the expansion's eigenvectors
+        # the validator's spectral pass, pair_independence's and the expansion's eigenvectors
         # of the rank-2 effects, then is_extremal_rank1 on the six-outcome output
         assert [(name, a.shape) for name, a in calls] == [
-            ("eigvalsh", (3, 4, 4)),
             ("eigvalsh", (3, 4, 4)),
             ("eigh", (3, 4, 4)),
             ("eigh", (3, 4, 4)),

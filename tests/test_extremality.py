@@ -157,10 +157,13 @@ class TestIsExtremalRank1:
             is_extremal_rank1(Povm(tiny))
 
     def test_band_verdict_agrees_across_entry_points(self):
-        # two rank-1 projections 2.5e-9 apart: margin ~1.8e-9, inside the band
-        theta = 2.5e-9
+        # {P0/2, Ppsi/2, I - P0/2 - Ppsi/2}, psi 2e-9 off |0>: a valid rank-1 POVM whose first
+        # two effects are nearly parallel, margins 1.0e-9 and 1.4e-9, inside the band
+        theta = 2e-9
         psi = np.array([np.cos(theta), np.sin(theta)])
-        p = Povm(np.stack([np.diag([1.0, 0.0]), np.outer(psi, psi)]).astype(complex))
+        a, b = np.diag([0.5, 0.0]), 0.5 * np.outer(psi, psi)
+        p = Povm(np.stack([a, b, np.eye(2) - a - b]).astype(complex))
+        assert violations(p) == [] and classify(p).rank_profile == (1, 1, 1)
         result = linearly_independent(list(p.effects))
         assert banded_verdict(result.margin, DEFAULT_TOL) == (False, True)
         assert not result.independent

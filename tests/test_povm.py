@@ -27,7 +27,6 @@ from povm_forge import (
     violations,
 )
 from povm_forge.errors import (
-    AllZeroError,
     BadWeightError,
     DimensionMismatchError,
     MapSizeMismatchError,
@@ -183,8 +182,11 @@ class TestPrune:
 
     @pytest.mark.parametrize("analysis", [classify, extremality_report, spectral_relabel])
     def test_all_zero_stack_is_rejected(self, analysis):
-        with pytest.raises(AllZeroError):
-            analysis(Povm(np.zeros((2, 2, 2))))
+        # a valid POVM sums to I, so an all-zero stack fails validate's sum check
+        p = Povm(np.zeros((2, 2, 2)))
+        with pytest.raises(NotNormalizedError) as info:
+            analysis(p)
+        assert str(info.value) == str(violations(p)[0])
 
 
 class TestRelabel:

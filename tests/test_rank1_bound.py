@@ -11,7 +11,8 @@ Inputs sit on every edge a settled verdict could cross: a second eigenvalue at
 k * rank_tol, the smallest at -k * psd_tol, the top at 1 + k * psd_tol or
 1 - k * recon_tol, or a triangle k * herm_tol off Hermitian, for k in
 {0.5, 1, 2}, under ``ToleranceConfig.scaled``; also zero and non-finite effects,
-and every tolerance 0, where nothing may be settled.
+and every tolerance 0, where nothing may be settled.  On the same stacks every
+analysis must raise what ``validate`` raises, or return.
 """
 
 from unittest import mock
@@ -23,9 +24,21 @@ from hypothesis import strategies as st
 
 import povm_forge.povm
 from conftest import record_eigensolvers
-from povm_forge import DEFAULT_TOL, NOT_EXTREMAL, Povm, ToleranceConfig, classify, random_povm
-from povm_forge.errors import PovmForgeError
-from povm_forge.extremality import rank1_failures
+from povm_forge import (
+    DEFAULT_TOL,
+    NOT_EXTREMAL,
+    Povm,
+    ToleranceConfig,
+    classify,
+    decompose,
+    extremality_report,
+    is_extremal,
+    random_povm,
+    spectral_relabel,
+    violations,
+)
+from povm_forge.errors import NotExtremalError, PovmForgeError
+from povm_forge.extremality import extremal_to_rank1, rank1_failures
 from povm_forge.linalg import effect_ranks, hermitian_split, rank1_interval
 from povm_forge.povm import _checked, _spectrum
 
@@ -184,12 +197,38 @@ def test_analyses_refuse_what_they_refused(case):
     assert _classified(p, tol) == unbounded(_classified, p, tol)
 
 
+@given(stacks())
+@settings(max_examples=100, deadline=None)
+def test_every_analysis_raises_what_validate_raises_or_returns(case):
+    effects, tol = case
+    p = Povm(effects)
+    found = violations(p, tol)
+    analyses = (classify, extremality_report, is_extremal, spectral_relabel, extremal_to_rank1,
+                decompose)
+    for analysis in analyses:
+        try:
+            analysis(p, tol)
+        except PovmForgeError as exc:
+            got = (type(exc), str(exc))
+        else:
+            got = None
+        if found:
+            assert got == (type(found[0]), str(found[0])), analysis.__name__
+        elif analysis is extremal_to_rank1 and got is not None:
+            assert got[0] is NotExtremalError  # a valid POVM that is not extremal
+        else:
+            assert got is None, analysis.__name__
+
+
 @pytest.mark.parametrize("d, n", [(2, 120), (4, 32), (8, 64)])
 def test_nothing_is_settled_with_every_tolerance_zero(monkeypatch, d, n):
     p = random_povm(d, n, seed=d, rank=1)
     calls = record_eigensolvers(monkeypatch)
-    _checked(p.effects, [n], ZERO_TOL)
-    classify(p, ZERO_TOL)
+    (found,), _, _ = _checked(p.effects, [n], ZERO_TOL)
+    assert found  # at tolerance 0, rounding fails a check: classify raises what validate raises
+    with pytest.raises(type(found[0])) as info:
+        classify(p, ZERO_TOL)
+    assert str(info.value) == str(found[0])
     assert [(name, a.shape) for name, a in calls if a.ndim == 3][:2] == [
         ("eigvalsh", (n, d, d)),
         ("eigvalsh", (n, d, d)),

@@ -20,6 +20,7 @@ from povm_forge import (
     construct_extremal_rank1,
     eig_herm,
     extremality_report,
+    is_extremal,
     is_extremal_rank1,
     qubit_example,
     random_povm,
@@ -107,10 +108,10 @@ def test_classify_and_report_match_per_effect_reference(p):
 @settings(max_examples=60, deadline=None)
 def test_spectral_form_and_relabel_match_per_effect_reference(p):
     # the term vectors psi, whose phase convention decompose's congruence consumes
-    back, effects, ranks, plain, _ = _spectrum(p, DEFAULT_TOL)
+    keep, effects, ranks, plain, _ = _spectrum(p, DEFAULT_TOL)
     j, psi = _spectral_terms(effects, ranks, plain, DEFAULT_TOL)
     blocks = per_effect.spectral_blocks(p)
-    counts = np.bincount(back.targets[j], minlength=p.n_outcomes)
+    counts = np.bincount(keep[j], minlength=p.n_outcomes)
     assert counts.tolist() == [b.shape[0] for b in blocks]
     np.testing.assert_allclose(psi, np.concatenate(blocks), rtol=0, atol=1e-12)
     rank1, rmap = spectral_relabel(p)
@@ -183,11 +184,12 @@ def test_eigh_only_for_rank_two_and_up_and_one_real_svd(monkeypatch):
 
 
 @pytest.mark.parametrize("analysis", [classify, extremality_report, spectral_relabel])
-def test_each_analysis_takes_one_eigvalsh_of_the_nonzero_effects(monkeypatch, analysis):
+def test_each_analysis_takes_one_eigvalsh_of_the_whole_stack(monkeypatch, analysis):
+    # the validator's pass: the zero effects are dropped after it, not before
     p = make_povm("hybrid", 4, 0, 2)  # four nonzero effects, two zero ones
     calls = record_eigensolvers(monkeypatch)
     analysis(p)
-    assert [a.shape for name, a in calls if name == "eigvalsh"] == [(4, 4, 4)]
+    assert [a.shape for name, a in calls if name == "eigvalsh"] == [(6, 4, 4)]
 
 
 def record_rank_counts(monkeypatch):
@@ -207,12 +209,13 @@ def record_rank_counts(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["full", "rank1_square", "block_pvm", "type_d", "hybrid"])
 def test_classify_counts_ranks_once_from_one_eigvalsh(monkeypatch, kind):
+    # one eigvalsh of the whole stack; ranks are counted for the nonzero effects only
     p = make_povm(kind, 4, 1, 2)
     nonzero = (p.n_outcomes - 2, p.dim)
     solved = record_eigensolvers(monkeypatch)
     counted = record_rank_counts(monkeypatch)
     classify(p)
-    assert [a.shape[:-1] for name, a in solved if name == "eigvalsh"] == [nonzero]
+    assert [a.shape[:-1] for name, a in solved if name == "eigvalsh"] == [(p.n_outcomes, p.dim)]
     assert counted == [nonzero]
 
 
@@ -303,6 +306,24 @@ def test_classify_rejects_non_hermitian_input():
         classify(Povm(effects))
     with pytest.raises(NotHermitianError):
         extremality_report(Povm(effects))
+
+
+@pytest.mark.parametrize(
+    "effects",
+    [
+        [np.diag([1.2, 0.0]), np.diag([-0.2, 1.0])],  # sums to I, neither effect inside [0, I]
+        [np.diag([1.0, 0.0])],  # |0><0|: a rank-1 projection that does not sum to I
+    ],
+    ids=["not_psd", "not_normalized"],
+)
+@pytest.mark.parametrize("analysis", [classify, extremality_report, is_extremal, spectral_relabel])
+def test_analyses_raise_what_validate_raises(effects, analysis):
+    p = Povm(np.array(effects, dtype=complex))
+    with pytest.raises(PovmForgeError) as want:
+        validate(p)
+    with pytest.raises(PovmForgeError) as got:
+        analysis(p)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.integers(2, 5))
@@ -406,3 +427,18 @@ def test_cli_classify_json_record(tmp_path, capsys, name, profile, extremal, kin
     assert report["rank_profile"] == profile
     assert report["nonzero_outcomes"] == len(profile)
     assert (report["extremal"], report["borderline"], report["type"]) == (extremal, False, kind)
+
+
+def test_cli_classify_takes_one_spectral_pass(tmp_path, monkeypatch, capsys):
+    path = str(tmp_path / "povm.json")
+    assert main(["examples", "type_d", "--out", path]) == 0
+    calls = []
+    eigenvalues = povm_forge.povm._eigenvalues
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigenvalues(*args, **kwargs)
+
+    monkeypatch.setattr(povm_forge.povm, "_eigenvalues", counted)
+    assert main(["classify", path]) == 0
+    assert calls == [(3, 4, 4)]
