@@ -4,15 +4,18 @@
 The ``classify_wide`` and ``decompose_deep`` corpora of
 ``perfbench/workloads.py`` are built at ``--seed`` (default 1104).  For
 every input POVM the records are its ``classify`` fields (margin bytes
-included), its ``spectral_relabel`` effects and map, and the
-``violations`` of two spoiled copies: effect 0 scaled by 1.5, and the last
-effect's top-right entry moved by 1e-6 off Hermitian.  For every
+included), its ``spectral_relabel`` effects and map, its
+``is_extremal_rank1`` verdict, and the ``violations`` and
+``is_extremal_rank1`` of two spoiled copies: effect 0 scaled by 1.5, and the
+last effect's top-right entry moved by 1e-6 off Hermitian.  For every
 ``decompose_deep`` input they are also its ``decompose`` weights, effects
-and maps, the ``verify_certificate`` report of that certificate and of a
-copy with component 0 scaled by 1.5, and the ``statistics_equivalence``
-deviations over 20 states.  Last come the ``classify``, ``spectral_relabel``
-and ``decompose`` records of a copy with zero effects inserted before the
-first, the middle and past the last effect.  A domain error is recorded by
+and maps, the ``verify_certificate`` report of that certificate, of a copy
+with component 0 scaled by 1.5 and of a copy whose component 0 has its first
+two effects merged and is then scaled by 1.5 (rank 2 and off I), and the
+``statistics_equivalence`` deviations over 20 states.  Last come the
+``classify``, ``spectral_relabel``, ``is_extremal_rank1`` and ``decompose``
+records of a copy with zero effects inserted before the first, the middle
+and past the last effect.  A domain error is recorded by
 its type and message.  Each line reads ``<sha256>  <corpus>/<label>: <record>``.
 ``--tol-scale X`` runs every call under ``DEFAULT_TOL.scaled(X)``; the inputs
 do not change.
@@ -49,8 +52,10 @@ from povm_forge import (  # noqa: E402
     CertificateComponent,
     DecompositionCertificate,
     Povm,
+    RelabelMap,
     classify,
     decompose,
+    is_extremal_rank1,
     spectral_relabel,
     statistics_equivalence,
     verify_certificate,
@@ -142,9 +147,16 @@ def certificate_records(p: Povm, tol):
         return
     yield "verify_certificate", reported(cert, tol)
     first = cert.components[0]
-    comps = (CertificateComponent(first.weight, Povm(1.5 * first.extremal.effects), first.relabel),
-             *cert.components[1:])
-    yield "verify_certificate spoiled", reported(DecompositionCertificate(cert.target, comps), tol)
+    effects, f = first.extremal.effects, first.relabel
+    merged = np.concatenate([effects[:1] + effects[1:2], effects[2:]])  # effects 0, 1 as one
+    spoils = {
+        "spoiled": (effects, f),
+        "merged": (merged, RelabelMap(f.source_size - 1, f.target_size, np.delete(f.targets, 1))),
+    }
+    for name, (stack, g) in spoils.items():
+        comps = (CertificateComponent(first.weight, Povm(1.5 * stack), g), *cert.components[1:])
+        spoilt = DecompositionCertificate(cert.target, comps)
+        yield f"verify_certificate {name}", reported(spoilt, tol)
     yield "statistics_equivalence", (statistics_equivalence(cert, STATS_STATES, 0, tol).deviations,)
 
 
@@ -152,13 +164,16 @@ def records(corpus: str, p: Povm, tol):
     """(record, parts) of every output record of one input; parts is a tuple or a list."""
     yield "classify", classified(p, tol)
     yield "spectral_relabel", relabeled(p, tol)
+    yield "is_extremal_rank1", (outcome(is_extremal_rank1, p, tol),)
     for name, copy in zip(("scaled", "skewed"), spoiled(p)):
         yield f"violations {name}", worded(copy, tol)
+        yield f"is_extremal_rank1 {name}", (outcome(is_extremal_rank1, copy, tol),)
     if corpus == "decompose_deep":
         yield from certificate_records(p, tol)
     zeros = padded(p)
     yield "classify padded", classified(zeros, tol)
     yield "spectral_relabel padded", relabeled(zeros, tol)
+    yield "is_extremal_rank1 padded", (outcome(is_extremal_rank1, zeros, tol),)
     yield "decompose padded", decomposed(zeros, tol)[1]
 
 

@@ -356,10 +356,8 @@ class VerificationReport:
     verdict per component: True iff it is a POVM (every effect within
     [0, I], the sum I within recon_tol) of rank-1, linearly independent
     nonzero effects.  Each False comes with a failure line that gives the
-    first reason, from :func:`rank1_failures`: not finite, all zero, not
-    Hermitian, all of rank 0, not rank-1, outside [0, I], not summing to
-    I, or dependent.  The non-finite, Hermitian, [0, I] and sum reasons
-    are the component's :func:`violations` messages.
+    first reason, from :func:`rank1_failures`: the component's first
+    :func:`violations` entry, else all of rank 0 or one of rank > 1, else dependent.
     """
 
     weight_sum_residual: float

@@ -61,7 +61,7 @@ class BadWeightError(PovmForgeError):
 
 
 class AllZeroError(PovmForgeError):
-    """Every effect of a POVM is numerically zero (impossible for valid input)."""
+    """Every effect of a POVM is numerically zero, or of rank 0 under the rank cutoff."""
 
 
 class NotRank1Error(PovmForgeError):

@@ -32,10 +32,8 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     InternalContradictionError,
-    NonFiniteError,
     NotExtremalError,
     NotExtremalRank1Error,
-    NotHermitianError,
     NotRank1Error,
     PovmForgeError,
 )
@@ -49,7 +47,9 @@ from .linalg import (
     settled_independent,
     unit_hermitian_basis,
 )
-from .povm import Povm, RelabelMap, _checked, _effect_norms, _spectral_terms, _spectrum
+from .povm import (
+    Povm, RelabelMap, _checked, _effect_norms, _is_projection, _spectral_terms, _spectrum
+)
 
 __all__ = [
     "ExtremalityReport",
@@ -156,9 +156,9 @@ def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:
     valued, "c" every effect projection or rank-1, "d" extremal but none of these,
     else ``NOT_EXTREMAL``; a rank-1 basis PVM reports "a" with ``is_pvm`` still set.
     """
-    _, effects, ranks, plain, projection = _spectrum(p, tol)
+    _, effects, ranks, plain, w = _spectrum(p, tol)
     report = pair_independence(effects, ranks, plain, tol)
-    projection, ranks = projection[ranks > 0], ranks[ranks > 0]
+    projection, ranks = _is_projection(w, tol)[ranks > 0], ranks[ranks > 0]
     rank1 = bool(np.all(ranks == 1))
     pvm = bool(np.all(projection))
     if not report.extremal:
@@ -209,12 +209,12 @@ def extremal_to_rank1(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Povm
 def is_extremal_rank1(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff ``p`` is an extremal rank-1 POVM: :func:`rank1_failures` of one POVM.
 
-    Raises ``NonFiniteError`` or ``NotHermitianError`` (as :func:`violations`
-    words them), ``AllZeroError`` or ``NotRank1Error`` where the test cannot
-    apply; an effect outside [0, I], a sum off I or a dependence makes it False.
+    Raises its failure, in that order: the first :func:`violations` entry,
+    else ``AllZeroError`` (every effect of rank 0) or ``NotRank1Error`` (one of
+    rank > 1); only a dependence of the effects makes it False.
     """
     failure = rank1_failures(p.effects, [p.n_outcomes], tol)[0]
-    if isinstance(failure, (NonFiniteError, AllZeroError, NotHermitianError, NotRank1Error)):
+    if failure is not None and not isinstance(failure, NotExtremalRank1Error):
         raise failure
     return failure is None
 
@@ -228,14 +228,11 @@ def rank1_failures(
     ``sizes`` lists the integers n_i >= 1, at least one, summing to len(effects)
     (else ``DimensionMismatchError``).  Zero effects (norm <= zero_effect_tol) and
     rank-0 ones (no eigenvalue above the rank cutoff) do not count as nonzero.
-    Each POVM gets its first failure in this order: a non-finite entry; no
-    nonzero effect (``AllZeroError``); an effect not Hermitian; every
-    nonzero effect of rank 0 (``AllZeroError``); one of rank > 1
-    (``NotRank1Error``); an effect outside [0, I]; a sum off I; last, the
+    Each POVM gets its first failure in this order: the first entry of its
+    :func:`violations`, as ``validate`` raises it; else every effect of rank 0
+    (``AllZeroError``) or one of rank > 1 (``NotRank1Error``); else the
     unit-normalized nonzero effects linearly dependent under the banded rule
-    (``NotExtremalRank1Error``; more than d^2 always are).  The non-finite,
-    Hermitian, [0, I] and sum failures are entries of the POVM's
-    ``violations``, worded as ``validate`` words them.
+    (``NotExtremalRank1Error``; more than d^2 always are).
 
     One validator pass (``povm._checked``: one Hermitian split, one
     :func:`povm._eigenvalues` pass, one ``np.add.reduceat`` sum) covers the
@@ -247,7 +244,7 @@ def rank1_failures(
     parts; the POVMs it does not settle take one SVD, whose margin the banded
     rule judges.  Both give the same verdicts.
     """
-    effects = np.asarray(effects, dtype=np.complex128)
+    effects = np.ascontiguousarray(effects, dtype=np.complex128)
     sizes = np.asarray(sizes)
     valid = sizes.dtype.kind in "iu" and sizes.ndim == 1 and sizes.size and (sizes >= 1).all()
     if not (valid and sizes.sum() == len(effects)):
@@ -262,23 +259,14 @@ def rank1_failures(
     counts = np.add.reduceat(ranks > 0, starts, dtype=np.intp)
     top = np.maximum.reduceat(ranks, starts).tolist()  # 0: no nonzero effect of rank >= 1
 
-    failures: list[PovmForgeError | None] = [None] * sizes.size
-    for i in [i for i, found in enumerate(povm_failures) if found or top[i] != 1]:
-        found, part = povm_failures[i], slice(starts[i], starts[i] + sizes[i])
-        kinds = [type(exc) for exc in found]
-        if NonFiniteError in kinds:
-            failures[i] = found[0]  # violations reports nothing else then
-        elif not nonzero[part].any():
-            failures[i] = AllZeroError("every effect is numerically zero")
-        elif NotHermitianError in kinds:
-            failures[i] = found[kinds.index(NotHermitianError)]
-        elif top[i] == 0:
+    failures = [found[0] if found else None for found in povm_failures]
+    for i in [i for i, failure in enumerate(failures) if failure is None and top[i] != 1]:
+        if top[i] == 0:
             failures[i] = AllZeroError("no effect has an eigenvalue above the rank cutoff")
-        elif top[i] > 1:
-            j = int(np.argmax(ranks[part] > 1))
-            failures[i] = NotRank1Error(f"nonzero effect {j} has rank {ranks[part][j]}, expected 1")
         else:
-            failures[i] = found[0]  # outside [0, I] effect by effect, then the sum
+            part = ranks[starts[i]:starts[i] + sizes[i]]
+            j = int(np.argmax(part > 1))
+            failures[i] = NotRank1Error(f"nonzero effect {j} has rank {part[j]}, expected 1")
 
     # independence of the unit-normalized nonzero effects, so that small ones cannot pass for
     # null directions: per group of POVMs with m of them (m > d^2: dependent), one Cholesky

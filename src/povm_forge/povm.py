@@ -404,8 +404,8 @@ def _spectrum(
     One :func:`_checked` pass raises the first :func:`violations` entry of an
     invalid ``p``, so an all-zero stack raises ``NotNormalizedError``.  Returns
     the indices of the nonzero effects (:func:`_effect_norms`), their Hermitian
-    parts and their verdicts: (ranks, plain) of :func:`linalg.effect_ranks` and
-    the projection test |E^2 - E|_F <= recon_tol, read from that pass's eigenvalues.
+    parts, their (ranks, plain) of :func:`linalg.effect_ranks` and their rows of
+    that pass's eigenvalues ``w``, which :func:`_is_projection` reads.
     """
     (found,), hermitian, w = _checked(p.effects, (p.n_outcomes,), tol)
     if found:
@@ -413,7 +413,7 @@ def _spectrum(
     keep = np.flatnonzero(_effect_norms(p.effects, tol)[1])
     if keep.size < p.n_outcomes:
         hermitian, w = hermitian[keep], w[keep]
-    return keep, hermitian, *effect_ranks(w, tol), _is_projection(w, tol)
+    return keep, hermitian, *effect_ranks(w, tol), w
 
 
 def _is_projection(w: np.ndarray, tol: ToleranceConfig) -> np.ndarray:

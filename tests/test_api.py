@@ -100,6 +100,29 @@ def test_povm_failures_are_built_only_by_their_validators():
     assert not stray, stray
 
 
+def test_only_the_validators_name_the_povm_failures():
+    """The four POVM failure classes are named in ``povm`` and ``require_hermitian`` only.
+
+    ``NonFiniteError``, ``NotHermitianError``, ``NotPSDError`` and
+    ``NotNormalizedError`` are read nowhere else, and imported only by the two
+    modules that hold the validators (an import left unread fails
+    :func:`test_no_module_imports_a_name_it_never_uses`).  So every other module
+    passes a POVM's failures on in ``violations``' order, first entry first, and
+    cannot re-order or re-word them.
+    """
+    names = {"NonFiniteError", "NotHermitianError", "NotPSDError", "NotNormalizedError"}
+    readers, importers = {"povm.py", "linalg.py:require_hermitian"}, {"povm.py", "linalg.py"}
+    stray = []
+    for places, node, where in _placed_nodes():
+        if isinstance(node, ast.alias):
+            name, allowed = node.name, importers
+        else:
+            name, allowed = getattr(node, "id", getattr(node, "attr", None)), readers
+        if name in names and not places & allowed:
+            stray.append(f"{where}: {name}")
+    assert not stray, stray
+
+
 def test_only_linalg_calls_inv_sqrt():
     """The congruence that makes operators sum to I (``normalizer``) lives in ``linalg`` alone."""
     stray = [

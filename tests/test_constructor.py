@@ -18,12 +18,14 @@ from povm_forge import (
     random_povm,
     rank_of,
     validate,
+    violations,
 )
 from povm_forge.errors import (
     AlreadyMaximalError,
     BadDimensionError,
     DimensionMismatchError,
     NotExtremalRank1Error,
+    NotNormalizedError,
     OutOfRangeError,
     SingularSumError,
 )
@@ -118,6 +120,13 @@ class TestExtendExtremal:
     def test_rejects_full_rank(self):
         with pytest.raises(NotExtremalRank1Error):
             extend_extremal(Povm(np.stack([EYE2 / 2, EYE2 / 2])))
+
+    def test_rejects_a_non_povm_with_its_first_violation(self):
+        # {I, I}: rank 2 and summing to 2I; the sum is reported, as validate reports it
+        p = Povm(np.stack([EYE2, EYE2]))
+        with pytest.raises(NotNormalizedError) as info:
+            extend_extremal(p)
+        assert str(info.value) == str(violations(p)[0])
 
     def test_rejects_in_span_projection(self):
         with pytest.raises(NotExtremalRank1Error):

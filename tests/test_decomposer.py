@@ -45,11 +45,10 @@ from povm_forge.errors import (
     EmptyInputError,
     MapSizeMismatchError,
     NonConvergenceError,
-    NonFiniteError,
     NotExtremalError,
-    NotHermitianError,
+    NotExtremalRank1Error,
     NotNormalizedError,
-    NotPSDError,
+    NotRank1Error,
     OutOfRangeError,
     PovmForgeError,
 )
@@ -651,11 +650,58 @@ class TestVerifyCertificate:
         assert [line.split(" is ")[0] for line in report.failures] == ["component 0", "component 1"]
         assert all("extremal rank-1 POVM" in line for line in report.failures)
 
+    def test_component_of_rank_2_off_the_identity_fails_with_its_first_violation(self):
+        # {I, I}: rank 2 and summing to 2I; the validator's finding comes before the rank
+        component = Povm(np.stack([EYE2, EYE2]).astype(complex))
+        first = violations(component)[0]
+        assert isinstance(first, NotNormalizedError)
+        only = CertificateComponent(1.0, component, RelabelMap.identity(2))
+        cert = DecompositionCertificate(Povm(np.stack([EYE2, EYE2]) / 2), (only,))
+        report = verify_certificate(cert)
+        assert report.component_extremal == (False,)
+        assert report.failures[0] == f"component 0 is not an extremal rank-1 POVM: {first}"
+
+    def test_strided_stacks_get_the_verdicts_of_their_contiguous_copies(self):
+        # extremal, scaled off I, rank 2, dependent: on a view whose last axis is strided
+        half = np.diag([0.5, 0.0, 0.0]).astype(complex)
+        povms = [
+            onb_pvm(3),
+            Povm(0.5 * onb_pvm(3).effects),
+            Povm(np.stack([np.diag([1.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0])])),
+            Povm(np.concatenate([[half, half], onb_pvm(3).effects[1:]])),
+        ]
+        sizes = [p.n_outcomes for p in povms]
+        stack = np.concatenate([p.effects for p in povms])
+        big = np.zeros((len(stack), 3, 6), dtype=complex)
+        big[:, :, ::2] = stack
+        strided = big[:, :, ::2]
+        assert not strided.flags.c_contiguous and np.array_equal(strided, stack)
+
+        def described(failures):
+            return [None if f is None else (type(f), str(f)) for f in failures]
+
+        got = described(rank1_failures(strided, sizes))
+        assert got == described(rank1_failures(stack, sizes))
+        assert [None if g is None else g[0] for g in got] == [
+            None, NotNormalizedError, NotRank1Error, NotExtremalRank1Error
+        ]
+        maps = [RelabelMap(n, 1, np.zeros(n, dtype=int)) for n in sizes]
+        parts = np.split(strided, np.cumsum(sizes)[:-1])
+        cert = DecompositionCertificate(
+            Povm(np.eye(3)[None]),
+            tuple(CertificateComponent(0.25, Povm(e), f) for e, f in zip(parts, maps)),
+        )
+        lines = [
+            f"component {i} is not an extremal rank-1 POVM: {g[1]}"
+            for i, g in enumerate(got)
+            if g is not None
+        ]
+        assert verify_certificate(cert).failures[: len(lines)] == tuple(lines)
+
     @pytest.mark.parametrize("d, n", [(8, 16), (3, 60), (2, 100)])
     def test_batched_verdicts_match_one_segment_calls(self, d, n):
         comps = decompose(random_povm(d, n, seed=1)).components
         spoiled = _spoiled(comps)
-        povm_checks = (NonFiniteError, NotHermitianError, NotPSDError, NotNormalizedError)
         for povms in ([c.extremal for c in comps], spoiled):
             batched = rank1_failures(
                 np.concatenate([p.effects for p in povms]), [p.n_outcomes for p in povms]
@@ -664,12 +710,13 @@ class TestVerifyCertificate:
                 try:
                     one = is_extremal_rank1(p)
                 except PovmForgeError as exc:
-                    assert type(failure) is type(exc)
-                else:
+                    assert (type(failure), str(failure)) == (type(exc), str(exc))
+                else:  # False for a dependence only
                     assert one == (failure is None)
-                if isinstance(failure, povm_checks):  # worded as validate words it
-                    same = [exc for exc in violations(p) if type(exc) is type(failure)]
-                    assert str(failure) == str(same[0])
+                    assert one or isinstance(failure, NotExtremalRank1Error)
+                found = violations(p)
+                if found:  # the first finding, as validate raises it
+                    assert (type(failure), str(failure)) == (type(found[0]), str(found[0]))
         assert all(failure is None for failure in rank1_failures(
             np.concatenate([c.extremal.effects for c in comps]),
             [c.extremal.n_outcomes for c in comps],

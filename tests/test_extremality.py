@@ -151,10 +151,11 @@ class TestIsExtremalRank1:
             is_extremal_rank1(Povm(effects))
 
     def test_all_effects_below_the_rank_cutoff(self):
-        psi = np.array([1.0, 1.0j]) / np.sqrt(2.0)
-        tiny = 5e-10 * np.stack([np.outer(psi, psi.conj()), np.diag([1.0, 0.0])])
+        # a valid POVM, {I/2, I/2}, whose eigenvalues 0.5 all fall below a raised cutoff 0.6
+        tol = dataclasses.replace(DEFAULT_TOL, rank_tol=0.6)
+        assert violations(uniform_pair(), tol) == []
         with pytest.raises(AllZeroError):
-            is_extremal_rank1(Povm(tiny))
+            is_extremal_rank1(uniform_pair(), tol)
 
     def test_band_verdict_agrees_across_entry_points(self):
         # {P0/2, Ppsi/2, I - P0/2 - Ppsi/2}, psi 2e-9 off |0>: a valid rank-1 POVM whose first

@@ -37,10 +37,10 @@ from povm_forge import (
     spectral_relabel,
     violations,
 )
-from povm_forge.errors import NotExtremalError, PovmForgeError
-from povm_forge.extremality import extremal_to_rank1, rank1_failures
+from povm_forge.errors import AllZeroError, NotExtremalError, NotRank1Error, PovmForgeError
+from povm_forge.extremality import extremal_to_rank1, is_extremal_rank1, rank1_failures
 from povm_forge.linalg import effect_ranks, hermitian_split, rank1_interval
-from povm_forge.povm import _checked, _spectrum
+from povm_forge.povm import _checked, _is_projection, _spectrum
 
 EDGES = ("second", "smallest", "top", "projection", "zero", "non_finite", "skew")
 ZERO_TOL = ToleranceConfig(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -182,11 +182,11 @@ def test_analysis_verdicts_match_eigvalsh_only(case):
     assert classified == unbounded(_classified, p, tol)
     if isinstance(classified[0], type):  # refused: every effect zero
         return
-    _, hermitian, ranks, plain, projection = _spectrum(p, tol)
+    _, hermitian, ranks, plain, rows = _spectrum(p, tol)
     w = np.linalg.eigvalsh(hermitian)
     want_ranks, want_plain = effect_ranks(w, tol)
     assert np.array_equal(ranks, want_ranks) and np.array_equal(plain, want_plain)
-    assert np.array_equal(projection, np.linalg.norm(w * w - w, axis=1) <= tol.recon_tol)
+    assert np.array_equal(_is_projection(rows, tol), np.linalg.norm(w * w - w, axis=1) <= tol.recon_tol)
 
 
 @given(stacks(edges=("non_finite", "skew")))
@@ -204,10 +204,10 @@ def test_every_analysis_raises_what_validate_raises_or_returns(case):
     p = Povm(effects)
     found = violations(p, tol)
     analyses = (classify, extremality_report, is_extremal, spectral_relabel, extremal_to_rank1,
-                decompose)
+                decompose, is_extremal_rank1)
     for analysis in analyses:
         try:
-            analysis(p, tol)
+            result = analysis(p, tol)
         except PovmForgeError as exc:
             got = (type(exc), str(exc))
         else:
@@ -216,6 +216,9 @@ def test_every_analysis_raises_what_validate_raises_or_returns(case):
             assert got == (type(found[0]), str(found[0])), analysis.__name__
         elif analysis is extremal_to_rank1 and got is not None:
             assert got[0] is NotExtremalError  # a valid POVM that is not extremal
+        elif analysis is is_extremal_rank1:
+            # a valid POVM: a verdict, or a rank that keeps the test from applying
+            assert got[0] in (NotRank1Error, AllZeroError) if got else type(result) is bool
         else:
             assert got is None, analysis.__name__
 

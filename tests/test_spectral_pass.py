@@ -313,10 +313,13 @@ def test_classify_rejects_non_hermitian_input():
     [
         [np.diag([1.2, 0.0]), np.diag([-0.2, 1.0])],  # sums to I, neither effect inside [0, I]
         [np.diag([1.0, 0.0])],  # |0><0|: a rank-1 projection that does not sum to I
+        [np.eye(2), np.eye(2)],  # rank 2 and summing to 2I: the sum fails before the rank
     ],
-    ids=["not_psd", "not_normalized"],
+    ids=["not_psd", "not_normalized", "rank2_not_normalized"],
 )
-@pytest.mark.parametrize("analysis", [classify, extremality_report, is_extremal, spectral_relabel])
+@pytest.mark.parametrize(
+    "analysis", [classify, extremality_report, is_extremal, spectral_relabel, is_extremal_rank1]
+)
 def test_analyses_raise_what_validate_raises(effects, analysis):
     p = Povm(np.array(effects, dtype=complex))
     with pytest.raises(PovmForgeError) as want:
