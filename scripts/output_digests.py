@@ -4,8 +4,8 @@
 The ``classify_wide`` and ``decompose_deep`` corpora of
 ``perfbench/workloads.py`` are built at ``--seed`` (default 1104).  For
 every input POVM the records are its ``classify`` fields (margin bytes
-included), its ``spectral_relabel`` effects and map, its
-``is_extremal_rank1`` verdict, and the ``violations`` and
+included), its ``spectral_relabel`` and ``extremal_to_rank1`` effects and
+maps, its ``is_extremal_rank1`` verdict, and the ``violations`` and
 ``is_extremal_rank1`` of two spoiled copies: effect 0 scaled by 1.5, and the
 last effect's top-right entry moved by 1e-6 off Hermitian.  For every
 ``decompose_deep`` input they are also its ``decompose`` weights, effects
@@ -13,10 +13,11 @@ and maps, the ``verify_certificate`` report of that certificate, of a copy
 with component 0 scaled by 1.5 and of a copy whose component 0 has its first
 two effects merged and is then scaled by 1.5 (rank 2 and off I), and the
 ``statistics_equivalence`` deviations over 20 states.  Last come the
-``classify``, ``spectral_relabel``, ``is_extremal_rank1`` and ``decompose``
-records of a copy with zero effects inserted before the first, the middle
-and past the last effect.  A domain error is recorded by
-its type and message.  Each line reads ``<sha256>  <corpus>/<label>: <record>``.
+``classify``, ``spectral_relabel``, ``extremal_to_rank1``,
+``is_extremal_rank1`` and ``decompose`` records of a copy with zero effects
+inserted before the first, the middle and past the last effect.  A domain
+error is recorded by its type and message.  Each line reads
+``<sha256>  <corpus>/<label>: <record>``.
 ``--tol-scale X`` runs every call under ``DEFAULT_TOL.scaled(X)``; the inputs
 do not change.
 
@@ -55,6 +56,7 @@ from povm_forge import (  # noqa: E402
     RelabelMap,
     classify,
     decompose,
+    extremal_to_rank1,
     is_extremal_rank1,
     spectral_relabel,
     statistics_equivalence,
@@ -110,12 +112,13 @@ def classified(p: Povm, tol):
             report.extremal, report.borderline, report.margin, report.operator_count)
 
 
-def relabeled(p: Povm, tol):
-    result = outcome(spectral_relabel, p, tol)
+def relabeled(f, p: Povm, tol):
+    """The rank-1 effects and map of ``f`` (``spectral_relabel`` or ``extremal_to_rank1``)."""
+    result = outcome(f, p, tol)
     if isinstance(result, tuple):
         return result
-    rank1, f = result
-    return rank1.effects, f.targets, f.target_size
+    rank1, rmap = result
+    return rank1.effects, rmap.targets, rmap.target_size
 
 
 def worded(p: Povm, tol):
@@ -163,7 +166,8 @@ def certificate_records(p: Povm, tol):
 def records(corpus: str, p: Povm, tol):
     """(record, parts) of every output record of one input; parts is a tuple or a list."""
     yield "classify", classified(p, tol)
-    yield "spectral_relabel", relabeled(p, tol)
+    yield "spectral_relabel", relabeled(spectral_relabel, p, tol)
+    yield "extremal_to_rank1", relabeled(extremal_to_rank1, p, tol)
     yield "is_extremal_rank1", (outcome(is_extremal_rank1, p, tol),)
     for name, copy in zip(("scaled", "skewed"), spoiled(p)):
         yield f"violations {name}", worded(copy, tol)
@@ -172,7 +176,8 @@ def records(corpus: str, p: Povm, tol):
         yield from certificate_records(p, tol)
     zeros = padded(p)
     yield "classify padded", classified(zeros, tol)
-    yield "spectral_relabel padded", relabeled(zeros, tol)
+    yield "spectral_relabel padded", relabeled(spectral_relabel, zeros, tol)
+    yield "extremal_to_rank1 padded", relabeled(extremal_to_rank1, zeros, tol)
     yield "is_extremal_rank1 padded", (outcome(is_extremal_rank1, zeros, tol),)
     yield "decompose padded", decomposed(zeros, tol)[1]
 

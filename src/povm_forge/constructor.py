@@ -18,7 +18,6 @@ from .errors import (
     InternalContradictionError,
     NotExtremalRank1Error,
     NotPositiveDefiniteError,
-    NotRank1Error,
     OutOfRangeError,
     SingularSumError,
 )
@@ -30,7 +29,7 @@ from .linalg import (
     normalize_sum,
     rank_of,
 )
-from .povm import Povm, prune_zero_effects
+from .povm import Povm, _spectrum
 
 __all__ = [
     "onb_pvm",
@@ -71,32 +70,28 @@ def extend_extremal(
 ) -> Povm:
     """Extend an extremal rank-1 POVM by one outcome, preserving extremality.
 
+    Raises what ``povm._spectrum`` raises, and ``NotExtremalRank1Error`` unless extremal rank-1.
     Finds a rank-1 projection P outside the real span of the effects (the
     first of the projections (s + s^2)/2, s in :func:`hermitian_basis`,
     unless ``projection`` overrides the choice), sets T = sum_j A(j) + P
-    (I + P up to the input's normalization residual), and returns
+    (I + P up to the input's normalization residual), and returns every
+    outcome in place, zero and rank-0 ones too, and the new one last:
 
         effects -> T^{-1/2} A(j) T^{-1/2},  new outcome T^{-1/2} P T^{-1/2}.
     """
-    try:
-        extremal = is_extremal_rank1(p, tol)
-    except NotRank1Error as exc:
-        raise NotExtremalRank1Error(str(exc)) from None
-    if not extremal:
+    hermitian, ranks, plain, _ = _spectrum(p, tol)
+    if ranks.max() > 1 or not pair_independence(hermitian, ranks, plain, tol).extremal:
         raise NotExtremalRank1Error("input must be an extremal rank-1 POVM")
-    effects = prune_zero_effects(p, tol)[0].effects
     d = p.dim
-    n = effects.shape[0]
-    if n >= d * d:
+    if np.count_nonzero(ranks) >= d * d:
         raise AlreadyMaximalError(
             f"an extremal rank-1 POVM on dimension {d} has at most {d * d} outcomes"
         )
-
-    ones = np.ones(n + 1, dtype=np.intp)  # plain rank 1: unit-normalized, as in is_extremal_rank1
+    ranks, plain = np.append(ranks, 1), np.append(plain, True)
 
     def outside_span(candidate: np.ndarray) -> bool:
-        stack = np.concatenate([effects, candidate[None]])
-        return bool(pair_independence(stack, ones, ones == 1, tol).extremal)
+        stack = np.concatenate([hermitian, candidate[None]])
+        return bool(pair_independence(stack, ranks, plain, tol).extremal)
 
     if projection is not None:
         proj = np.asarray(projection, dtype=np.complex128)
@@ -114,7 +109,7 @@ def extend_extremal(
             raise InternalContradictionError(
                 "no basis direction found outside the effect span (tolerance inconsistency)"
             )
-    return _normalize_extremal(np.concatenate([effects, proj[None]]), tol)
+    return _normalize_extremal(np.concatenate([p.effects, proj[None]]), tol)
 
 
 def construct_extremal_rank1(d: int, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> Povm:

@@ -270,9 +270,8 @@ def _normalized_terms(
 def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCertificate:
     """Decompose a valid POVM into relabeled extremal rank-1 components.
 
-    One validator pass (``povm._spectrum``) checks the input (an invalid one
-    raises what :func:`validate` raises) and gives the Hermitian parts of its
-    nonzero effects and their :func:`linalg.effect_ranks`, read from
+    One validator pass (``povm._spectrum``, which raises what it refuses) gives the
+    Hermitian parts of the effects and their :func:`linalg.effect_ranks`, read from
     ``povm._eigenvalues`` (certified stand-ins for the rank-1 effects the bound
     settles).  The nonzero effects are expanded once into rank-1 spectral terms
     (:func:`_spectral_terms`: eigenvectors only for effects of rank >= 2).  The
@@ -291,9 +290,8 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
     or the certificate's reconstruction, built once and read again by
     :func:`verify_certificate`, is off the input by more than recon_tol.
     """
-    keep, hermitian, ranks, plain, _ = _spectrum(p, tol)
+    hermitian, ranks, plain, _ = _spectrum(p, tol)
     terms, sources = _normalized_terms(hermitian, ranks, plain, tol)
-    targets = keep[sources]
     dim = p.dim
     columns = hermitian_coords(terms).T
     norms = np.linalg.norm(columns, axis=0)
@@ -325,7 +323,7 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
             CertificateComponent(
                 weight=remaining * t,
                 extremal=Povm(terms[vertex_support] * coefficients[:, None, None]),
-                relabel=RelabelMap(vertex_support.size, p.n_outcomes, targets[vertex_support]),
+                relabel=RelabelMap(vertex_support.size, p.n_outcomes, sources[vertex_support]),
             )
         )
         if t == 1.0:

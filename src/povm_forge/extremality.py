@@ -48,7 +48,7 @@ from .linalg import (
     unit_hermitian_basis,
 )
 from .povm import (
-    Povm, RelabelMap, _checked, _effect_norms, _is_projection, _spectral_terms, _spectrum
+    _NO_RANK, Povm, RelabelMap, _checked, _effect_norms, _is_projection, _spectral_terms, _spectrum
 )
 
 __all__ = [
@@ -156,7 +156,7 @@ def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:
     valued, "c" every effect projection or rank-1, "d" extremal but none of these,
     else ``NOT_EXTREMAL``; a rank-1 basis PVM reports "a" with ``is_pvm`` still set.
     """
-    _, effects, ranks, plain, w = _spectrum(p, tol)
+    effects, ranks, plain, w = _spectrum(p, tol)
     report = pair_independence(effects, ranks, plain, tol)
     projection, ranks = _is_projection(w, tol)[ranks > 0], ranks[ranks > 0]
     rank1 = bool(np.all(ranks == 1))
@@ -188,12 +188,12 @@ def is_extremal(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 def extremal_to_rank1(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Povm, RelabelMap]:
     """Write an extremal POVM as a relabeling of an extremal rank-1 POVM.
 
-    The input must be a valid POVM (else its first :func:`violations` is
-    raised); one ``povm._spectrum`` pass checks it and gives the verdict and the
-    expansion.  That expansion of an extremal input is extremal; a failure on the
-    output (only through tolerance inconsistency) raises ``InternalContradictionError``.
+    One ``povm._spectrum`` pass checks the input (raising what it raises) and gives
+    the verdict and the expansion, mapped onto the outcomes of ``p`` as by
+    ``povm.spectral_relabel``.  That expansion of an extremal input is extremal; a failure
+    on the output (only through tolerance inconsistency) raises ``InternalContradictionError``.
     """
-    keep, effects, ranks, plain, _ = _spectrum(p, tol)
+    effects, ranks, plain, _ = _spectrum(p, tol)
     if not pair_independence(effects, ranks, plain, tol).extremal:
         raise NotExtremalError("input POVM is not extremal")
     sources, psi = _spectral_terms(effects, ranks, plain, tol)
@@ -203,7 +203,7 @@ def extremal_to_rank1(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Povm
             "spectral expansion of an extremal POVM failed the rank-1 "
             "extremality test (tolerance inconsistency)"
         )
-    return rank1, RelabelMap(sources.size, keep.size, sources)
+    return rank1, RelabelMap(sources.size, p.n_outcomes, sources)
 
 
 def is_extremal_rank1(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -262,7 +262,7 @@ def rank1_failures(
     failures = [found[0] if found else None for found in povm_failures]
     for i in [i for i, failure in enumerate(failures) if failure is None and top[i] != 1]:
         if top[i] == 0:
-            failures[i] = AllZeroError("no effect has an eigenvalue above the rank cutoff")
+            failures[i] = AllZeroError(_NO_RANK)
         else:
             part = ranks[starts[i]:starts[i] + sizes[i]]
             j = int(np.argmax(part > 1))

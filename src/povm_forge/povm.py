@@ -53,6 +53,8 @@ __all__ = [
     "equivalent",
 ]
 
+_NO_RANK = "no effect has an eigenvalue above the rank cutoff"  # AllZeroError's text
+
 
 @dataclass(frozen=True)
 class Povm:
@@ -329,12 +331,12 @@ def prune_zero_effects(
     norms, nonzero = _effect_norms(p.effects, tol)
     if not np.isfinite(norms).all():  # NaN or Inf shows in its norm
         raise violations(p, tol)[0]
-    keep = np.flatnonzero(nonzero)
-    if keep.size == p.n_outcomes:
+    kept = np.flatnonzero(nonzero)
+    if kept.size == p.n_outcomes:
         return p, RelabelMap.identity(p.n_outcomes)  # nothing to drop: no copy
-    if keep.size == 0:
+    if kept.size == 0:
         raise AllZeroError("every effect is numerically zero")
-    return Povm(p.effects[keep]), RelabelMap(keep.size, p.n_outcomes, keep)
+    return Povm(p.effects[kept]), RelabelMap(kept.size, p.n_outcomes, kept)
 
 
 def _effect_norms(effects: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -383,37 +385,38 @@ def spectral_relabel(
 ) -> tuple[Povm, RelabelMap]:
     """Rewrite a valid POVM as a relabeling of a rank-1 POVM.
 
-    An invalid ``p`` raises what :func:`validate` raises.  Each nonzero effect
-    is expanded into its spectral terms ``lambda_k |v_k><v_k|`` (eigenvalues
-    above the rank cutoff), emitted in row-major (outcome, term) order.  The
-    returned map sends each spectral term to the outcome it came from, in the
-    zero-pruned indexing, so ``relabel(rank1, map)`` reproduces the pruned
-    POVM.  The rank-1 POVM has at most N*d outcomes.
+    ``p`` raises what :func:`_spectrum` raises.  Each effect is expanded into its spectral
+    terms ``lambda_k |v_k><v_k|`` (eigenvalues above the rank cutoff), emitted in row-major
+    (outcome, term) order.  The returned map sends each term to the outcome of ``p`` it came
+    from, so ``relabel(rank1, map)`` reproduces ``p``, its zero and rank-0 effects as empty
+    preimages.  The rank-1 POVM has at most N*d outcomes.
     """
-    keep, effects, ranks, plain, _ = _spectrum(p, tol)
+    effects, ranks, plain, _ = _spectrum(p, tol)
     sources, psi = _spectral_terms(effects, ranks, plain, tol)
     pieces = psi[:, :, None] * psi.conj()[:, None, :]
-    return Povm(pieces), RelabelMap(sources.size, keep.size, sources)
+    return Povm(pieces), RelabelMap(sources.size, p.n_outcomes, sources)
 
 
 def _spectrum(
     p: Povm, tol: ToleranceConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every analysis' front end: the validator's pass of ``p``, read at its nonzero effects.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every analysis' front end: the validator's pass of ``p``, and which effects count.
 
-    One :func:`_checked` pass raises the first :func:`violations` entry of an
-    invalid ``p``, so an all-zero stack raises ``NotNormalizedError``.  Returns
-    the indices of the nonzero effects (:func:`_effect_norms`), their Hermitian
-    parts, their (ranks, plain) of :func:`linalg.effect_ranks` and their rows of
-    that pass's eigenvalues ``w``, which :func:`_is_projection` reads.
+    One :func:`_checked` pass raises the first :func:`violations` entry of an invalid
+    ``p`` (an all-zero stack: ``NotNormalizedError``), else ``AllZeroError`` if no rank
+    is above 0.  Returns, for every outcome, the Hermitian part, its (ranks, plain) of
+    :func:`linalg.effect_ranks` (rank 0 for a zero effect, :func:`_effect_norms`) and
+    its row of the pass's eigenvalues ``w``, which :func:`_is_projection` reads.
     """
     (found,), hermitian, w = _checked(p.effects, (p.n_outcomes,), tol)
     if found:
         raise found[0]
-    keep = np.flatnonzero(_effect_norms(p.effects, tol)[1])
-    if keep.size < p.n_outcomes:
-        hermitian, w = hermitian[keep], w[keep]
-    return keep, hermitian, *effect_ranks(w, tol), w
+    nonzero = _effect_norms(p.effects, tol)[1]
+    ranks, plain = effect_ranks(w, tol)
+    ranks, plain = ranks * nonzero, plain & nonzero
+    if not ranks.any():
+        raise AllZeroError(_NO_RANK)
+    return hermitian, ranks, plain, w
 
 
 def _is_projection(w: np.ndarray, tol: ToleranceConfig) -> np.ndarray:

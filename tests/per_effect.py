@@ -101,10 +101,11 @@ def classify(p, tol=DEFAULT_TOL):
 
 
 def spectral_relabel(p, tol=DEFAULT_TOL):
-    """(rank-1 effects, source outcome of each) in (outcome, term) order."""
-    pruned, _ = prune_zero_effects(p, tol)
+    """(rank-1 effects, source outcome of each) in (outcome, term) order; a zero effect has none."""
     pieces, sources = [], []
-    for j, e in enumerate(pruned.effects):
+    for j, e in enumerate(p.effects):
+        if np.linalg.norm(e) <= tol.zero_effect_tol:
+            continue
         dec = eig_herm(e, tol)
         cutoff = tol.rank_tol * max(1.0, float(np.abs(dec.eigenvalues).max()))
         for k in range(dec.eigenvalues.shape[-1]):

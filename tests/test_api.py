@@ -226,6 +226,18 @@ def test_one_zero_effect_rule():
     assert not stray, stray
 
 
+def test_only_equivalent_prunes():
+    """``prune_zero_effects`` is called in ``src`` by ``povm.equivalent`` alone.
+
+    Every analysis and ``extend_extremal`` read a zero effect as rank 0 in
+    ``povm._spectrum`` and keep its outcome in place, so none of them decides a
+    second way which effects count.
+    """
+    callers = [(places, where) for places, name, where in _calls() if name == "prune_zero_effects"]
+    stray = [where for places, where in callers if "povm.py:equivalent" not in places]
+    assert callers and not stray, stray
+
+
 def _defined_names(top):
     """Names a module-level statement binds: a def's or class's name, or an assignment's targets."""
     if isinstance(top, (ast.FunctionDef, ast.ClassDef)):

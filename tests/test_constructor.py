@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import EYE2, SX, SZ, sigma_x_pvm
+from conftest import EYE2, SX, SZ, qubit3_with_rank0_outcome, sigma_x_pvm
 from rational_rank import exact_independent
 from split_tree import linearly_independent
 from povm_forge import (
@@ -145,6 +145,27 @@ class TestExtendExtremal:
         extended = extend_extremal(p)
         assert extended.n_outcomes == 4
         assert classify(extended).extremal_type == "a"
+
+    @pytest.mark.parametrize(
+        "case, j", [("rank0", 3), ("rank0_beside_pvm", 2), ("zero", 0), ("zero", 1), ("zero", 2)]
+    )
+    def test_keeps_zero_and_rank0_outcomes_in_place(self, case, j):
+        # outcome j's effect has no eigenvalue above the rank cutoff: norm 5e-10, or 0
+        if case == "rank0":
+            p = qubit3_with_rank0_outcome()
+        elif case == "rank0_beside_pvm":
+            small = 5e-10 * np.diag([1.0, 0.0])
+            p = Povm(np.stack([np.diag([1.0, 0.0]) - small, np.diag([0.0, 1.0]), small]))
+        else:
+            p = Povm(np.insert(sigma_x_pvm().effects, j, 0.0, axis=0))
+        assert is_extremal_rank1(p)
+        extended = extend_extremal(p)
+        assert extended.n_outcomes == p.n_outcomes + 1
+        validate(extended)
+        assert is_extremal_rank1(extended)
+        assert [rank_of(e) for e in extended.effects] == [rank_of(e) for e in p.effects] + [1]
+        norm, was = np.linalg.norm(extended.effects[j]), np.linalg.norm(p.effects[j])
+        assert 0.5 * was <= norm <= was  # T^{-1/2} E T^{-1/2}, T = I + P
 
     def test_preserves_extremality_and_increments_count(self):
         checked = 0

@@ -28,6 +28,7 @@ from povm_forge import (
     RelabelMap,
     classify,
     decompose,
+    extend_extremal,
     extremal_to_rank1,
     extremality_report,
     is_extremal,
@@ -151,11 +152,20 @@ class TestIsExtremalRank1:
             is_extremal_rank1(Povm(effects))
 
     def test_all_effects_below_the_rank_cutoff(self):
-        # a valid POVM, {I/2, I/2}, whose eigenvalues 0.5 all fall below a raised cutoff 0.6
+        # a valid POVM, {I/2, I/2}, whose eigenvalues 0.5 all fall below a raised cutoff 0.6:
+        # every reader of it gives rank1_failures' one answer
         tol = dataclasses.replace(DEFAULT_TOL, rank_tol=0.6)
         assert violations(uniform_pair(), tol) == []
-        with pytest.raises(AllZeroError):
-            is_extremal_rank1(uniform_pair(), tol)
+        want = rank1_failures(uniform_pair().effects, [2], tol)[0]
+        assert isinstance(want, AllZeroError)
+        readers = (
+            classify, spectral_relabel, extremal_to_rank1, decompose, is_extremal_rank1,
+            extend_extremal,
+        )
+        for reader in readers:
+            with pytest.raises(AllZeroError) as info:
+                reader(uniform_pair(), tol)
+            assert str(info.value) == str(want), reader.__name__
 
     def test_band_verdict_agrees_across_entry_points(self):
         # {P0/2, Ppsi/2, I - P0/2 - Ppsi/2}, psi 2e-9 off |0>: a valid rank-1 POVM whose first

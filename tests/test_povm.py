@@ -310,6 +310,17 @@ class TestSpectralRelabel:
             )
 
 
+    @pytest.mark.parametrize("reader", [spectral_relabel, extremal_to_rank1])
+    @pytest.mark.parametrize("at", [0, 2, 3])  # a zero outcome at the front, middle and end
+    def test_maps_onto_the_outcomes_of_the_input(self, type_d, reader, at):
+        p = Povm(np.insert(type_d.effects, at, 0.0, axis=0))
+        rank1, rmap = reader(p)
+        assert rmap.target_size == p.n_outcomes
+        assert at not in rmap.targets  # the zero outcome: an empty preimage
+        rebuilt = relabel(rank1, rmap).effects
+        assert np.linalg.norm(rebuilt - p.effects, axis=(1, 2)).max() <= DEFAULT_TOL.recon_tol
+
+
 class TestClassify:
     def test_basis_pvm_is_type_a(self):
         result = classify(onb_pvm(2))

@@ -108,14 +108,15 @@ def test_classify_and_report_match_per_effect_reference(p):
 @settings(max_examples=60, deadline=None)
 def test_spectral_form_and_relabel_match_per_effect_reference(p):
     # the term vectors psi, whose phase convention decompose's congruence consumes
-    keep, effects, ranks, plain, _ = _spectrum(p, DEFAULT_TOL)
+    effects, ranks, plain, _ = _spectrum(p, DEFAULT_TOL)
     j, psi = _spectral_terms(effects, ranks, plain, DEFAULT_TOL)
     blocks = per_effect.spectral_blocks(p)
-    counts = np.bincount(keep[j], minlength=p.n_outcomes)
+    counts = np.bincount(j, minlength=p.n_outcomes)
     assert counts.tolist() == [b.shape[0] for b in blocks]
     np.testing.assert_allclose(psi, np.concatenate(blocks), rtol=0, atol=1e-12)
     rank1, rmap = spectral_relabel(p)
     pieces, sources = per_effect.spectral_relabel(p)
+    assert rmap.target_size == p.n_outcomes
     assert np.array_equal(rmap.targets, sources)
     np.testing.assert_allclose(rank1.effects, pieces, rtol=0, atol=1e-12)
 
@@ -185,7 +186,7 @@ def test_eigh_only_for_rank_two_and_up_and_one_real_svd(monkeypatch):
 
 @pytest.mark.parametrize("analysis", [classify, extremality_report, spectral_relabel])
 def test_each_analysis_takes_one_eigvalsh_of_the_whole_stack(monkeypatch, analysis):
-    # the validator's pass: the zero effects are dropped after it, not before
+    # the validator's pass over every effect: zero effects are read as rank 0, not dropped
     p = make_povm("hybrid", 4, 0, 2)  # four nonzero effects, two zero ones
     calls = record_eigensolvers(monkeypatch)
     analysis(p)
@@ -209,14 +210,13 @@ def record_rank_counts(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["full", "rank1_square", "block_pvm", "type_d", "hybrid"])
 def test_classify_counts_ranks_once_from_one_eigvalsh(monkeypatch, kind):
-    # one eigvalsh of the whole stack; ranks are counted for the nonzero effects only
+    # one eigvalsh of the whole stack, and its ranks counted once, zero effects included
     p = make_povm(kind, 4, 1, 2)
-    nonzero = (p.n_outcomes - 2, p.dim)
     solved = record_eigensolvers(monkeypatch)
     counted = record_rank_counts(monkeypatch)
     classify(p)
     assert [a.shape[:-1] for name, a in solved if name == "eigvalsh"] == [(p.n_outcomes, p.dim)]
-    assert counted == [nonzero]
+    assert counted == [(p.n_outcomes, p.dim)]
 
 
 def test_extremal_to_rank1_counts_the_input_ranks_once(monkeypatch, type_d):
