@@ -16,14 +16,16 @@ need eigenvectors.  One spectral pass of the Hermitian parts
 (0, ..., 0, lam), which give it the verdicts its eigenvalues would, and
 one ``eigvalsh`` takes the rest.  The verifier's independence test
 (:func:`rank1_failures`) likewise settles most sets with a Cholesky bound
-(``linalg.settled_independent``) and takes the SVD only for the rest;
-``pair_independence`` always takes it, because it reports the margin;
-``classify`` reads the taxonomy off it, and ``extremal_to_rank1`` the rank-1 form.
+(``linalg.settled_independent``) and takes the SVD only for the rest, and
+so does ``pair_independence``: its report takes the margin's SVD on first
+read where the bound settled the verdict; ``classify`` reads the taxonomy
+off it, and ``extremal_to_rank1`` the rank-1 form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,13 +77,20 @@ class ExtremalityReport:
     stacked unit pair operators, taken in real Hermitian coordinates
     (the same singular values), and 0.0 when there are more than d^2 of
     them (``operator_count``); ``borderline`` flags verdicts decided
-    within a factor of the independence cutoff.
+    within a factor of the independence cutoff.  Where a Cholesky bound
+    proved the verdict, the report holds the rows it judged (not copied,
+    and not compared: equal verdicts make equal reports), and the margin's
+    SVD runs on the first read of ``margin``.
     """
 
     extremal: bool
     borderline: bool
-    margin: float
     operator_count: int
+    _rows: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def margin(self) -> float:
+        return 0.0 if self._rows is None else float(independence_margin(self._rows))
 
 
 @dataclass(frozen=True)
@@ -108,21 +117,24 @@ def pair_independence(
     without an SVD.  Otherwise they enter as real rows: a ``plain`` rank-1 effect
     as hermitian_coords(E) / |E|_F, and any other effect of rank r as
     hermitian_coords(V B V^H) for its top r eigenvectors V and each B of
-    ``unit_hermitian_basis(r)``, an isometric image of its pair operators.  One
-    batched ``eigh`` over those other effects and one real SVD of at most
-    d^2 x d^2, singular values only, give the margin.  ``effects`` must be
-    Hermitian (``require_hermitian``): the solvers read one triangle each.
+    ``unit_hermitian_basis(r)``, an isometric image of its pair operators, after one
+    batched ``eigh`` over those other effects.  A Cholesky bound
+    (:func:`linalg.settled_independent`) on those at most d^2 x d^2 rows proves
+    most independent sets extremal and not borderline, as ``banded_verdict`` of
+    their margin would (the bound's docstring shows why); the report then takes
+    the margin's SVD only when ``margin`` is read.  The sets it leaves open take
+    one real SVD, singular values only, at once.  ``effects`` must be Hermitian (``require_hermitian``): the
+    solvers read one triangle each.
     """
     d = effects.shape[-1]
     count = int(ranks @ ranks)
     if count == 0:
         raise EmptyInputError("independence test requires at least one operator")
     if count > d * d:
-        return ExtremalityReport(False, False, 0.0, count)
-    rows = hermitian_coords(effects)  # the plain effects' rows first, the pair operators' after
+        return ExtremalityReport(False, False, count)
     n_plain = np.count_nonzero(plain)
-    if n_plain < len(rows):
-        rows = rows[plain]
+    # the plain effects' rows first, the pair operators' after
+    rows = hermitian_coords(effects if n_plain == len(effects) else effects[plain])
     if n_plain < count:
         spread = ~plain & (ranks > 0)
         vectors, spread_ranks = np.linalg.eigh(effects[spread])[1], ranks[spread]
@@ -139,8 +151,12 @@ def pair_independence(
             start = stop
         rows = np.concatenate([rows, hermitian_coords(ops)])
     rows[:n_plain] /= np.linalg.norm(rows[:n_plain], axis=1, keepdims=True)
+    if settled_independent(rows, tol):
+        return ExtremalityReport(True, False, count, rows)
     margin = float(independence_margin(rows))
-    return ExtremalityReport(*banded_verdict(margin, tol), margin, count)
+    report = ExtremalityReport(*banded_verdict(margin, tol), count)
+    vars(report)["margin"] = margin  # where cached_property keeps it: no second SVD on read
+    return report
 
 
 def classify(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> PovmClass:

@@ -14,13 +14,14 @@ they became one relabeling of the joint POVM.  The batched code is
 checked against these.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from split_tree import find_effect_dependence, linearly_independent
 from povm_forge import (
     DEFAULT_TOL,
     NOT_EXTREMAL,
-    ExtremalityReport,
     PovmClass,
     eig_herm,
     outcome_probabilities,
@@ -69,13 +70,23 @@ def outer_pair_operators(blocks):
     ]
 
 
+@dataclass(frozen=True)
+class Report:
+    """The fields of ``ExtremalityReport``, its margin taken at once and kept as a field."""
+
+    extremal: bool
+    borderline: bool
+    margin: float
+    operator_count: int
+
+
 def extremality_report(p, tol=DEFAULT_TOL):
     """Scale-free full-SVD independence test of the public pair operators."""
     pruned, _ = prune_zero_effects(p, tol)
     ops = outer_pair_operators(spectral_blocks(pruned, tol))
     result = linearly_independent([op / np.linalg.norm(op) for op in ops], tol)
     extremal, borderline = banded_verdict(result.margin, tol)
-    return ExtremalityReport(extremal, borderline, result.margin, len(ops))
+    return Report(extremal, borderline, result.margin, len(ops))
 
 
 def classify(p, tol=DEFAULT_TOL):

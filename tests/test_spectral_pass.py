@@ -19,6 +19,7 @@ from povm_forge import (
     classify,
     construct_extremal_rank1,
     eig_herm,
+    extend_extremal,
     extremality_report,
     is_extremal,
     is_extremal_rank1,
@@ -30,9 +31,14 @@ from povm_forge import (
     violations,
 )
 from povm_forge.cli import main
-from povm_forge.errors import NotHermitianError, NotNormalizedError, PovmForgeError
+from povm_forge.errors import (
+    AlreadyMaximalError,
+    NotHermitianError,
+    NotNormalizedError,
+    PovmForgeError,
+)
 from povm_forge.extremality import extremal_to_rank1
-from povm_forge.linalg import _fix_phases
+from povm_forge.linalg import _fix_phases, banded_verdict
 from povm_forge.povm import _spectral_terms, _spectrum
 
 KINDS = ("full", "rank1_square", "rank1_below", "low_rank", "block_pvm", "type_d", "hybrid")
@@ -180,8 +186,61 @@ def test_eigh_only_for_rank_two_and_up_and_one_real_svd(monkeypatch):
     for p, eigh_calls, svd_dtypes in cases:
         for analysis in (classify, extremality_report):
             calls["eigh"], calls["svd"] = 0, []
-            analysis(p)
+            result = analysis(p)
+            assert (calls["eigh"], calls["svd"]) == (eigh_calls, [])  # the verdict is settled
+            getattr(result, "extremality", result).margin
             assert (calls["eigh"], calls["svd"]) == (eigh_calls, svd_dtypes)
+
+
+def band_example():
+    """{P0/2, Ppsi/2, I - P0/2 - Ppsi/2}, psi 2e-9 off |0>: margin 1.4e-9, inside the band."""
+    theta = 2e-9
+    psi = np.array([np.cos(theta), np.sin(theta)])
+    a, b = np.diag([0.5, 0.0]), 0.5 * np.outer(psi, psi)
+    return Povm(np.stack([a, b, np.eye(2) - a - b]).astype(complex))
+
+
+def test_settled_verdicts_take_no_svd_until_the_margin_is_read(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    square, type_d = random_povm(4, 16, seed=5, rank=1), type_d_example()
+    for p in (square, type_d):
+        report = classify(p).extremality
+        extremal_to_rank1(p)
+        assert (report.extremal, report.borderline, shapes) == (True, False, [])
+        margin = report.margin
+        assert shapes == [(report.operator_count, 16)]
+        assert report.margin == margin and len(shapes) == 1
+        shapes.clear()
+    with pytest.raises(AlreadyMaximalError):  # its verdict is settled before the count check
+        extend_extremal(square)
+    assert extend_extremal(random_povm(4, 12, seed=5, rank=1)).n_outcomes == 13
+    assert shapes == []
+    # equal verdicts make equal reports, whatever their margins and whether they were read
+    read, unread = classify(square).extremality, classify(random_povm(4, 16, seed=6, rank=1))
+    read.margin
+    assert read == unread.extremality and hash(read) == hash(unread.extremality)
+    assert read != classify(type_d).extremality  # 12 operators, not 16
+    # a verdict the bound does not settle takes its one SVD at once, and keeps its margin
+    shapes.clear()
+    report = classify(band_example()).extremality
+    assert (report.extremal, report.borderline, shapes) == (False, True, [(3, 4)])
+    assert banded_verdict(report.margin, DEFAULT_TOL) == (False, True) and len(shapes) == 1
+
+
+@given(povm_cases, st.sampled_from((0.1, 1.0, 10.0)))
+@settings(max_examples=150, deadline=None)
+def test_every_verdict_is_the_banded_verdict_of_its_margin(p, scale):
+    # whether the Cholesky bound settled it or the SVD did, under scaled tolerances
+    tol = DEFAULT_TOL.scaled(scale)
+    report = classify(p, tol).extremality
+    assert (report.extremal, report.borderline) == banded_verdict(report.margin, tol)
 
 
 @pytest.mark.parametrize("analysis", [classify, extremality_report, spectral_relabel])
