@@ -9,15 +9,17 @@ maps, its ``is_extremal_rank1`` verdict, and the ``violations`` and
 ``is_extremal_rank1`` of two spoiled copies: effect 0 scaled by 1.5, and the
 last effect's top-right entry moved by 1e-6 off Hermitian.  For every
 ``decompose_deep`` input they are also its ``decompose`` weights, effects
-and maps, the ``verify_certificate`` report of that certificate, of a copy
-with component 0 scaled by 1.5 and of a copy whose component 0 has its first
-two effects merged and is then scaled by 1.5 (rank 2 and off I), and the
-``statistics_equivalence`` deviations over 20 states.  Last come the
+and maps, its ``decompose peel`` (the component count, weights and maps
+without the effect bytes, which a change to the effects' rounding alone
+leaves as they are), the ``verify_certificate`` report of that certificate,
+of a copy with component 0 scaled by 1.5 and of a copy whose component 0 has
+its first two effects merged and is then scaled by 1.5 (rank 2 and off I),
+and the ``statistics_equivalence`` deviations over 20 states.  Last come the
 ``classify``, ``spectral_relabel``, ``extremal_to_rank1``,
-``is_extremal_rank1`` and ``decompose`` records of a copy with zero effects
-inserted before the first, the middle and past the last effect.  A domain
-error is recorded by its type and message.  Each line reads
-``<sha256>  <corpus>/<label>: <record>``.
+``is_extremal_rank1``, ``decompose`` and ``decompose peel`` records of a copy
+with zero effects inserted before the first, the middle and past the last
+effect.  A domain error is recorded by its type and message.  Each line
+reads ``<sha256>  <corpus>/<label>: <record>``.
 ``--tol-scale X`` runs every call under ``DEFAULT_TOL.scaled(X)``; the inputs
 do not change.
 
@@ -132,20 +134,26 @@ def reported(cert: DecompositionCertificate, tol):
 
 
 def decomposed(p: Povm, tol):
-    """``decompose``'s certificate and its parts: weights, effects and maps; or its domain error."""
+    """``decompose``'s certificate, its parts and its peel; or None and its domain error, twice.
+
+    The parts are the weights, effects and maps; the peel is the component
+    count, the weights and the maps.
+    """
     cert = outcome(decompose, p, tol)
     if isinstance(cert, tuple):
-        return None, cert
-    parts = []
+        return None, cert, cert
+    parts, peel = [], [len(cert.components)]
     for comp in cert.components:
         parts += [comp.weight, comp.extremal.effects, comp.relabel.targets]
-    return cert, parts
+        peel += [comp.weight, comp.relabel.targets]
+    return cert, parts, peel
 
 
 def certificate_records(p: Povm, tol):
     """(record, parts) of ``decompose`` and what reads its certificate."""
-    cert, parts = decomposed(p, tol)
+    cert, parts, peel = decomposed(p, tol)
     yield "decompose", parts
+    yield "decompose peel", peel
     if cert is None:
         return
     yield "verify_certificate", reported(cert, tol)
@@ -179,7 +187,9 @@ def records(corpus: str, p: Povm, tol):
     yield "spectral_relabel padded", relabeled(spectral_relabel, zeros, tol)
     yield "extremal_to_rank1 padded", relabeled(extremal_to_rank1, zeros, tol)
     yield "is_extremal_rank1 padded", (outcome(is_extremal_rank1, zeros, tol),)
-    yield "decompose padded", decomposed(zeros, tol)[1]
+    _, parts, peel = decomposed(zeros, tol)
+    yield "decompose padded", parts
+    yield "decompose peel padded", peel
 
 
 def main():

@@ -39,6 +39,7 @@ from .povm import (
     Povm,
     RelabelMap,
     _json_numbers,
+    _outer,
     _spectral_terms,
     _spectrum,
 )
@@ -101,44 +102,33 @@ class DecompositionCertificate:
     def _component_effects(self) -> np.ndarray:
         """The components' effect stacks, concatenated once and read-only.
 
-        :func:`verify_certificate` judges it, and the reconstruction and the
-        mixed statistics read it through :attr:`_relabeling`.
+        :func:`verify_certificate` judges it and :meth:`reconstruction` mixes it.  A
+        ``decompose`` certificate's is exactly Hermitian (``povm._outer``): no averaging copy.
         """
         effects = np.concatenate([comp.extremal.effects for comp in self.components])
         effects.setflags(write=False)
         return effects
 
-    @cached_property
-    def _relabeling(self) -> np.ndarray:
-        """Weighted relabeling matrix M, (target outcomes x joint outcomes), read-only.
+    def reconstruction(self) -> np.ndarray:
+        """Effect stack of the weighted relabeled mixture (read-only), built once per certificate.
 
-        Joint outcome (i, k) is outcome k of component i, in the order of
-        :attr:`_component_effects`; M[f_i(k), (i, k)] = weight_i, with f_i the
-        component's map.  Target effect j is then sum_(i,k) M[j, (i, k)] E_i[k].
+        Target effect j is sum_(i,k) M[j, (i, k)] E_i[k] over the joint outcomes (i, k) of
+        :attr:`_component_effects`, with M[f_i(k), (i, k)] = weight_i (f_i: component i's
+        map); M is built for this one matmul and dropped.  ``decompose``'s rebuild check,
+        :func:`verify_certificate` and :func:`statistics_equivalence` read the result.
         """
+        return self._reconstruction
+
+    @cached_property
+    def _reconstruction(self) -> np.ndarray:
         sizes = [comp.extremal.n_outcomes for comp in self.components]
         targets = np.concatenate([comp.relabel.targets for comp in self.components])
         m = np.zeros((self.target.n_outcomes, targets.size))
         m[targets, np.arange(targets.size)] = np.repeat(
             [comp.weight for comp in self.components], sizes
         )
-        m.setflags(write=False)
-        return m
-
-    def reconstruction(self) -> np.ndarray:
-        """Effect stack of the weighted relabeled mixture (read-only).
-
-        M (:attr:`_relabeling`) applied to a float view of the component
-        effects, built once per certificate, so that ``decompose``'s rebuild
-        check and :func:`verify_certificate` share it.
-        """
-        return self._reconstruction
-
-    @cached_property
-    def _reconstruction(self) -> np.ndarray:
-        effects = self._component_effects
-        flat = effects.reshape(effects.shape[0], -1).view(np.float64)  # (re, im) pairs
-        out = (self._relabeling @ flat).view(np.complex128).reshape(-1, *effects.shape[1:])
+        flat = self._component_effects.reshape(targets.size, -1).view(np.float64)  # (re, im) pairs
+        out = (m @ flat).view(np.complex128).reshape(self.target.effects.shape)
         out.setflags(write=False)
         return out
 
@@ -258,13 +248,13 @@ def _normalized_terms(
     :func:`_spectral_terms`, from their ``ranks`` and ``plain`` flags
     (:func:`linalg.effect_ranks`).  Those with |psi|^2 at or below
     :func:`_debris_floor` are dropped before S^{-1/2} from :func:`normalizer`,
-    S the sum of the retained terms, is applied to each psi.
+    S the sum of the retained terms, is applied to each psi (``povm._outer``: exactly Hermitian).
     """
     sources, psi = _spectral_terms(effects, ranks, plain, tol)
     kept = np.einsum("ij,ij->i", psi.conj(), psi).real > _debris_floor(effects.shape[-1], tol)
     sources, psi = sources[kept], psi[kept]
     psi = psi @ normalizer(psi.T @ psi.conj(), len(psi), tol).T
-    return psi[:, :, None] * psi.conj()[:, None, :], sources
+    return _outer(psi), sources
 
 
 def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCertificate:
@@ -460,19 +450,19 @@ def statistics_equivalence(
 ) -> StatisticsReport:
     """Compare target statistics against the mixed-relabeled implementation.
 
-    For seeded random states rho, the target's distribution is compared
-    with the mixture's: the components' outcome probabilities tr(rho E_i[k])
-    times the transposed weighted relabeling matrix M (M[f_i(k), (i, k)] =
-    weight_i).  Passes iff the max absolute deviation over all trials is
-    <= recon_tol (vacuously for trials=0); a non-finite entry in the
-    target or a component makes the deviations NaN, which fails.
+    For seeded random states rho, the target's distribution is compared with
+    the mixture's, which is that of its one relabeled sum: the certificate's
+    cached :meth:`~DecompositionCertificate.reconstruction`.  Passes iff the
+    max absolute deviation over all trials is <= recon_tol (vacuously for
+    trials=0); a non-finite entry in the target or a component makes the
+    deviations NaN, which fails.
     """
     if trials < 0:
         raise OutOfRangeError(f"trials must be >= 0, got {trials}")
     rng = np.random.default_rng(seed)
     states = _random_states(trials, cert.target.dim, rng)
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry: NaN, which fails
-        mixed = _probabilities(cert._component_effects, states) @ cert._relabeling.T
+        mixed = _probabilities(cert.reconstruction(), states)
         deviations = np.abs(outcome_probabilities(cert.target, states) - mixed).max(axis=1)
     max_dev = float(deviations.max()) if trials else 0.0
     return StatisticsReport(

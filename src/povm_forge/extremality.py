@@ -50,7 +50,8 @@ from .linalg import (
     unit_hermitian_basis,
 )
 from .povm import (
-    _NO_RANK, Povm, RelabelMap, _checked, _effect_norms, _is_projection, _spectral_terms, _spectrum
+    _NO_RANK, Povm, RelabelMap, _checked, _effect_norms, _is_projection, _outer, _spectral_terms,
+    _spectrum,
 )
 
 __all__ = [
@@ -213,7 +214,7 @@ def extremal_to_rank1(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[Povm
     if not pair_independence(effects, ranks, plain, tol).extremal:
         raise NotExtremalError("input POVM is not extremal")
     sources, psi = _spectral_terms(effects, ranks, plain, tol)
-    rank1 = Povm(psi[:, :, None] * psi.conj()[:, None, :])
+    rank1 = Povm(_outer(psi))
     if not is_extremal_rank1(rank1, tol):
         raise InternalContradictionError(
             "spectral expansion of an extremal POVM failed the rank-1 "

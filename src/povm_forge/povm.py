@@ -386,15 +386,13 @@ def spectral_relabel(
     """Rewrite a valid POVM as a relabeling of a rank-1 POVM.
 
     ``p`` raises what :func:`_spectrum` raises.  Each effect is expanded into its spectral
-    terms ``lambda_k |v_k><v_k|`` (eigenvalues above the rank cutoff), emitted in row-major
-    (outcome, term) order.  The returned map sends each term to the outcome of ``p`` it came
-    from, so ``relabel(rank1, map)`` reproduces ``p``, its zero and rank-0 effects as empty
-    preimages.  The rank-1 POVM has at most N*d outcomes.
+    terms ``lambda_k |v_k><v_k|`` (eigenvalues above the rank cutoff; :func:`_outer`), in
+    row-major (outcome, term) order.  The returned map sends each term to the outcome of ``p``
+    it came from, so ``relabel(rank1, map)`` reproduces ``p``, its zero and rank-0 effects as
+    empty preimages.  The rank-1 POVM has at most N*d outcomes, exactly Hermitian.
     """
-    effects, ranks, plain, _ = _spectrum(p, tol)
-    sources, psi = _spectral_terms(effects, ranks, plain, tol)
-    pieces = psi[:, :, None] * psi.conj()[:, None, :]
-    return Povm(pieces), RelabelMap(sources.size, p.n_outcomes, sources)
+    sources, psi = _spectral_terms(*_spectrum(p, tol)[:3], tol)
+    return Povm(_outer(psi)), RelabelMap(sources.size, p.n_outcomes, sources)
 
 
 def _spectrum(
@@ -470,6 +468,16 @@ def _spectral_terms(
             np.sqrt(dec.eigenvalues[rows, k])[:, None] * dec.eigenvectors[rows, :, k]
         )
     return np.repeat(np.arange(ranks.size), ranks), psi
+
+
+def _outer(psi: np.ndarray) -> np.ndarray:
+    """|psi><psi| of each row of an (n, d) stack, exactly Hermitian: never averaged downstream."""
+    out = psi[:, :, None] * psi.conj()[:, None, :]
+    row, col = np.triu_indices(psi.shape[-1], 1)
+    # the upper triangle and real diagonal, all that hermitian_coords reads, stay as multiplied
+    out[:, col, row] = out[:, row, col].conj()
+    np.einsum("kii->ki", out).imag = 0.0  # a writeable view of the diagonals
+    return out
 
 
 def _top_terms(effects: np.ndarray) -> np.ndarray:

@@ -53,9 +53,10 @@ from povm_forge.errors import (
     PovmForgeError,
 )
 from povm_forge import decomposer
+from povm_forge import povm as povm_module
 from povm_forge.decomposer import _factor, _normalized_terms, _random_states
 from povm_forge.extremality import rank1_failures
-from povm_forge.linalg import effect_ranks, hermitian_coords, independence_cutoff
+from povm_forge.linalg import effect_ranks, hermitian_coords, hermitian_split, independence_cutoff
 from povm_forge.povm import _checked, _spectral_terms
 
 
@@ -133,6 +134,22 @@ class TestDecompose:
         monkeypatch.setattr(decomposer, "rank1_failures", recording)
         assert verify_certificate(cert).passed
         assert len(seen) == 1 and seen[0] is cert._component_effects
+
+    @pytest.mark.parametrize("d, n, seed", [(2, 5, 1), (3, 10, 2), (4, 16, 3), (8, 16, 1)])
+    def test_verifier_takes_no_averaging_copy(self, monkeypatch, d, n, seed):
+        # the component stack is exactly Hermitian, so hermitian_split hands it back uncopied
+        cert = decompose(random_povm(d, n, seed))
+        split = []
+
+        def recording(a):
+            part, deviation = hermitian_split(a)
+            split.append((a, part))
+            return part, deviation
+
+        monkeypatch.setattr(povm_module, "hermitian_split", recording)
+        assert verify_certificate(cert).passed
+        assert len(split) == 1 and split[0][0] is cert._component_effects
+        assert split[0][1] is split[0][0]
 
 
 class TestFactor:
@@ -458,21 +475,16 @@ class TestRefitVertexCheck:
         assert verify_certificate(cert).passed
 
 
-def assert_relabeling_matrix(cert):
-    """M holds weight_i at (f_i(k), (i, k)) and nothing else, and M's weights make a joint POVM."""
-    m, column = cert._relabeling, 0
-    assert m.shape == (cert.target.n_outcomes, len(cert._component_effects))
-    for comp in cert.components:
-        block = m[:, column:column + comp.extremal.n_outcomes]
-        want = np.zeros_like(block)
-        want[comp.relabel.targets, np.arange(comp.extremal.n_outcomes)] = comp.weight
-        assert np.array_equal(block, want)
-        column += comp.extremal.n_outcomes
-    validate(Povm(m.sum(axis=0)[:, None, None] * cert._component_effects))
+def assert_joint_povm(cert):
+    """The weights, repeated over the component effects, make a joint POVM (M's column sums)."""
+    sizes = [comp.extremal.n_outcomes for comp in cert.components]
+    weights = np.repeat([comp.weight for comp in cert.components], sizes)
+    assert weights.shape == (len(cert._component_effects),)
+    validate(Povm(weights[:, None, None] * cert._component_effects))
 
 
 class TestJointRelabeling:
-    """The weighted relabeling matrix against the per-component loops of ``per_effect``."""
+    """The reconstruction and mixed statistics against the per-component loops of ``per_effect``."""
 
     @given(SMALL, st.booleans(), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -485,21 +497,32 @@ class TestJointRelabeling:
         deviations = statistics_equivalence(cert, trials=5, seed=seed).deviations
         assert np.abs(deviations - per_effect.statistics_deviations(cert, 5, seed)).max() <= 1e-14
         if not tree:
-            assert_relabeling_matrix(cert)
+            assert_joint_povm(cert)
 
-    def test_joint_built_once(self, dependent4):
+    def test_joint_built_once(self, monkeypatch, dependent4):
+        # the statistics of a fresh certificate build its reconstruction; verify reads it again
         cert = decompose(dependent4)
-        m = cert._relabeling
-        assert m is cert._relabeling and not m.flags.writeable
-        statistics_equivalence(cert, trials=3, seed=0)
-        assert verify_certificate(cert).passed
-        assert cert._relabeling is m
+        fresh = DecompositionCertificate(cert.target, cert.components)
+        mixed = []
+
+        def recording(effects, rho):
+            mixed.append(effects)
+            return probabilities(effects, rho)
+
+        probabilities = decomposer._probabilities
+        monkeypatch.setattr(decomposer, "_probabilities", recording)
+        assert statistics_equivalence(fresh, trials=3, seed=0).passed
+        recon = fresh.reconstruction()
+        assert not recon.flags.writeable
+        assert mixed[0] is recon and mixed[1] is fresh.target.effects  # the mixture, then the target
+        assert verify_certificate(fresh).passed
+        assert fresh.reconstruction() is recon
 
     def test_deep_certificate_statistics(self):
         cert = decompose(random_povm(8, 16, seed=1))
         deviations = statistics_equivalence(cert, trials=100, seed=7).deviations
         assert np.abs(deviations - per_effect.statistics_deviations(cert, 100, 7)).max() <= 1e-15
-        assert_relabeling_matrix(cert)
+        assert_joint_povm(cert)
 
 
 class TestCertificateFitsTarget:

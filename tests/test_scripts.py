@@ -23,6 +23,8 @@ ROOT = Path(__file__).resolve().parents[1]
         ("output_digests.py", ["--seed", "7"]),
         ("output_digests.py", ["--seed", "7", "--tol-scale", "0.1"]),
         ("output_digests.py", ["--seed", "7", "--tol-scale", "10"]),
+        ("off_identity_sweep.py", ["--noisy", "--cases", "1"]),
+        ("off_identity_sweep.py", ["--mixtures", "--cases", "4", "--tol-scale", "0.1"]),
     ],
 )
 def test_script_exits_cleanly(script, args):

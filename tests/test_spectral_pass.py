@@ -17,14 +17,18 @@ from povm_forge import (
     NOT_EXTREMAL,
     Povm,
     classify,
+    RelabelMap,
     construct_extremal_rank1,
+    decompose,
     eig_herm,
     extend_extremal,
     extremality_report,
     is_extremal,
     is_extremal_rank1,
+    mix,
     qubit_example,
     random_povm,
+    relabel,
     spectral_relabel,
     type_d_example,
     validate,
@@ -38,7 +42,7 @@ from povm_forge.errors import (
     PovmForgeError,
 )
 from povm_forge.extremality import extremal_to_rank1
-from povm_forge.linalg import _fix_phases, banded_verdict
+from povm_forge.linalg import _fix_phases, banded_verdict, hermitian_split
 from povm_forge.povm import _spectral_terms, _spectrum
 
 KINDS = ("full", "rank1_square", "rank1_below", "low_rank", "block_pvm", "type_d", "hybrid")
@@ -125,6 +129,36 @@ def test_spectral_form_and_relabel_match_per_effect_reference(p):
     assert rmap.target_size == p.n_outcomes
     assert np.array_equal(rmap.targets, sources)
     np.testing.assert_allclose(rank1.effects, pieces, rtol=0, atol=1e-12)
+
+
+def _extremal(d, seed):
+    return construct_extremal_rank1(d, min(d + seed, d * d))
+
+
+BUILT_STACKS = {
+    "spectral_relabel": lambda d, seed: spectral_relabel(random_povm(d, d + 2, seed))[0],
+    "extremal_to_rank1": lambda d, seed: extremal_to_rank1(
+        random_mixed_rank_pvm(d, np.random.default_rng(seed))
+    )[0],
+    "decompose": lambda d, seed: Povm(decompose(random_povm(d, d + 2, seed))._component_effects),
+    "construct_extremal_rank1": _extremal,
+    "random_povm": lambda d, seed: random_povm(d, d + 2, seed),
+    "random_povm rank 1": lambda d, seed: random_povm(d, d * d, seed, rank=1),
+    "extend_extremal": lambda d, seed: extend_extremal(construct_extremal_rank1(d, d)),
+    "relabel": lambda d, seed: relabel(
+        random_povm(d, d + 2, seed), RelabelMap(d + 2, 2, np.arange(d + 2) % 2)
+    ),
+    "mix": lambda d, seed: mix(random_povm(d, d + 2, seed), _extremal(d, seed), 0.3),
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("d", range(2, 6))
+@pytest.mark.parametrize("built", BUILT_STACKS)
+def test_every_stack_the_library_builds_is_exactly_hermitian(built, d, seed):
+    # equal to its conjugate transpose bit for bit, so hermitian_split returns it uncopied
+    stack = BUILT_STACKS[built](d, seed).effects
+    assert hermitian_split(stack)[0] is stack
 
 
 def block_pvm(d, blocks, rng):
