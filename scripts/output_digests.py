@@ -18,8 +18,11 @@ and the ``statistics_equivalence`` deviations over 20 states.  Last come the
 ``classify``, ``spectral_relabel``, ``extremal_to_rank1``,
 ``is_extremal_rank1``, ``decompose`` and ``decompose peel`` records of a copy
 with zero effects inserted before the first, the middle and past the last
-effect.  A domain error is recorded by its type and message.  Each line
-reads ``<sha256>  <corpus>/<label>: <record>``.
+effect.  For every ``decompose_deep`` input the last record is the
+``verify_certificate loaded`` report of its certificate read back from its
+JSON text (``to_jsonable``, ``json``, ``from_jsonable``).  A domain error is
+recorded by its type and message.  Each line reads
+``<sha256>  <corpus>/<label>: <record>``.
 ``--tol-scale X`` runs every call under ``DEFAULT_TOL.scaled(X)``; the inputs
 do not change.
 
@@ -41,6 +44,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -171,6 +175,15 @@ def certificate_records(p: Povm, tol):
     yield "statistics_equivalence", (statistics_equivalence(cert, STATS_STATES, 0, tol).deviations,)
 
 
+def loaded(p: Povm, tol):
+    """The ``verify_certificate`` report of ``decompose``'s certificate after a JSON round trip."""
+    cert = outcome(decompose, p, tol)
+    if isinstance(cert, tuple):
+        return cert
+    text = json.dumps(cert.to_jsonable())
+    return reported(DecompositionCertificate.from_jsonable(json.loads(text)), tol)
+
+
 def records(corpus: str, p: Povm, tol):
     """(record, parts) of every output record of one input; parts is a tuple or a list."""
     yield "classify", classified(p, tol)
@@ -190,6 +203,8 @@ def records(corpus: str, p: Povm, tol):
     _, parts, peel = decomposed(zeros, tol)
     yield "decompose padded", parts
     yield "decompose peel padded", peel
+    if corpus == "decompose_deep":
+        yield "verify_certificate loaded", loaded(p, tol)
 
 
 def main():

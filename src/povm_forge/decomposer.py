@@ -33,11 +33,15 @@ from .linalg import (
     hermitian_coords,
     independence_cutoff,
     normalizer,
+    rank1_interval,
+    rank1_settled,
+    settled_gram,
     settled_independent,
 )
 from .povm import (
     Povm,
     RelabelMap,
+    _effect_norms,
     _json_numbers,
     _outer,
     _spectral_terms,
@@ -66,7 +70,6 @@ class CertificateComponent:
     relabel: RelabelMap
 
 
-@dataclass(frozen=True)
 class DecompositionCertificate:
     """Convex decomposition of ``target`` into relabeled extremal rank-1 POVMs.
 
@@ -74,60 +77,112 @@ class DecompositionCertificate:
     reconstructs ``target`` effect by effect, with weights summing to 1.
     Construction checks only that each component fits the target: its
     dimension and its map's source and target sizes.
+
+    The certificate is one read-only stack of terms T_t, each sent to one
+    outcome of the target, and per component a weight and (support,
+    coefficients) over the stack: its effect k is c_k T_(s_k).  ``decompose``
+    shares its N rank-1 terms among all components and builds
+    :attr:`components` on first read; built from components (here, or by
+    :meth:`from_jsonable`), each stored effect is its own term at coefficient 1.
     """
 
-    target: Povm
-    components: tuple[CertificateComponent, ...]
-
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, target: Povm, components):
+        components = tuple(components)
+        if not components:
             raise EmptyInputError("a certificate needs at least one component")
-        for i, comp in enumerate(self.components):
-            if comp.extremal.dim != self.target.dim:
+        for i, comp in enumerate(components):
+            if comp.extremal.dim != target.dim:
                 raise DimensionMismatchError(
-                    f"component {i} has dimension {comp.extremal.dim}, the target {self.target.dim}"
+                    f"component {i} has dimension {comp.extremal.dim}, the target {target.dim}"
                 )
             if comp.relabel.source_size != comp.extremal.n_outcomes:
                 raise MapSizeMismatchError(
                     f"component {i}: map source size {comp.relabel.source_size} "
                     f"!= outcome count {comp.extremal.n_outcomes}"
                 )
-            if comp.relabel.target_size != self.target.n_outcomes:
+            if comp.relabel.target_size != target.n_outcomes:
                 raise MapSizeMismatchError(
                     f"component {i} maps onto {comp.relabel.target_size} outcomes, "
-                    f"the target has {self.target.n_outcomes}"
+                    f"the target has {target.n_outcomes}"
                 )
+        terms = np.concatenate([comp.extremal.effects for comp in components])
+        self._hold(
+            target,
+            terms,
+            np.concatenate([comp.relabel.targets for comp in components]),
+            [comp.weight for comp in components],
+            np.arange(len(terms)),
+            np.ones(len(terms)),
+            [comp.extremal.n_outcomes for comp in components],
+        )
+        self.components = components
 
-    @cached_property
-    def _component_effects(self) -> np.ndarray:
-        """The components' effect stacks, concatenated once and read-only.
+    @classmethod
+    def _over_terms(cls, target, terms, sources, weights, supports, coefficients):
+        """The certificate whose component i has ``weights[i]``, ``supports[i]`` and ``coefficients[i]``."""
+        cert = cls.__new__(cls)
+        cert._hold(
+            target,
+            terms,
+            sources,
+            weights,
+            np.concatenate(supports),
+            np.concatenate(coefficients),
+            [support.size for support in supports],
+        )
+        return cert
 
-        :func:`verify_certificate` judges it and :meth:`reconstruction` mixes it.  A
-        ``decompose`` certificate's is exactly Hermitian (``povm._outer``): no averaging copy.
-        """
-        effects = np.concatenate([comp.extremal.effects for comp in self.components])
+    def _hold(self, target, terms, sources, weights, supports, coefficients, sizes):
+        terms.setflags(write=False)
+        self.target = target
+        self._terms, self._sources = terms, sources
+        self._weights = np.asarray(weights, dtype=np.float64)
+        self._supports, self._coefficients = supports, coefficients
+        self._sizes = np.asarray(sizes)
+        self._starts = np.cumsum(self._sizes) - self._sizes
+
+    def _effects(self, i: int) -> np.ndarray:
+        """Component i's effects, read-only: as held (given, or built), else c_k T_(s_k)."""
+        if "components" in vars(self):
+            return self.components[i].extremal.effects
+        part = slice(self._starts[i], self._starts[i] + self._sizes[i])
+        effects = self._terms[self._supports[part]]
+        effects *= self._coefficients[part, None, None]
         effects.setflags(write=False)
         return effects
+
+    @cached_property
+    def components(self) -> tuple[CertificateComponent, ...]:
+        """(weight, extremal, relabel) per component; the effects c_k T_(s_k) are kept read-only, uncopied."""
+        n = self.target.n_outcomes
+        return tuple(
+            CertificateComponent(
+                weight,
+                Povm._frozen(self._effects(i)),
+                RelabelMap(size, n, self._sources[self._supports[start:start + size]]),
+            )
+            for i, (weight, start, size) in enumerate(
+                zip(self._weights.tolist(), self._starts.tolist(), self._sizes.tolist())
+            )
+        )
 
     def reconstruction(self) -> np.ndarray:
         """Effect stack of the weighted relabeled mixture (read-only), built once per certificate.
 
-        Target effect j is sum_(i,k) M[j, (i, k)] E_i[k] over the joint outcomes (i, k) of
-        :attr:`_component_effects`, with M[f_i(k), (i, k)] = weight_i (f_i: component i's
-        map); M is built for this one matmul and dropped.  ``decompose``'s rebuild check,
-        :func:`verify_certificate` and :func:`statistics_equivalence` read the result.
+        Term t enters with its share, the sum of weight_i * c over the components
+        that hold it, and is sent to its outcome: one (outcomes x N) matmul over the
+        stack.  ``decompose``'s rebuild check, :func:`verify_certificate` and
+        :func:`statistics_equivalence` read the result.
         """
         return self._reconstruction
 
     @cached_property
     def _reconstruction(self) -> np.ndarray:
-        sizes = [comp.extremal.n_outcomes for comp in self.components]
-        targets = np.concatenate([comp.relabel.targets for comp in self.components])
-        m = np.zeros((self.target.n_outcomes, targets.size))
-        m[targets, np.arange(targets.size)] = np.repeat(
-            [comp.weight for comp in self.components], sizes
-        )
-        flat = self._component_effects.reshape(targets.size, -1).view(np.float64)  # (re, im) pairs
+        n_terms = len(self._terms)
+        shares = np.repeat(self._weights, self._sizes) * self._coefficients
+        m = np.zeros((self.target.n_outcomes, n_terms))
+        m[self._sources, np.arange(n_terms)] = np.bincount(self._supports, shares, n_terms)
+        flat = self._terms.reshape(n_terms, -1).view(np.float64)  # (re, im) pairs
         out = (m @ flat).view(np.complex128).reshape(self.target.effects.shape)
         out.setflags(write=False)
         return out
@@ -292,7 +347,7 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
     x = np.where(norms > floor, norms, 0.0)
     support = np.flatnonzero(x)
     null, _ = _factor(columns[:, support], tol)
-    components: list[CertificateComponent] = []
+    supports, coefficients, weights = [], [], []
     remaining = 1.0
     for steps_left in range(null.shape[1], -1, -1):  # the last step takes its vertex whole
         vertex_support, vertex, solve = _walk_to_vertex(
@@ -301,21 +356,16 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
         miss = float(np.linalg.norm(columns[:, vertex_support] @ vertex - identity))
         if not miss <= tol.recon_tol:  # the remainder had left its constraint
             raise NonConvergenceError(
-                f"peel result misses its input: component {len(components)} sums to I "
+                f"peel result misses its input: component {len(weights)} sums to I "
                 f"only within {miss:.3e} > recon_tol"
             )
         ratios = x[vertex_support] / vertex
         j = int(np.argmin(ratios))
         last = not steps_left or vertex_support.size == support.size
         t = 1.0 if last else min(float(ratios[j]), 1.0)
-        coefficients = vertex / norms[vertex_support]
-        components.append(
-            CertificateComponent(
-                weight=remaining * t,
-                extremal=Povm(terms[vertex_support] * coefficients[:, None, None]),
-                relabel=RelabelMap(vertex_support.size, p.n_outcomes, sources[vertex_support]),
-            )
-        )
+        supports.append(vertex_support)
+        coefficients.append(vertex / norms[vertex_support])
+        weights.append(remaining * t)
         if t == 1.0:
             break
         # The rest of x is (x - t*v)/(1 - t).  Off the vertex support that is
@@ -328,7 +378,7 @@ def decompose(p: Povm, tol: ToleranceConfig = DEFAULT_TOL) -> DecompositionCerti
         remaining *= 1.0 - t
         x[support[x[support] <= floor]] = 0.0  # what _shrink drops leaves the sum
         _, support, null = _shrink(x[support], support, null, floor)
-    cert = DecompositionCertificate(target=p, components=tuple(components))
+    cert = DecompositionCertificate._over_terms(p, terms, sources, weights, supports, coefficients)
     # judges what the congruence, the floor, the rank cutoff and the last step left out
     residual = float(np.linalg.norm(cert.reconstruction() - p.effects, axis=(1, 2)).max())
     if not residual <= tol.recon_tol:
@@ -360,15 +410,15 @@ def verify_certificate(
 ) -> VerificationReport:
     """Check a certificate standalone: weights, components, reconstruction.
 
-    Every component must be an extremal rank-1 POVM, judged for all of
-    them in one batched :func:`rank1_failures` call; components whose
-    independence a Cholesky bound settles take no SVD.  A malformed
-    certificate (non-finite weights, target or components, or a component
-    that is not a POVM or not rank-1) gives failure lines, not an
-    exception; every comparison is written so that NaN fails it.
+    Every component must be an extremal rank-1 POVM: :func:`_component_failures`
+    judges each term of the stack once, and :func:`rank1_failures` the components
+    those checks do not pass.  A malformed certificate (non-finite weights,
+    target or components, or a component that is not a POVM or not rank-1)
+    gives failure lines, not an exception; every comparison is written so that
+    NaN fails it.
     """
     failures: list[str] = []
-    weights = np.array([c.weight for c in cert.components], dtype=np.float64)
+    weights = cert._weights
     weight_residual = abs(float(weights.sum()) - 1.0)
     if not weight_residual <= tol.recon_tol:
         failures.append(f"weights sum to 1 with residual {weight_residual:.3e}")
@@ -377,9 +427,7 @@ def verify_certificate(
     if not np.isfinite(cert.target.effects).all():
         failures.append("target has a non-finite entry")
 
-    component_failures = rank1_failures(
-        cert._component_effects, [comp.extremal.n_outcomes for comp in cert.components], tol
-    )
+    component_failures = _component_failures(cert, tol)
     for i, failure in enumerate(component_failures):
         if failure is not None:
             failures.append(f"component {i} is not an extremal rank-1 POVM: {failure}")
@@ -397,6 +445,80 @@ def verify_certificate(
         passed=not failures,
         failures=tuple(failures),
     )
+
+
+# Headroom on the scaled rank-1 box for the rounding of c * T: at most 2**-53 (|lam| + spread)
+# per product, below 2**-10 of the eigvalsh allowance 2**-42 d (|lam| + spread) that rho holds.
+_SCALED_BOX = 1.0 + 2.0**-8
+
+
+def _component_failures(cert: DecompositionCertificate, tol: ToleranceConfig) -> list:
+    """:func:`rank1_failures` of every component, each term of the stack judged once.
+
+    A component passes here, with no per-component stack, when every term c T of
+    it is finite and exactly Hermitian (so is c T, for c > 0) and settled plain
+    rank 1 inside [0, I] by the :func:`linalg.rank1_interval` box of T scaled by
+    c; its largest effect is nonzero (``povm._effect_norms``); its sum,
+    coordinates times coefficients, is within recon_tol of I with room for the
+    rounding of either sum; and :func:`linalg.settled_gram` proves its unit terms
+    independent on a principal submatrix of one Gram of the stack (of each
+    component's, when no term is shared).  Each of these bounds the value
+    :func:`rank1_failures` reads, so a component that passes them passes it too.
+    The others are judged by :func:`rank1_failures`, whose verdict and message
+    stand (and whose ``eigvalsh`` and SVD take what the bounds leave open).
+    """
+    terms, support, c, sizes, starts = (
+        cert._terms, cert._supports, cert._coefficients, cert._sizes, cert._starts
+    )
+    n_terms, d = terms.shape[:2]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    finite = np.isfinite(terms.reshape(n_terms, -1).view(np.float64)).all(axis=1)
+    clean = terms if finite.all() else np.where(finite[:, None, None], terms, 0.0)
+    lam, rho = rank1_interval(clean)
+    with np.errstate(all="ignore"):  # zero, huge or spoiled terms: inf or NaN, which fails
+        norms = _effect_norms(clean, tol)[0]
+        exact = finite & (clean == clean.conj().swapaxes(-1, -2)).all(axis=(1, 2))
+        good = exact[support] & (c > 0.0)
+        good &= rank1_settled(c * lam[support], c * rho[support] * _SCALED_BOX, d, tol)
+        coords = hermitian_coords(clean)
+        units = coords / norms[:, None]
+        if support.size > n_terms:  # decompose: the components share the terms
+            mixing = np.zeros((len(sizes), n_terms))
+            mixing[owner, support] = c
+            sums = mixing @ coords
+            gram = (units @ units.T).reshape(-1)  # the rows of failed terms enter no passed set
+        else:  # each stored effect is its own term; segments summed along a contiguous axis
+            sums = np.add.reduceat(coords.T[:, support] * c, starts, axis=1).T
+            gram = None
+        miss = np.linalg.norm(sums - hermitian_coords(np.eye(d)), axis=1)
+        # either sum is within (size + 2) u of the sum of |c T| from the exact one
+        share = c * norms[support]
+        miss += 2.0**-50 * (sizes + d) * np.add.reduceat(share, starts)
+        # one nonzero effect (the largest) keeps the component from being all zero; a
+        # zero one would leave a subset of its independent effects, independent too
+        ragged = np.full((len(sizes), sizes.max()), -np.inf)
+        ragged[owner, np.arange(support.size) - starts[owner]] = share
+        largest = starts + ragged.argmax(axis=1)
+        nonzero = _effect_norms(terms[support[largest]] * c[largest, None, None], tol)[1]
+    passed = np.logical_and.reduceat(good, starts) & (miss <= tol.recon_tol) & nonzero
+
+    for m in np.flatnonzero(np.bincount(sizes[passed])).tolist():
+        members = np.flatnonzero(passed & (sizes == m))
+        rows = support[starts[members, None] + np.arange(m)]
+        if gram is None:
+            picked = units[rows]
+            grams = picked @ picked.swapaxes(-1, -2)
+        else:
+            grams = gram.take(rows[:, :, None] * n_terms + rows[:, None, :])
+        passed[members] = settled_gram(grams, d * d, tol)
+
+    failures: list = [None] * len(sizes)
+    flagged = np.flatnonzero(~passed)
+    if flagged.size:
+        effects = np.concatenate([cert._effects(i) for i in flagged.tolist()])
+        for i, failure in zip(flagged.tolist(), rank1_failures(effects, sizes[flagged], tol)):
+            failures[i] = failure
+    return failures
 
 
 def outcome_probabilities(p: Povm, rho: np.ndarray) -> np.ndarray:
@@ -459,6 +581,8 @@ def statistics_equivalence(
     """
     if trials < 0:
         raise OutOfRangeError(f"trials must be >= 0, got {trials}")
+    if seed < 0:
+        raise OutOfRangeError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     states = _random_states(trials, cert.target.dim, rng)
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry: NaN, which fails

@@ -43,6 +43,7 @@ __all__ = [
     "banded_verdict",
     "independence_margin",
     "settled_independent",
+    "settled_gram",
 ]
 
 # Verdicts require a margin clear of the independence cutoff by this
@@ -222,10 +223,29 @@ def rank1_interval(effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y = effects[rows, :, k]
     with np.errstate(all="ignore"):  # E_kk = 0 or an overflow: inf or NaN, which settles nothing
         scaled = y.conj() / diagonal[rows, k, None]
-        gap = (effects - y[:, :, None] * scaled[:, None, :]).reshape(n, -1).view(np.float64)
+        gap = y[:, :, None] * scaled[:, None, :]
+        gap = np.subtract(effects, gap, out=gap).reshape(n, -1).view(np.float64)  # one buffer
         lam = np.einsum("ij,ij->i", scaled, y).real
         spread = np.sqrt(np.einsum("ki,ki->k", gap, gap))
         return lam, spread + _EIGVALSH_ROUNDING * d * (np.abs(lam) + spread)
+
+
+def rank1_settled(lam: np.ndarray, rho: np.ndarray, d: int, tol: ToleranceConfig) -> np.ndarray:
+    """Where the box of :func:`rank1_interval` holds only plain rank-1 vectors inside [0, I].
+
+    The box has the top eigenvalue in lam +- rho and the d - 1 others in +-rho;
+    plain rank 1 is :func:`effect_ranks`' rule, [0, I] holds within psd_tol.  The
+    rank rule holds for the whole box when it holds for the corner with the top
+    at lam - rho, the smallest at -rho and the rest at +rho: that has the
+    lowest cutoff and the largest rest, and the cutoff only grows with the top
+    (float rounding is monotone, so this holds as computed).
+    """
+    corner = np.repeat(rho[:, None], d, axis=1)
+    corner[:, 0] = -rho
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: nothing is settled
+        corner[:, -1] = lam - rho
+        inside = (rho <= tol.psd_tol) & (lam + rho <= 1 + tol.psd_tol)
+    return effect_ranks(corner, tol)[1] & inside
 
 
 def rank_of(m, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -367,11 +387,22 @@ def settled_independent(rows: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     A NaN or Inf row fails it too, or gives a NaN factor, whose last pivot every
     NaN entry reaches: it settles nothing.
     """
-    k, n = rows.shape[-2:]
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN, Inf or overflow: a NaN factor
+        gram = rows @ rows.swapaxes(-1, -2)
+    return settled_gram(gram, rows.shape[-1], tol)
+
+
+def settled_gram(gram: np.ndarray, n: int, tol: ToleranceConfig) -> np.ndarray:
+    """:func:`settled_independent` of the rows of length ``n`` whose computed Gram matrices are ``gram``.
+
+    ``gram`` (..., K, K) is overwritten.  A principal submatrix of a Gram matrix
+    is the Gram matrix of those rows, computed with the same error bound, so one
+    Gram of many rows settles every subset of them.
+    """
+    k = gram.shape[-1]
     rho = 2.0 * independence_cutoff(tol) + 2.0**-40 * n
     slack = 2.0 * (n + k + 2)
     with np.errstate(invalid="ignore", over="ignore"):  # NaN, Inf or overflow: a NaN factor
-        gram = rows @ rows.swapaxes(-1, -2)
         diagonal = gram.reshape(*gram.shape[:-2], k * k)[..., :: k + 1]  # a view into gram
         trace = diagonal.sum(axis=-1, keepdims=True)
         diagonal -= (rho * rho + slack * _UNIT_ROUNDOFF) * trace + slack * k * _SMALLEST_NORMAL

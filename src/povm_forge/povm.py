@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -39,6 +39,7 @@ from .linalg import (
     eig_herm,
     hermitian_split,
     rank1_interval,
+    rank1_settled,
 )
 
 __all__ = [
@@ -80,6 +81,13 @@ class Povm:
             raise EmptyInputError("a POVM needs at least one effect on dimension >= 1")
         arr.setflags(write=False)
         object.__setattr__(self, "effects", arr)
+
+    @classmethod
+    def _frozen(cls, effects: np.ndarray) -> "Povm":
+        """A Povm that keeps ``effects``, a read-only (n, d, d) complex128 stack, without a copy."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "effects", effects)
+        return p
 
     @property
     def dim(self) -> int:
@@ -265,26 +273,17 @@ def _eigenvalues(effects: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     An effect is settled when the box of :func:`linalg.rank1_interval`, the top
     eigenvalue in lam +- rho and the rest in +-rho, holds only vectors that
     :func:`linalg.effect_ranks` finds plain rank 1, that lie inside [0, I]
-    (rho <= psd_tol, lam + rho <= 1 + psd_tol) and that :func:`_projection_bounds`
-    gives one projection verdict.  Its row is the box's centre (0, ..., 0, lam),
-    which gets those verdicts too; the other rows take one ``eigvalsh``.  The
-    rank rule holds for the whole box when it holds for the corner with the top
-    at lam - rho, the smallest at -rho and the rest at +rho: that has the
-    lowest cutoff and the largest rest, and the cutoff only grows with the top
-    (float rounding is monotone, so this holds as computed).  A small stack
-    takes one ``eigvalsh`` whole.
+    (rho <= psd_tol, lam + rho <= 1 + psd_tol; :func:`linalg.rank1_settled`) and
+    that :func:`_projection_bounds` gives one projection verdict.  Its row is the
+    box's centre (0, ..., 0, lam), which gets those verdicts too; the other rows
+    take one ``eigvalsh``.  A small stack takes one ``eigvalsh`` whole.
     """
     n, d = effects.shape[:2]
     if n <= d or n * d * d <= _BOUND_MIN_ENTRIES:
         return np.linalg.eigvalsh(effects)
     lam, rho = rank1_interval(effects)
-    corner = np.repeat(rho[:, None], d, axis=1)
-    corner[:, 0] = -rho
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: nothing is settled
-        corner[:, -1] = lam - rho
-        inside = (rho <= tol.psd_tol) & (lam + rho <= 1 + tol.psd_tol)
     projection, other = _projection_bounds(lam, rho, d, tol)
-    settled = effect_ranks(corner, tol)[1] & inside & (projection | other)
+    settled = rank1_settled(lam, rho, d, tol) & (projection | other)
     w = np.zeros((n, d))
     w[:, -1] = lam  # the stand-ins; eigvalsh overwrites the other rows whole
     if not settled.all():
@@ -470,10 +469,19 @@ def _spectral_terms(
     return np.repeat(np.arange(ranks.size), ranks), psi
 
 
+@cache
+def _strict_upper(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, columns) of the strict upper triangle of a d x d matrix, row-major; cached per d."""
+    indices = np.triu_indices(d, 1)
+    for index in indices:
+        index.setflags(write=False)
+    return indices
+
+
 def _outer(psi: np.ndarray) -> np.ndarray:
     """|psi><psi| of each row of an (n, d) stack, exactly Hermitian: never averaged downstream."""
     out = psi[:, :, None] * psi.conj()[:, None, :]
-    row, col = np.triu_indices(psi.shape[-1], 1)
+    row, col = _strict_upper(psi.shape[-1])
     # the upper triangle and real diagonal, all that hermitian_coords reads, stay as multiplied
     out[:, col, row] = out[:, row, col].conj()
     np.einsum("kii->ki", out).imag = 0.0  # a writeable view of the diagonals

@@ -276,6 +276,12 @@ class TestStatsCommand:
         assert main(["stats", povm_path, cert_path, "--trials", "-1"]) == 1
         assert "trials" in capsys.readouterr().err
 
+    def test_negative_seed(self, tmp_path, capsys):
+        # a bad request (exit 1), as a negative trial count is; not an I/O or parse failure (2)
+        povm_path, cert_path = self.make_pair(tmp_path, random_povm(2, 2, seed=3))
+        assert main(["stats", povm_path, cert_path, "--trials", "3", "--seed", "-1"]) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
     def spoil(self, cert_path, **update):
         doc = json.loads(Path(cert_path).read_text())
         doc["components"][0].update(update)

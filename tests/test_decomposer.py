@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,9 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import per_component
 import per_effect
 from conftest import (
     EYE2,
+    SX,
+    SY,
     SZ,
     four_outcome_qubit,
     random_mixed_rank_pvm,
@@ -56,7 +60,9 @@ from povm_forge import decomposer
 from povm_forge import povm as povm_module
 from povm_forge.decomposer import _factor, _normalized_terms, _random_states
 from povm_forge.extremality import rank1_failures
-from povm_forge.linalg import effect_ranks, hermitian_coords, hermitian_split, independence_cutoff
+from povm_forge.linalg import (
+    effect_ranks, hermitian_coords, hermitian_split, independence_cutoff, rank1_interval,
+)
 from povm_forge.povm import _checked, _spectral_terms
 
 
@@ -123,33 +129,71 @@ class TestDecompose:
         assert cert.reconstruction() is cert.reconstruction()
         assert not cert.reconstruction().flags.writeable
 
-    def test_verifier_reads_the_cached_component_effects(self, monkeypatch, dependent4):
+    def test_verifier_judges_the_term_stack_once(self, monkeypatch, dependent4):
         cert = decompose(dependent4)
-        seen = []
+        boxed, judged = [], []
+
+        def recording_box(effects):
+            boxed.append(effects)
+            return rank1_interval(effects)
 
         def recording(effects, sizes, tol):
-            seen.append(effects)
+            judged.append(effects)
             return rank1_failures(effects, sizes, tol)
 
+        monkeypatch.setattr(decomposer, "rank1_interval", recording_box)
         monkeypatch.setattr(decomposer, "rank1_failures", recording)
         assert verify_certificate(cert).passed
-        assert len(seen) == 1 and seen[0] is cert._component_effects
+        assert len(boxed) == 1 and boxed[0] is cert._terms
+        assert judged == []  # every component passed the per-term checks
 
     @pytest.mark.parametrize("d, n, seed", [(2, 5, 1), (3, 10, 2), (4, 16, 3), (8, 16, 1)])
     def test_verifier_takes_no_averaging_copy(self, monkeypatch, d, n, seed):
-        # the component stack is exactly Hermitian, so hermitian_split hands it back uncopied
+        # the term stack is exactly Hermitian, so hermitian_split hands it back uncopied, and
+        # a certificate that passes never reaches the validator's split
         cert = decompose(random_povm(d, n, seed))
+        assert hermitian_split(cert._terms)[0] is cert._terms
         split = []
 
         def recording(a):
-            part, deviation = hermitian_split(a)
-            split.append((a, part))
-            return part, deviation
+            split.append(a)
+            return hermitian_split(a)
 
         monkeypatch.setattr(povm_module, "hermitian_split", recording)
         assert verify_certificate(cert).passed
-        assert len(split) == 1 and split[0][0] is cert._component_effects
-        assert split[0][1] is split[0][0]
+        assert split == []
+
+    def test_wide_certificate_holds_its_terms_once(self):
+        p = random_povm(8, 16, seed=1)
+        cert = decompose(p)
+        assert cert._terms.shape == (128, 8, 8) and not cert._terms.flags.writeable
+        assert cert._sizes.sum() == 4104 and len(cert._sizes) == 65
+        assert verify_certificate(cert).passed
+        assert statistics_equivalence(cert, trials=3, seed=0).passed
+        assert "components" not in vars(cert)  # built on first read only
+        comps = cert.components
+        assert comps is cert.components and len(comps) == 65
+        for i, comp in enumerate(comps[:3]):
+            part = slice(cert._starts[i], cert._starts[i] + cert._sizes[i])
+            support, coefficients = cert._supports[part], cert._coefficients[part]
+            assert not comp.extremal.effects.flags.writeable
+            want = cert._terms[support] * coefficients[:, None, None]
+            assert comp.extremal.effects.tobytes() == want.tobytes()
+            assert np.array_equal(comp.relabel.targets, cert._sources[support])
+            assert comp.weight == cert._weights[i]
+
+    def test_loaded_certificate_holds_each_stored_effect_as_a_term(self, dependent4):
+        cert = decompose(dependent4)
+        back = DecompositionCertificate.from_jsonable(json.loads(json.dumps(cert.to_jsonable())))
+        stored = np.concatenate([c.extremal.effects for c in back.components])
+        assert np.array_equal(back._terms, stored)
+        assert np.array_equal(back._supports, np.arange(len(stored)))
+        assert np.all(back._coefficients == 1.0)
+        assert np.array_equal(back._sources, np.concatenate([c.relabel.targets for c in back.components]))
+        assert [c.extremal.effects.shape for c in back.components] == [
+            c.extremal.effects.shape for c in cert.components
+        ]
+        assert verify_certificate(back).passed
 
 
 class TestFactor:
@@ -477,10 +521,11 @@ class TestRefitVertexCheck:
 
 def assert_joint_povm(cert):
     """The weights, repeated over the component effects, make a joint POVM (M's column sums)."""
+    effects = np.concatenate([comp.extremal.effects for comp in cert.components])
     sizes = [comp.extremal.n_outcomes for comp in cert.components]
     weights = np.repeat([comp.weight for comp in cert.components], sizes)
-    assert weights.shape == (len(cert._component_effects),)
-    validate(Povm(weights[:, None, None] * cert._component_effects))
+    assert weights.shape == (len(effects),)
+    validate(Povm(weights[:, None, None] * effects))
 
 
 class TestJointRelabeling:
@@ -814,6 +859,79 @@ class TestVerifyCertificate:
         assert report.failures
 
 
+def _variants(cert: DecompositionCertificate) -> dict:
+    """``cert`` built, spoiled, merged, with a NaN entry, and through JSON; also split and skewed.
+
+    Component 0 scaled by 1.5; its first two effects summed into one; a NaN at
+    its effect 0's (0, 0) entry; its effect 0 split into two equal halves (a
+    dependent POVM); its effect 0's corner entry moved 1e-3 off Hermitian.
+    """
+    first, rest = cert.components[0], cert.components[1:]
+    effects, f = first.extremal.effects, first.relabel
+    merged = np.concatenate([effects[:1] + effects[1:2], effects[2:]])
+    poisoned, skewed = np.array(effects), np.array(effects)
+    poisoned[0, 0, 0] = np.nan
+    skewed[0, 0, -1] += 1e-3
+    swaps = {
+        "spoiled": (1.5 * effects, f),
+        "merged": (merged, RelabelMap(f.source_size - 1, f.target_size, np.delete(f.targets, 1))),
+        "nan": (poisoned, f),
+        "skewed": (skewed, f),
+    }
+    out = {"built": cert}
+    for name, (stack, g) in swaps.items():
+        out[name] = DecompositionCertificate(
+            cert.target, (CertificateComponent(first.weight, Povm(stack), g), *rest)
+        )
+    out["json"] = DecompositionCertificate.from_jsonable(json.loads(json.dumps(cert.to_jsonable())))
+    out["split"] = _split_effect(cert)
+    return out
+
+
+class TestAgainstThePerComponentVerifier:
+    """The stack-wise verifier against ``per_component``'s verifier, which judges every component whole."""
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize(
+        "d, n, rank", [(2, 3, None), (2, 5, None), (3, 6, None), (4, 17, 1), (8, 16, None), (2, 40, None)]
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_same_verdicts_failures_and_residuals(self, d, n, rank, scale):
+        tol = DEFAULT_TOL.scaled(scale)
+        cert = decompose(random_povm(d, n, seed=d * n, rank=rank), tol)
+        for name, variant in _variants(cert).items():
+            got = verify_certificate(variant, tol)
+            want = per_component.verify_certificate(variant, tol)
+            assert got.passed == want.passed == (name in ("built", "json")), name
+            assert got.component_extremal == want.component_extremal, name
+            assert got.failures == want.failures, name
+            assert got.weight_sum_residual == want.weight_sum_residual, name
+            np.testing.assert_allclose(
+                got.effect_residuals, want.effect_residuals, rtol=0, atol=1e-15, equal_nan=True
+            )
+
+    def test_tolerances_the_rank1_box_does_not_order(self):
+        # psd_tol far above herm_tol: a box wide enough to hold a term 3 herm_tol off Hermitian;
+        # zero_effect_tol above every effect norm (1/2) of the tetrahedral qubit POVM
+        tetrahedron = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+        effects = np.array([(np.eye(2) + r[0] * SX + r[1] * SY + r[2] * SZ) / 4 for r in tetrahedron])
+        skewed = np.array(effects)
+        skewed[0, 0, 1] += 3e-10
+        cases = [
+            (dataclasses.replace(DEFAULT_TOL, psd_tol=1e-7), skewed),
+            (dataclasses.replace(DEFAULT_TOL, zero_effect_tol=0.6), effects),
+        ]
+        for tol, stack in cases:
+            target = Povm(effects)
+            cert = DecompositionCertificate(
+                target, (CertificateComponent(1.0, Povm(stack), RelabelMap.identity(4)),)
+            )
+            got = verify_certificate(cert, tol)
+            want = per_component.verify_certificate(cert, tol)
+            assert (got.passed, got.component_extremal) == (want.passed, want.component_extremal)
+            assert got.failures == want.failures and len(got.failures) == 1
+
+
 def _set_off_diagonal(povm_doc, value):
     """Set the (0, 1) and (1, 0) entries of a POVM document's first effect to ``value``."""
     re = povm_doc["effects"][0]["re"]
@@ -922,6 +1040,10 @@ class TestStatisticsEquivalence:
     def test_negative_trials_rejected(self, qubit3):
         with pytest.raises(OutOfRangeError):
             statistics_equivalence(decompose(qubit3), trials=-1, seed=0)
+
+    def test_negative_seed_rejected(self, qubit3):
+        with pytest.raises(OutOfRangeError, match="seed must be >= 0, got -1"):
+            statistics_equivalence(decompose(qubit3), trials=3, seed=-1)
 
     def test_zero_trials_vacuous_pass(self, qubit3):
         report = statistics_equivalence(decompose(qubit3), trials=0, seed=0)

@@ -288,3 +288,34 @@ def test_zero_and_non_finite_effects_get_no_interval():
     effects[2] = -np.eye(2)
     lam, rho = rank1_interval(effects)
     assert np.isnan(lam[:2]).all() and lam[2] < 0
+
+
+def _interval_two_temporaries(effects):
+    """``rank1_interval`` with its gap formed as effects - y y^H / E_kk, two stack-sized temporaries."""
+    n, d = effects.shape[:2]
+    diagonal = np.diagonal(effects, axis1=-2, axis2=-1).real
+    k = diagonal.argmax(axis=-1)
+    rows = np.arange(n)
+    y = effects[rows, :, k]
+    with np.errstate(all="ignore"):
+        scaled = y.conj() / diagonal[rows, k, None]
+        gap = (effects - y[:, :, None] * scaled[:, None, :]).reshape(n, -1).view(np.float64)
+        lam = np.einsum("ij,ij->i", scaled, y).real
+        spread = np.sqrt(np.einsum("ki,ki->k", gap, gap))
+        return lam, spread + 2.0**-42 * d * (np.abs(lam) + spread)
+
+
+@pytest.mark.parametrize("n, d", [(144, 12), (100, 10), (256, 8), (67, 8)])
+def test_interval_built_in_one_buffer_keeps_its_bits(n, d):
+    # rank-1 effects with noise, one with E_kk = 0 (a zero diagonal) and one non-finite
+    rng = np.random.default_rng(n * d)
+    psi = rng.standard_normal((n, 2 * d)).view(np.complex128)
+    noise = 1e-9 * rng.standard_normal((n, d, 2 * d)).view(np.complex128)
+    effects = psi[:, :, None] * psi.conj()[:, None, :] + noise
+    effects = hermitian_split(effects)[0]
+    effects[0] = np.diag(np.ones(d - 1), 1) + np.diag(np.ones(d - 1), -1)  # E_kk = 0
+    effects[1, 0, -1] = np.inf
+    got, want = rank1_interval(effects), _interval_two_temporaries(effects)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    assert not np.isfinite(got[1][:2]).any()  # neither row settles anything

@@ -43,7 +43,7 @@ from povm_forge.errors import (
 )
 from povm_forge.extremality import extremal_to_rank1
 from povm_forge.linalg import _fix_phases, banded_verdict, hermitian_split
-from povm_forge.povm import _spectral_terms, _spectrum
+from povm_forge.povm import _outer, _spectral_terms, _spectrum, _strict_upper
 
 KINDS = ("full", "rank1_square", "rank1_below", "low_rank", "block_pvm", "type_d", "hybrid")
 
@@ -140,7 +140,10 @@ BUILT_STACKS = {
     "extremal_to_rank1": lambda d, seed: extremal_to_rank1(
         random_mixed_rank_pvm(d, np.random.default_rng(seed))
     )[0],
-    "decompose": lambda d, seed: Povm(decompose(random_povm(d, d + 2, seed))._component_effects),
+    "decompose": lambda d, seed: Povm(
+        np.concatenate([c.extremal.effects for c in decompose(random_povm(d, d + 2, seed)).components])
+    ),
+    "decompose terms": lambda d, seed: Povm(decompose(random_povm(d, d + 2, seed))._terms),
     "construct_extremal_rank1": _extremal,
     "random_povm": lambda d, seed: random_povm(d, d + 2, seed),
     "random_povm rank 1": lambda d, seed: random_povm(d, d * d, seed, rank=1),
@@ -538,3 +541,14 @@ def test_cli_classify_takes_one_spectral_pass(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(povm_forge.povm, "_eigenvalues", counted)
     assert main(["classify", path]) == 0
     assert calls == [(3, 4, 4)]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_outer_keeps_its_bits_with_cached_triangles(d):
+    psi = np.random.default_rng(d).standard_normal((2 * d + 3, 2 * d)).view(np.complex128)
+    want = psi[:, :, None] * psi.conj()[:, None, :]
+    row, col = np.triu_indices(d, 1)
+    want[:, col, row] = want[:, row, col].conj()
+    np.einsum("kii->ki", want).imag = 0.0
+    assert _outer(psi).tobytes() == want.tobytes()
+    assert _strict_upper(d) is _strict_upper(d)
